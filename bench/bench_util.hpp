@@ -1,7 +1,7 @@
 // Shared helpers for the paper-reproduction benchmark harnesses.
 //
 // Every bench binary regenerates one table or figure of the paper at
-// scaled-down default sizes (see DESIGN.md / EXPERIMENTS.md); pass
+// scaled-down default sizes (each bench's header lists the paper's); pass
 // --scale N to grow the workload, --help for per-bench flags.
 #pragma once
 

@@ -5,8 +5,9 @@
 //
 // Paper tensors: chemistry 4520x280x280 (R=300/600/1000), COIL
 // 128x128x3x7200 (R=20), Souto time-lapse 1024x1344x33x9 (R=50),
-// synthetic 1600^3 (R=400). Scaled-down synthetic substitutes per
-// DESIGN.md; select with --case {synth,chem,coil,timelapse,all}.
+// synthetic 1600^3 (R=400). Scaled-down synthetic substitutes from
+// src/parpp/data/ (collinearity, chemistry, coil, hyperspectral); select
+// with --case {synth,chem,coil,timelapse,all}.
 #include <cstdio>
 #include <string>
 
@@ -86,7 +87,7 @@ int main(int argc, char** argv) {
   bench::print_header(
       "Figure 5 + Table IV — fitness vs time on application tensors",
       "Ma & Solomonik, IPDPS 2021, Fig. 5a-f & Table IV; synthetic "
-      "substitutes at reduced size (see DESIGN.md)");
+      "substitutes at reduced size");
 
   if (which == "all" || which == "synth") {
     const auto gen = data::make_collinear_tensor({96, 96, 96}, 24, 0.6, 0.8,

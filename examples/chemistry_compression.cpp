@@ -4,7 +4,7 @@
 // decomposition of the order-3 Cholesky factor D(e, p, q) of the
 // two-electron integral tensor compresses the integrals and accelerates
 // post-Hartree-Fock methods. We generate the synthetic density-fitting
-// substitute (see DESIGN.md), sweep the CP rank, and report the
+// substitute (parpp/data/chemistry.hpp), sweep the CP rank, and report the
 // compression ratio and fitness achieved by PP-accelerated ALS, plus the
 // reconstruction error of the implied two-electron integrals.
 //

@@ -101,8 +101,8 @@ class PpOperators {
     std::vector<int> modes;
   };
 
-  /// Root set choice for a pair (Sec. DESIGN.md): the first of
-  /// {0, N-1, N-2} not contained in the pair.
+  /// Root set choice for a pair: the first of {0, N-1, N-2} not contained
+  /// in the pair.
   [[nodiscard]] int root_exclusion_for(int i, int j) const;
 
   /// Ensures the intermediate covering `set` (sorted) under root exclusion

@@ -1,9 +1,9 @@
 // Communicator abstraction over the thread-rank simulator.
 //
-// Substitutes for MPI (see DESIGN.md): each rank is a std::thread; the
-// collectives below exchange data through shared staging pointers guarded by
-// a group barrier, and additionally charge the BSP alpha-beta model costs
-// that a fully-connected network implementation would incur (Sec. II-E).
+// Substitutes for MPI: each rank is a std::thread; the collectives below
+// exchange data through shared staging pointers guarded by a group
+// barrier, and additionally charge the BSP alpha-beta model costs that a
+// fully-connected network implementation would incur (Sec. II-E).
 //
 // Fault tolerance: the barrier is a phased condition-variable barrier that
 // can be *poisoned* (by a timeout, an injected fault, or a rank-body

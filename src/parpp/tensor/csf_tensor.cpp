@@ -1,8 +1,8 @@
 #include "parpp/tensor/csf_tensor.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <cstdint>
+#include <utility>
 
 namespace parpp::tensor {
 
@@ -10,70 +10,94 @@ namespace {
 
 void build_tiles(CsfTensor::Tree& tree, int n);
 
-bool is_identity(const std::vector<int>& mode_order) {
-  for (std::size_t l = 0; l < mode_order.size(); ++l)
-    if (mode_order[l] != static_cast<int>(l)) return false;
-  return true;
+/// Stable counting sort of the entries `src` (nullptr: 0..nnz-1 in COO
+/// order) by their coordinate in `mode`, written to `dst`. The bucket
+/// offsets take one word per index of the mode.
+void counting_pass(const CooTensor& coo, int mode, const index_t* src,
+                   index_t* dst) {
+  const index_t nnz = coo.nnz();
+  const auto entry = [&](index_t p) { return src ? src[p] : p; };
+  std::vector<index_t> offset(static_cast<std::size_t>(coo.extent(mode)), 0);
+  for (index_t p = 0; p < nnz; ++p)
+    ++offset[static_cast<std::size_t>(coo.index(entry(p), mode))];
+  index_t start = 0;
+  for (index_t& o : offset) start += std::exchange(o, start);
+  for (index_t p = 0; p < nnz; ++p) {
+    const index_t e = entry(p);
+    dst[offset[static_cast<std::size_t>(coo.index(e, mode))]++] = e;
+  }
 }
 
+/// Builds one fiber tree in three linear passes: order the entries, find
+/// where each opens new nodes (sizing every level), then fill exact-size
+/// arrays. A coalesced entry set has exactly one tree per mode order, so
+/// the result does not depend on how the entries were ordered.
 CsfTensor::Tree build_tree(const CooTensor& coo, std::vector<int> mode_order) {
-  const int n = coo.order();
+  const auto n = static_cast<std::size_t>(coo.order());
   const index_t nnz = coo.nnz();
+  PARPP_CHECK(n <= 255, "CsfTensor: tensor order must be <= 255, got ", n);
 
   CsfTensor::Tree tree;
   tree.mode_order = std::move(mode_order);
+  const std::vector<int>& mo = tree.mode_order;
 
-  // Entry order for this tree: lexicographic in the permuted coordinates.
-  // The COO is coalesced (sorted, duplicate-free), so an identity mode
-  // order is already sorted; other orders re-sort.
-  std::vector<index_t> perm(static_cast<std::size_t>(nnz));
-  std::iota(perm.begin(), perm.end(), index_t{0});
-  if (!is_identity(tree.mode_order)) {
-    std::sort(perm.begin(), perm.end(), [&](index_t a, index_t b) {
-      for (int l = 0; l < n; ++l) {
-        const int m = tree.mode_order[static_cast<std::size_t>(l)];
-        const index_t ia = coo.index(a, m), ib = coo.index(b, m);
-        if (ia != ib) return ia < ib;
-      }
-      return false;
-    });
+  // 1. Order: lexicographic in mode_order. The coalesced COO is already
+  // lexicographic in modes 0..n-1, so the levels from `sorted_from` on —
+  // the longest ascending tail of mode_order — are in place, and one
+  // stable counting pass per earlier level (right to left) orders the
+  // rest. Tree 0 needs no pass, every other all-modes tree exactly one.
+  std::size_t sorted_from = n - 1;
+  while (sorted_from > 0 && mo[sorted_from - 1] < mo[sorted_from])
+    --sorted_from;
+  std::vector<index_t> perm, prev;  // perm empty: COO order
+  for (std::size_t l = sorted_from; l-- > 0;) {
+    std::swap(perm, prev);
+    perm.resize(static_cast<std::size_t>(nnz));
+    counting_pass(coo, mo[l], prev.empty() ? nullptr : prev.data(),
+                  perm.data());
   }
+  prev = {};
+  const auto entry = [&](index_t p) {
+    return perm.empty() ? p : perm[static_cast<std::size_t>(p)];
+  };
 
-  tree.fids.resize(static_cast<std::size_t>(n));
-  tree.fptr.resize(static_cast<std::size_t>(n - 1));
-  tree.vals.reserve(static_cast<std::size_t>(nnz));
+  // 2. Count: an entry opens fresh nodes from the first level whose
+  // coordinate differs from the previous entry's down to the leaf, so
+  // level l holds one node per entry opening at or above it.
+  std::vector<std::uint8_t> opens(static_cast<std::size_t>(nnz));
+  std::vector<index_t> nodes(n, 0);
   for (index_t p = 0; p < nnz; ++p) {
-    const index_t e = perm[static_cast<std::size_t>(p)];
-    // First level whose coordinate differs from the previous entry: that
-    // node and everything below it open fresh.
-    int open_from = 0;
+    std::size_t l = 0;
     if (p > 0) {
-      const index_t prev = perm[static_cast<std::size_t>(p - 1)];
-      while (open_from < n - 1 &&
-             coo.index(e, tree.mode_order[static_cast<std::size_t>(open_from)]) ==
-                 coo.index(prev,
-                           tree.mode_order[static_cast<std::size_t>(open_from)]))
-        ++open_from;
+      const index_t e = entry(p), before = entry(p - 1);
+      while (l + 1 < n && coo.index(e, mo[l]) == coo.index(before, mo[l])) ++l;
     }
-    for (int l = open_from; l < n; ++l) {
-      auto& fids = tree.fids[static_cast<std::size_t>(l)];
-      if (l < n - 1) {
-        // New node's children start where level l+1 currently ends.
-        tree.fptr[static_cast<std::size_t>(l)].push_back(
-            static_cast<index_t>(tree.fids[static_cast<std::size_t>(l + 1)].size()));
-      }
-      fids.push_back(coo.index(e, tree.mode_order[static_cast<std::size_t>(l)]));
+    opens[static_cast<std::size_t>(p)] = static_cast<std::uint8_t>(l);
+    ++nodes[l];
+  }
+  for (std::size_t l = 1; l < n; ++l) nodes[l] += nodes[l - 1];
+
+  // 3. Fill: a new node's children start where level l+1 currently ends.
+  tree.fids.resize(n);
+  tree.fptr.resize(n - 1);
+  for (std::size_t l = 0; l < n; ++l) {
+    tree.fids[l].resize(static_cast<std::size_t>(nodes[l]));
+    if (l + 1 < n) tree.fptr[l].resize(static_cast<std::size_t>(nodes[l]) + 1);
+  }
+  tree.vals.resize(static_cast<std::size_t>(nnz));
+  std::vector<index_t> filled(n, 0);
+  for (index_t p = 0; p < nnz; ++p) {
+    const index_t e = entry(p);
+    for (std::size_t l = opens[static_cast<std::size_t>(p)]; l < n; ++l) {
+      const auto j = static_cast<std::size_t>(filled[l]++);
+      if (l + 1 < n) tree.fptr[l][j] = filled[l + 1];
+      tree.fids[l][j] = coo.index(e, mo[l]);
     }
-    tree.vals.push_back(coo.value(e));
+    tree.vals[static_cast<std::size_t>(p)] = coo.value(e);
   }
-  for (int l = 0; l < n - 1; ++l) {
-    tree.fptr[static_cast<std::size_t>(l)].push_back(
-        static_cast<index_t>(tree.fids[static_cast<std::size_t>(l + 1)].size()));
-  }
-  for (int l = 1; l < n - 1; ++l)
-    tree.internal_nodes +=
-        static_cast<index_t>(tree.fids[static_cast<std::size_t>(l)].size());
-  build_tiles(tree, n);
+  for (std::size_t l = 0; l + 1 < n; ++l) tree.fptr[l].back() = nodes[l + 1];
+  for (std::size_t l = 1; l + 1 < n; ++l) tree.internal_nodes += nodes[l];
+  build_tiles(tree, static_cast<int>(n));
   return tree;
 }
 

@@ -36,6 +36,15 @@ struct CsfOptions {
 /// for the repeated sweeps of ALS. `CsfLayout::kHalf` halves that pattern
 /// memory by serving two modes per tree (see walk_for).
 ///
+/// Construction costs O(N·nnz + Σ extents) per tree. The coalesced COO is
+/// already in the order of any tree whose mode order ascends (tree 0 in
+/// both layouts); every other tree gets one stable counting-sort pass per
+/// level ahead of its longest ascending tail — a single pass for each
+/// all-modes tree. A counting pass then sizes every level, and each
+/// fptr/fids/vals array is allocated once at its exact size and filled.
+/// Transient scratch is two index words plus one byte per nonzero, and one
+/// bucket word per index of the mode being sorted.
+///
 /// Immutable once built: construct from a coalesced CooTensor.
 class CsfTensor {
  public:

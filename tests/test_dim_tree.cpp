@@ -45,6 +45,12 @@ struct TreeCase {
   index_t rank;
 };
 
+void PrintTo(const TreeCase& c, std::ostream* os) {
+  *os << "shape ";
+  test::print_dims(c.shape, os);
+  *os << " rank " << c.rank;
+}
+
 class DtShapes : public ::testing::TestWithParam<TreeCase> {};
 
 TEST_P(DtShapes, MatchesNaiveAcrossSweeps) {

@@ -16,6 +16,13 @@ struct MsdtCase {
   bool transposed_copy;
 };
 
+void PrintTo(const MsdtCase& c, std::ostream* os) {
+  *os << "shape ";
+  test::print_dims(c.shape, os);
+  *os << " rank " << c.rank << " transposed copy "
+      << (c.transposed_copy ? "on" : "off");
+}
+
 class MsdtShapes : public ::testing::TestWithParam<MsdtCase> {};
 
 /// MSDT must agree with DT on every MTTKRP of every sweep when both run the

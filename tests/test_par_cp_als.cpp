@@ -13,6 +13,11 @@ struct GridCase {
   std::vector<int> dims;
 };
 
+void PrintTo(const GridCase& c, std::ostream* os) {
+  *os << "grid ";
+  test::print_dims(c.dims, os);
+}
+
 class ParGrids : public ::testing::TestWithParam<GridCase> {};
 
 /// Algorithm 3 on any grid must reproduce the sequential trajectory exactly

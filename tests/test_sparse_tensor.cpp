@@ -1,11 +1,14 @@
 // CooTensor / CsfTensor storage and FROSTT .tns round-trip tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdint>
 #include <cstring>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "parpp/data/sparse_synthetic.hpp"
@@ -94,6 +97,208 @@ TEST(CsfTensor, TreeStructureMatchesPattern) {
   ASSERT_EQ(tr2.mode_order, (std::vector<int>{2, 0, 1}));
   EXPECT_EQ(tr2.root_count(), 2);
   EXPECT_EQ(tr2.fids[0], (std::vector<index_t>{0, 1}));
+}
+
+// Reference fiber tree, built without CsfTensor: comparator-sort the
+// entries by mode_order, deduplicate each level's coordinate prefixes, and
+// link every prefix to its first extension one level down.
+tensor::CsfTensor::Tree reference_tree(const tensor::CooTensor& coo,
+                                       const std::vector<int>& mode_order) {
+  using Prefix = std::vector<index_t>;
+  const auto n = mode_order.size();
+  std::vector<std::pair<Prefix, double>> entries;
+  for (index_t e = 0; e < coo.nnz(); ++e) {
+    Prefix key;
+    for (int m : mode_order) key.push_back(coo.index(e, m));
+    entries.emplace_back(std::move(key), coo.value(e));
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+
+  std::vector<std::vector<Prefix>> prefixes(n);
+  for (std::size_t l = 0; l < n; ++l) {
+    for (const auto& [key, v] : entries)
+      prefixes[l].emplace_back(key.begin(), key.begin() + l + 1);
+    prefixes[l].erase(std::unique(prefixes[l].begin(), prefixes[l].end()),
+                      prefixes[l].end());
+  }
+
+  tensor::CsfTensor::Tree tree;
+  tree.mode_order = mode_order;
+  tree.fids.resize(n);
+  tree.fptr.resize(n - 1);
+  for (std::size_t l = 0; l < n; ++l) {
+    for (const Prefix& p : prefixes[l]) {
+      tree.fids[l].push_back(p.back());
+      // A prefix sorts before all of its extensions, so lower_bound finds
+      // its first child.
+      if (l + 1 < n)
+        tree.fptr[l].push_back(std::lower_bound(prefixes[l + 1].begin(),
+                                                prefixes[l + 1].end(), p) -
+                               prefixes[l + 1].begin());
+    }
+    if (l + 1 < n)
+      tree.fptr[l].push_back(static_cast<index_t>(prefixes[l + 1].size()));
+    if (l > 0 && l + 1 < n)
+      tree.internal_nodes += static_cast<index_t>(prefixes[l].size());
+  }
+  for (const auto& [key, v] : entries) tree.vals.push_back(v);
+
+  // Tiles: greedy runs of level-1 nodes holding >= kTileLeafTarget leaves
+  // (the last may hold fewer), each with the root fibers it intersects.
+  const auto root_of = [&](const Prefix& p) {
+    return std::lower_bound(prefixes[0].begin(), prefixes[0].end(),
+                            Prefix{p.front()}) -
+           prefixes[0].begin();
+  };
+  std::vector<index_t> leaves(prefixes[1].size(), 0);
+  std::size_t k = 0;
+  for (const auto& [key, v] : entries) {
+    while (!std::equal(key.begin(), key.begin() + 2, prefixes[1][k].begin()))
+      ++k;
+    ++leaves[k];
+  }
+  const auto n1 = static_cast<index_t>(prefixes[1].size());
+  tree.tile_ptr.push_back(0);
+  index_t acc = 0;
+  for (index_t j = 0; j < n1; ++j) {
+    acc += leaves[static_cast<std::size_t>(j)];
+    if (acc >= tensor::CsfTensor::kTileLeafTarget || j + 1 == n1) {
+      tree.tile_ptr.push_back(j + 1);
+      acc = 0;
+    }
+  }
+  for (std::size_t t = 0; t + 1 < tree.tile_ptr.size(); ++t) {
+    const auto first = static_cast<std::size_t>(tree.tile_ptr[t]);
+    const auto last = static_cast<std::size_t>(tree.tile_ptr[t + 1] - 1);
+    tree.tile_root.push_back(root_of(prefixes[1][first]));
+    tree.tile_root_end.push_back(root_of(prefixes[1][last]) + 1);
+  }
+  return tree;
+}
+
+// Tree t's mode order as the layouts document it: all-modes trees are the
+// root then the other modes ascending; a half-layout tree m ends in leaf
+// mode n-1-m, except the middle tree of an odd order.
+std::vector<int> documented_mode_order(int n, int t, tensor::CsfLayout layout) {
+  const int leaf = layout == tensor::CsfLayout::kHalf ? n - 1 - t : t;
+  std::vector<int> order{t};
+  for (int m = 0; m < n; ++m)
+    if (m != t && m != leaf) order.push_back(m);
+  if (leaf != t) order.push_back(leaf);
+  return order;
+}
+
+void expect_trees_match_reference(const tensor::CooTensor& coo,
+                                  const std::string& label) {
+  ASSERT_TRUE(coo.coalesced()) << label;
+  const int n = coo.order();
+  for (const auto layout :
+       {tensor::CsfLayout::kAllModes, tensor::CsfLayout::kHalf}) {
+    const tensor::CsfTensor csf(coo, tensor::CsfOptions{layout});
+    const bool half = layout == tensor::CsfLayout::kHalf;
+    ASSERT_EQ(csf.tree_count(), half ? (n + 1) / 2 : n) << label;
+    for (int t = 0; t < csf.tree_count(); ++t) {
+      const std::string where = label + (half ? " half" : " all-modes") +
+                                " tree " + std::to_string(t);
+      const auto& got = csf.tree(t);
+      const auto want =
+          reference_tree(coo, documented_mode_order(n, t, layout));
+      EXPECT_EQ(got.mode_order, want.mode_order) << where;
+      EXPECT_EQ(got.fptr, want.fptr) << where;
+      EXPECT_EQ(got.fids, want.fids) << where;
+      EXPECT_EQ(got.vals, want.vals) << where;
+      EXPECT_EQ(got.internal_nodes, want.internal_nodes) << where;
+      EXPECT_EQ(got.tile_ptr, want.tile_ptr) << where;
+      EXPECT_EQ(got.tile_root, want.tile_root) << where;
+      EXPECT_EQ(got.tile_root_end, want.tile_root_end) << where;
+    }
+  }
+}
+
+tensor::CooTensor coo_from(std::vector<index_t> shape,
+                           const std::vector<std::vector<index_t>>& idx) {
+  tensor::CooTensor coo(std::move(shape));
+  double v = 1.0;
+  for (const auto& i : idx) coo.push(i, v += 0.25);
+  coo.coalesce();
+  return coo;
+}
+
+TEST(CsfTensor, TreesEqualReferenceAtOrdersTwoToSix) {
+  const std::vector<std::vector<index_t>> shapes{{40, 30},
+                                                 {20, 15, 18},
+                                                 {9, 7, 8, 6},
+                                                 {6, 5, 7, 4, 5},
+                                                 {5, 4, 3, 5, 4, 3}};
+  for (std::size_t s = 0; s < shapes.size(); ++s) {
+    const auto coo = data::make_sparse_random(shapes[s], 0.08, 500 + s);
+    ASSERT_GT(coo.nnz(), 0);
+    expect_trees_match_reference(coo, "order " + std::to_string(s + 2));
+  }
+}
+
+TEST(CsfTensor, TreesEqualReferenceOnDegenerateInputs) {
+  for (int order = 2; order <= 6; ++order) {
+    const std::vector<index_t> shape(static_cast<std::size_t>(order), 4);
+    const std::string o = " order " + std::to_string(order);
+    expect_trees_match_reference(tensor::CooTensor(shape), "nnz 0" + o);
+    const std::vector<index_t> one(static_cast<std::size_t>(order), 2);
+    expect_trees_match_reference(coo_from(shape, {one}), "one nonzero" + o);
+  }
+  // Every nonzero in one slice: of a root mode, and of a middle mode.
+  std::vector<std::vector<index_t>> slice;
+  for (index_t i = 0; i < 6; ++i)
+    for (index_t k = 0; k < 7; k += 1 + i % 3)
+      slice.push_back({i, 3, k, (i + k) % 4});
+  expect_trees_match_reference(coo_from({6, 5, 7, 4}, slice),
+                               "one mode-1 slice");
+  for (auto& i : slice) std::swap(i[0], i[1]);
+  expect_trees_match_reference(coo_from({5, 6, 7, 4}, slice),
+                               "one mode-0 slice");
+  // Extent-1 modes: leading, middle and trailing.
+  const std::vector<std::vector<index_t>> thin{
+      {1, 9, 8}, {7, 1, 6, 5}, {6, 5, 4, 3, 1}};
+  for (std::size_t s = 0; s < thin.size(); ++s)
+    expect_trees_match_reference(data::make_sparse_random(thin[s], 0.2, 41 + s),
+                                 "extent-1 case " + std::to_string(s));
+  // Level-1 fibers longer than a tile: tree 0's tiles hold one fiber each.
+  const auto fibers = data::make_sparse_random({2, 3, 8000}, 0.5, 45);
+  ASSERT_GT(fibers.nnz(), 6 * tensor::CsfTensor::kTileLeafTarget);
+  expect_trees_match_reference(fibers, "long fibers");
+}
+
+TEST(CsfTensor, TreesEqualReferenceOnPowerlawSkew) {
+  // A few head slices hold most of the nonzeros, and every tree spans
+  // several tiles.
+  const auto gen3 = data::make_sparse_powerlaw({80, 70, 60}, 0.03, 1.2, 7);
+  expect_trees_match_reference(gen3.tensor, "powerlaw order 3");
+  EXPECT_GT(tensor::CsfTensor(gen3.tensor).tree(2).tile_count(), 2);
+  const auto gen4 = data::make_sparse_powerlaw({20, 18, 16, 14}, 0.05, 1.0, 8);
+  expect_trees_match_reference(gen4.tensor, "powerlaw order 4");
+}
+
+TEST(CsfTensor, RejectsOrderAbove255) {
+  // Construction keeps each entry's first new level in one byte.
+  for (const std::size_t order : {255u, 256u}) {
+    const tensor::CooTensor coo = coo_from(std::vector<index_t>(order, 1),
+                                           {std::vector<index_t>(order, 0)});
+    if (order == 255u) {
+      EXPECT_EQ(tensor::CsfTensor(coo).tree(254).vals.size(), 1u);
+    } else {
+      EXPECT_THROW((void)tensor::CsfTensor(coo), parpp::error);
+    }
+  }
+}
+
+TEST(CsfTensor, HalfTreeWithUnsortedTailEqualsReference) {
+  // Order 4, tree 1 = [1,0,3,2]: its mode-order tail is not ascending, so
+  // ordering it takes more than one counting pass.
+  const auto coo = data::make_sparse_random({6, 7, 5, 8}, 0.1, 44);
+  const tensor::CsfTensor half(coo,
+                               tensor::CsfOptions{tensor::CsfLayout::kHalf});
+  ASSERT_EQ(half.tree(1).mode_order, (std::vector<int>{1, 0, 3, 2}));
+  expect_trees_match_reference(coo, "order 4 half");
 }
 
 TEST(CsfTensor, StatsMatchCoo) {

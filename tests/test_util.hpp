@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "parpp/core/cp_als.hpp"
@@ -69,6 +70,16 @@ inline double explicit_residual(const tensor::DenseTensor& t,
   tensor::DenseTensor approx = tensor::reconstruct(factors);
   approx.axpy(-1.0, t);
   return approx.frobenius_norm() / t.frobenius_norm();
+}
+
+/// Writes `dims` as "6x7x8". Value-parameterized cases print through this
+/// so the CTest name derived from the parameter is the same on every build
+/// (gtest's fallback printer dumps raw bytes, heap addresses included).
+template <typename T>
+void print_dims(const std::vector<T>& dims, std::ostream* os) {
+  for (std::size_t i = 0; i < dims.size(); ++i) {
+    *os << (i == 0 ? "" : "x") << dims[i];
+  }
 }
 
 }  // namespace parpp::test
