@@ -11,9 +11,9 @@
 
 #include "bench_util.hpp"
 #include "parpp/core/gram.hpp"
-#include "parpp/core/pp_als.hpp"
 #include "parpp/core/pp_engine.hpp"
 #include "parpp/data/collinearity.hpp"
+#include "parpp/solver/solve.hpp"
 #include "parpp/tensor/mttkrp_naive.hpp"
 #include "parpp/tensor/reconstruct.hpp"
 #include "parpp/util/timer.hpp"
@@ -27,12 +27,13 @@ namespace {
 /// the snapshot must satisfy the normal equations approximately.
 double approx_error(const tensor::DenseTensor& t, index_t rank, double delta,
                     bool second_order, std::uint64_t seed) {
-  core::CpOptions warm;
+  solver::SolverSpec warm;
   warm.rank = rank;
-  warm.max_sweeps = 15;
-  warm.tol = 0.0;
+  warm.stopping.max_sweeps = 15;
+  warm.stopping.fitness_tol = 0.0;
   warm.seed = seed;
-  auto a_p = core::cp_als(t, warm).factors;
+  warm.engine = core::EngineKind::kDt;
+  auto a_p = parpp::solve(t, warm).factors;
   auto factors = a_p;
   Rng rng(seed + 1);
   for (auto& f : factors) {
@@ -94,15 +95,15 @@ int main(int argc, char** argv) {
       data::make_collinear_tensor({2 * s, 2 * s, 2 * s}, rank, 0.6, 0.8, 53,
                                   1e-3);
   for (bool second : {true, false}) {
-    core::CpOptions opt;
-    opt.rank = rank;
-    opt.max_sweeps = 150;
-    opt.tol = 1e-6;
-    core::PpOptions pp;
-    pp.pp_tol = 0.2;
-    pp.second_order = second;
+    solver::SolverSpec spec;
+    spec.method = solver::Method::kPp;
+    spec.rank = rank;
+    spec.stopping.max_sweeps = 150;
+    spec.stopping.fitness_tol = 1e-6;
+    spec.pp.pp_tol = 0.2;
+    spec.pp.second_order = second;
     WallTimer timer;
-    const auto r = core::pp_cp_als(gen.tensor, opt, pp);
+    const auto r = parpp::solve(gen.tensor, spec);
     std::printf("  V(n) %-3s: fitness %.6f in %3d sweeps (%d PP-approx), "
                 "%.2fs\n",
                 second ? "on" : "off", r.fitness, r.sweeps, r.num_pp_approx,

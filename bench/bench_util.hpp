@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "parpp/solver/spec.hpp"
 #include "parpp/util/common.hpp"
 
 namespace parpp::bench {
@@ -80,6 +81,29 @@ inline std::vector<std::vector<int>> grid_ladder(int order, int max_procs) {
     grids.push_back(g);
   }
   return grids;
+}
+
+/// ALS at a fixed sweep count (tolerance 0) on the ranks of `grid`; a
+/// 1-rank grid runs sequentially.
+inline solver::SolverSpec fixed_sweeps_spec(index_t rank, int sweeps,
+                                            const std::vector<int>& grid) {
+  int procs = 1;
+  for (int d : grid) procs *= d;
+  solver::SolverSpec spec;
+  spec.rank = rank;
+  spec.stopping.max_sweeps = sweeps;
+  spec.stopping.fitness_tol = 0.0;
+  spec.execution = solver::Execution::simulated_parallel(procs, grid);
+  return spec;
+}
+
+/// The PLANC baseline (paper Sec. II-E): Algorithm 3 with the standard
+/// dimension tree and the normal equations solved sequentially on
+/// replicated data after gathering the MTTKRP output.
+inline solver::SolverSpec planc_preset(solver::SolverSpec spec) {
+  spec.engine = core::EngineKind::kDt;
+  spec.execution.solve_mode = par::SolveMode::kReplicatedSequential;
+  return spec;
 }
 
 }  // namespace parpp::bench

@@ -9,22 +9,11 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "parpp/par/par_cp_als.hpp"
 #include "parpp/par/par_pp.hpp"
-#include "parpp/par/planc_baseline.hpp"
+#include "parpp/solver/solver.hpp"
 #include "parpp/util/rng.hpp"
 
 using namespace parpp;
-
-namespace {
-
-double mean_sweep_seconds(const tensor::DenseTensor& t, int procs,
-                          const par::ParOptions& opt) {
-  const par::ParResult r = par::par_cp_als(t, procs, opt);
-  return r.mean_sweep_seconds;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   bench::Args args(argc, argv);
@@ -54,25 +43,17 @@ int main(int argc, char** argv) {
     Rng rng(17);
     t.fill_uniform(rng);
 
-    par::ParOptions opt;
-    opt.base.rank = rank;
-    opt.base.max_sweeps = sweeps;
-    opt.base.tol = 0.0;
-    opt.base.record_history = true;
-    opt.grid_dims = grid;
-
-    opt.local_engine = core::EngineKind::kDt;
-    const double dt = mean_sweep_seconds(t, procs, opt);
+    solver::SolverSpec spec = bench::fixed_sweeps_spec(rank, sweeps, grid);
+    spec.engine = core::EngineKind::kDt;
+    const double dt = parpp::solve(t, spec).mean_sweep_seconds;
     const double planc =
-        mean_sweep_seconds(t, procs, par::planc_options(opt));
-    opt.local_engine = core::EngineKind::kMsdt;
-    opt.engine_options.use_transposed_copy = core::TransposedCopy::kOn;
-    const double msdt = mean_sweep_seconds(t, procs, opt);
+        parpp::solve(t, bench::planc_preset(spec)).mean_sweep_seconds;
+    spec.engine = core::EngineKind::kMsdt;
+    spec.engine_options.use_transposed_copy = core::TransposedCopy::kOn;
+    const double msdt = parpp::solve(t, spec).mean_sweep_seconds;
 
-    par::ParPpOptions ppopt;
-    ppopt.par = opt;
-    const par::PpKernelTimings pp =
-        par::time_pp_kernels(t, procs, ppopt, sweeps);
+    const par::PpKernelTimings pp = par::time_pp_kernels(
+        t, procs, solver::par_options(spec, t.order()), sweeps);
 
     std::printf("%-10s %8.4f %8.4f %8.4f %8.4f %9.4f %12.3e\n",
                 bench::grid_to_string(grid).c_str(), planc, dt, msdt,

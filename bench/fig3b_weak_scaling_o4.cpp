@@ -5,9 +5,8 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "parpp/par/par_cp_als.hpp"
 #include "parpp/par/par_pp.hpp"
-#include "parpp/par/planc_baseline.hpp"
+#include "parpp/solver/solver.hpp"
 #include "parpp/util/rng.hpp"
 
 using namespace parpp;
@@ -40,24 +39,17 @@ int main(int argc, char** argv) {
     Rng rng(19);
     t.fill_uniform(rng);
 
-    par::ParOptions opt;
-    opt.base.rank = rank;
-    opt.base.max_sweeps = sweeps;
-    opt.base.tol = 0.0;
-    opt.grid_dims = grid;
-
-    opt.local_engine = core::EngineKind::kDt;
-    const double dt = par::par_cp_als(t, procs, opt).mean_sweep_seconds;
+    solver::SolverSpec spec = bench::fixed_sweeps_spec(rank, sweeps, grid);
+    spec.engine = core::EngineKind::kDt;
+    const double dt = parpp::solve(t, spec).mean_sweep_seconds;
     const double planc =
-        par::par_cp_als(t, procs, par::planc_options(opt)).mean_sweep_seconds;
-    opt.local_engine = core::EngineKind::kMsdt;
-    opt.engine_options.use_transposed_copy = core::TransposedCopy::kOn;
-    const double msdt = par::par_cp_als(t, procs, opt).mean_sweep_seconds;
+        parpp::solve(t, bench::planc_preset(spec)).mean_sweep_seconds;
+    spec.engine = core::EngineKind::kMsdt;
+    spec.engine_options.use_transposed_copy = core::TransposedCopy::kOn;
+    const double msdt = parpp::solve(t, spec).mean_sweep_seconds;
 
-    par::ParPpOptions ppopt;
-    ppopt.par = opt;
-    const par::PpKernelTimings pp =
-        par::time_pp_kernels(t, procs, ppopt, sweeps);
+    const par::PpKernelTimings pp = par::time_pp_kernels(
+        t, procs, solver::par_options(spec, t.order()), sweeps);
 
     std::printf("%-12s %8.4f %8.4f %8.4f %8.4f %9.4f %12.3e\n",
                 bench::grid_to_string(grid).c_str(), planc, dt, msdt,

@@ -7,9 +7,8 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "parpp/par/par_cp_als.hpp"
 #include "parpp/par/par_pp.hpp"
-#include "parpp/par/planc_baseline.hpp"
+#include "parpp/solver/solver.hpp"
 #include "parpp/util/rng.hpp"
 
 using namespace parpp;
@@ -57,27 +56,22 @@ void run_case(const char* label, const std::vector<int>& grid, index_t slocal,
   std::printf("%-10s %8s %8s %9s %8s %8s %8s\n", "method", "TTM", "mTTV",
               "hadamard", "solve", "comm", "others");
 
-  par::ParOptions opt;
-  opt.base.rank = rank;
-  opt.base.max_sweeps = sweeps;
-  opt.base.tol = 0.0;
-  opt.grid_dims = grid;
+  solver::SolverSpec spec = bench::fixed_sweeps_spec(rank, sweeps, grid);
+  spec.engine = core::EngineKind::kDt;
 
-  const auto planc = par::planc_cp_als(t, procs, opt);
+  const auto planc = parpp::solve(t, bench::planc_preset(spec));
   print_profile_row("PLANC", mean_sweep_profile(planc.sweep_profiles));
 
-  opt.local_engine = core::EngineKind::kDt;
-  const auto dt = par::par_cp_als(t, procs, opt);
+  const auto dt = parpp::solve(t, spec);
   print_profile_row("DT", mean_sweep_profile(dt.sweep_profiles));
 
-  opt.local_engine = core::EngineKind::kMsdt;
-  opt.engine_options.use_transposed_copy = core::TransposedCopy::kOn;
-  const auto msdt = par::par_cp_als(t, procs, opt);
+  spec.engine = core::EngineKind::kMsdt;
+  spec.engine_options.use_transposed_copy = core::TransposedCopy::kOn;
+  const auto msdt = parpp::solve(t, spec);
   print_profile_row("MSDT", mean_sweep_profile(msdt.sweep_profiles));
 
-  par::ParPpOptions ppopt;
-  ppopt.par = opt;
-  const auto pp = par::time_pp_kernels(t, procs, ppopt, sweeps);
+  const auto pp = par::time_pp_kernels(
+      t, procs, solver::par_options(spec, t.order()), sweeps);
   print_profile_row("PP-init", pp.init_profile);
   Profile approx = mean_sweep_profile({pp.approx_profile});
   // approx_profile is summed over `sweeps`; normalize.

@@ -8,8 +8,8 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "parpp/par/par_cp_als.hpp"
 #include "parpp/par/par_pp.hpp"
+#include "parpp/solver/solver.hpp"
 #include "parpp/util/cost_model.hpp"
 #include "parpp/util/rng.hpp"
 
@@ -49,15 +49,11 @@ int main(int argc, char** argv) {
 
   const TableOneModel model{n, s * 2, rank, procs};
 
-  par::ParOptions opt;
-  opt.base.rank = rank;
-  opt.base.max_sweeps = sweeps;
-  opt.base.tol = 0.0;
-  opt.grid_dims = grid;
+  solver::SolverSpec spec = bench::fixed_sweeps_spec(rank, sweeps, grid);
 
   // DT: contraction flops (TTM+mTTV) per sweep per rank vs 4 s^N R / P.
-  opt.local_engine = core::EngineKind::kDt;
-  const auto dt = par::par_cp_als(t, procs, opt);
+  spec.engine = core::EngineKind::kDt;
+  const auto dt = parpp::solve(t, spec);
   double dt_flops = 0.0, dt_words = 0.0;
   for (const auto& p : dt.sweep_profiles)
     dt_flops += p.flops(Kernel::kTTM) + p.flops(Kernel::kMTTV);
@@ -68,8 +64,8 @@ int main(int argc, char** argv) {
          model.local_tree_horizontal_words());
 
   // MSDT: 2N/(N-1) s^N R / P.
-  opt.local_engine = core::EngineKind::kMsdt;
-  const auto msdt = par::par_cp_als(t, procs, opt);
+  spec.engine = core::EngineKind::kMsdt;
+  const auto msdt = parpp::solve(t, spec);
   double msdt_flops = 0.0;
   for (const auto& p : msdt.sweep_profiles)
     msdt_flops += p.flops(Kernel::kTTM) + p.flops(Kernel::kMTTV);
@@ -82,9 +78,8 @@ int main(int argc, char** argv) {
          static_cast<double>(n) / (2.0 * (n - 1)));
 
   // PP approximated step: 2 N^2 (s_loc^2 R + R^2 ...) local.
-  par::ParPpOptions ppopt;
-  ppopt.par = opt;
-  const auto pp = par::time_pp_kernels(t, procs, ppopt, sweeps);
+  const auto pp = par::time_pp_kernels(t, procs,
+                                       solver::par_options(spec, n), sweeps);
   const double pp_flops =
       (pp.approx_profile.flops(Kernel::kTTM) +
        pp.approx_profile.flops(Kernel::kMTTV)) /

@@ -27,10 +27,10 @@ void run_grid(const std::vector<int>& grid, index_t slocal, index_t rank,
   Rng rng(29);
   t.fill_uniform(rng);
 
-  par::ParPpOptions opt;
-  opt.par.base.rank = rank;
-  opt.par.grid_dims = grid;
-  opt.par.local_engine = core::EngineKind::kMsdt;
+  par::ParOptions opt;
+  opt.base.rank = rank;
+  opt.base.engine = core::EngineKind::kMsdt;
+  opt.grid_dims = grid;
 
   const auto ours = par::time_pp_kernels(t, procs, opt, sweeps);
   const auto ref = par::time_ref_pp_kernels(t, procs, opt, sweeps);

@@ -5,7 +5,6 @@
 #include "parpp/core/fitness.hpp"
 #include "parpp/core/gram.hpp"
 #include "parpp/core/solve_update.hpp"
-#include "parpp/core/sparse_engine.hpp"
 #include "parpp/core/sweep_guard.hpp"
 #include "parpp/la/gemm.hpp"
 #include "parpp/util/timer.hpp"
@@ -41,22 +40,14 @@ std::vector<la::Matrix> resolve_init_factors(const std::vector<index_t>& shape,
   return init;
 }
 
-CpResult cp_als(const tensor::DenseTensor& t, const CpOptions& options) {
-  return cp_als(make_problem(t), options, DriverHooks{});
-}
-
-CpResult cp_als(const tensor::DenseTensor& t, const CpOptions& options,
-                const DriverHooks& hooks) {
-  return cp_als(make_problem(t), options, hooks);
-}
-
-CpResult cp_als(const tensor::CsfTensor& t, const CpOptions& options,
-                const DriverHooks& hooks) {
-  return cp_als(make_problem(t), options, hooks);
+FactorUpdate als_update() {
+  return [](la::Matrix& a, const la::Matrix& gamma, const la::Matrix& m,
+            Profile& profile) { a = update_factor(gamma, m, &profile); };
 }
 
 CpResult cp_als(const TensorProblem& problem, const CpOptions& options,
-                const DriverHooks& hooks) {
+                const DriverHooks& hooks, const FactorUpdate& update,
+                const char* phase) {
   const int n = problem.order();
   PARPP_CHECK(n >= 2, "cp_als: tensor order must be >= 2");
   PARPP_CHECK(options.rank >= 1, "cp_als: rank must be positive");
@@ -87,8 +78,7 @@ CpResult cp_als(const TensorProblem& problem, const CpOptions& options,
     for (int i = 0; i < n; ++i) {
       la::Matrix gamma = gamma_chain(grams, i, &profile);
       la::Matrix m = engine->mttkrp(i);
-      factors[static_cast<std::size_t>(i)] =
-          update_factor(gamma, m, &profile);
+      update(factors[static_cast<std::size_t>(i)], gamma, m, profile);
       engine->notify_update(i);
       grams[static_cast<std::size_t>(i)] =
           la::gram(factors[static_cast<std::size_t>(i)], &profile);
@@ -104,7 +94,7 @@ CpResult cp_als(const TensorProblem& problem, const CpOptions& options,
         factors[static_cast<std::size_t>(n - 1)]);
     fit = fitness_from_residual(result.residual);
     if (!guard.check_sweep(sweep, fit, fit_old, engine.get())) break;
-    const SweepRecord rec{timer.seconds(), fit, "als"};
+    const SweepRecord rec{timer.seconds(), fit, phase};
     if (options.record_history) result.history.push_back(rec);
     if (hooks.checkpoint_every > 0 && hooks.on_checkpoint &&
         sweep % hooks.checkpoint_every == 0)

@@ -7,7 +7,6 @@
 
 #include "parpp/core/mttkrp_engine.hpp"
 #include "parpp/la/matrix.hpp"
-#include "parpp/tensor/dense_tensor.hpp"
 #include "parpp/util/profile.hpp"
 
 namespace parpp::core {
@@ -116,22 +115,28 @@ struct DriverHooks {
     const std::vector<index_t>& shape, index_t rank, std::uint64_t seed,
     const DriverHooks& hooks);
 
-/// Runs CP-ALS with the selected MTTKRP engine until the fitness change
-/// falls below `tol` or `max_sweeps` is reached. The storage-agnostic
-/// TensorProblem overload is the driver core; the DenseTensor and CsfTensor
-/// overloads are adapters over core::make_problem, so dense and sparse
-/// storage run the identical sweep (including the Eq. (3) residual, which
-/// reuses the last MTTKRP and never reconstructs the tensor).
+/// One factor update inside a sweep loop: overwrite `a` given Γ and the
+/// (exact or PP-approximated) MTTKRP `m`. The plain and PP loops take it as
+/// a parameter, so the normal-equations solve and the nonnegative HALS
+/// passes (core::nncp_update) share one loop each.
+using FactorUpdate = std::function<void(
+    la::Matrix& a, const la::Matrix& gamma, const la::Matrix& m,
+    Profile& profile)>;
+
+/// The ALS update A <- M Γ† (Algorithm 1 line 8).
+[[nodiscard]] FactorUpdate als_update();
+
+/// Runs the plain sweep loop (Algorithm 1) with the selected MTTKRP engine
+/// until the fitness change falls below `tol` or `max_sweeps` is reached.
+/// `update` is the factor update and `phase` labels the sweeps in the
+/// history ("als", or "nncp" with the HALS update). The loop sees only the
+/// storage-agnostic TensorProblem, so dense and sparse storage run the
+/// identical sweep (including the Eq. (3) residual, which reuses the last
+/// MTTKRP and never reconstructs the tensor).
 [[nodiscard]] CpResult cp_als(const TensorProblem& problem,
                               const CpOptions& options,
-                              const DriverHooks& hooks = {});
-[[nodiscard]] CpResult cp_als(const tensor::DenseTensor& t,
-                              const CpOptions& options);
-[[nodiscard]] CpResult cp_als(const tensor::DenseTensor& t,
-                              const CpOptions& options,
-                              const DriverHooks& hooks);
-[[nodiscard]] CpResult cp_als(const tensor::CsfTensor& t,
-                              const CpOptions& options,
-                              const DriverHooks& hooks = {});
+                              const DriverHooks& hooks = {},
+                              const FactorUpdate& update = als_update(),
+                              const char* phase = "als");
 
 }  // namespace parpp::core

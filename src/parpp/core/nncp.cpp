@@ -1,14 +1,6 @@
 #include "parpp/core/nncp.hpp"
 
 #include <algorithm>
-#include <cmath>
-
-#include "parpp/core/fitness.hpp"
-#include "parpp/core/gram.hpp"
-#include "parpp/core/sparse_engine.hpp"
-#include "parpp/core/sweep_guard.hpp"
-#include "parpp/la/gemm.hpp"
-#include "parpp/util/timer.hpp"
 
 namespace parpp::core {
 
@@ -40,84 +32,14 @@ void hals_update(la::Matrix& a, const la::Matrix& m, const la::Matrix& gamma,
   }
 }
 
-CpResult nncp_hals(const tensor::DenseTensor& t, const CpOptions& options,
-                   const NncpOptions& nn_options) {
-  return nncp_hals(make_problem(t), options, nn_options, DriverHooks{});
-}
-
-CpResult nncp_hals(const tensor::DenseTensor& t, const CpOptions& options,
-                   const NncpOptions& nn_options, const DriverHooks& hooks) {
-  return nncp_hals(make_problem(t), options, nn_options, hooks);
-}
-
-CpResult nncp_hals(const tensor::CsfTensor& t, const CpOptions& options,
-                   const NncpOptions& nn_options, const DriverHooks& hooks) {
-  return nncp_hals(make_problem(t), options, nn_options, hooks);
-}
-
-CpResult nncp_hals(const TensorProblem& problem, const CpOptions& options,
-                   const NncpOptions& nn_options, const DriverHooks& hooks) {
-  const int n = problem.order();
-  PARPP_CHECK(n >= 2, "nncp_hals: tensor order must be >= 2");
-  PARPP_CHECK(nn_options.inner_iterations >= 1,
-              "nncp_hals: need at least one inner iteration");
-
-  CpResult result;
-  Profile profile;
-  result.factors =
-      resolve_init_factors(problem.shape, options.rank, options.seed, hooks);
-  auto& factors = result.factors;
-  std::vector<la::Matrix> grams = all_grams(factors, &profile);
-  auto engine = problem.make_engine(nn_options.engine, factors, &profile,
-                                    options.engine_options);
-
-  const double t_sq = problem.squared_norm;
-  WallTimer timer;
-  double fit = 0.0, fit_old = -1.0;
-  if (hooks.resume != nullptr) {
-    fit = hooks.resume->fitness;
-    fit_old = hooks.resume->prev_fitness;
-  }
-  int sweep = 0;
-  SweepGuard guard(result, factors, grams);
-  while (sweep < options.max_sweeps && std::abs(fit - fit_old) > options.tol) {
-    guard.snapshot(fit, fit_old, result.residual);
-    la::Matrix gamma_last, m_last;
-    for (int i = 0; i < n; ++i) {
-      la::Matrix gamma = gamma_chain(grams, i, &profile);
-      la::Matrix m = engine->mttkrp(i);
-      for (int pass = 0; pass < nn_options.inner_iterations; ++pass) {
-        hals_update(factors[static_cast<std::size_t>(i)], m, gamma,
-                    nn_options.epsilon, profile);
-      }
-      engine->notify_update(i);
-      grams[static_cast<std::size_t>(i)] =
-          la::gram(factors[static_cast<std::size_t>(i)], &profile);
-      if (i == n - 1) {
-        gamma_last = std::move(gamma);
-        m_last = std::move(m);
-      }
-    }
-    ++sweep;
-    fit_old = fit;
-    result.residual = relative_residual(
-        t_sq, gamma_last, grams[static_cast<std::size_t>(n - 1)], m_last,
-        factors[static_cast<std::size_t>(n - 1)]);
-    fit = fitness_from_residual(result.residual);
-    if (!guard.check_sweep(sweep, fit, fit_old, engine.get())) break;
-    const SweepRecord rec{timer.seconds(), fit, "nncp"};
-    if (options.record_history) result.history.push_back(rec);
-    if (hooks.checkpoint_every > 0 && hooks.on_checkpoint &&
-        sweep % hooks.checkpoint_every == 0)
-      hooks.on_checkpoint(factors, sweep, fit, fit_old);
-    if (hooks.on_sweep && !hooks.on_sweep(rec, factors)) break;
-  }
-
-  result.fitness = fit;
-  result.sweeps = sweep;
-  result.num_als_sweeps = sweep;
-  result.profile = profile;
-  return result;
+FactorUpdate nncp_update(const NncpOptions& options) {
+  PARPP_CHECK(options.inner_iterations >= 1,
+              "nncp: need at least one inner iteration");
+  return [options](la::Matrix& a, const la::Matrix& gamma, const la::Matrix& m,
+                   Profile& profile) {
+    for (int pass = 0; pass < options.inner_iterations; ++pass)
+      hals_update(a, m, gamma, options.epsilon, profile);
+  };
 }
 
 }  // namespace parpp::core

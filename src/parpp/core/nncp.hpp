@@ -18,8 +18,6 @@
 namespace parpp::core {
 
 struct NncpOptions {
-  /// Engine used for the MTTKRPs (DT or MSDT; both exact).
-  EngineKind engine = EngineKind::kMsdt;
   /// Floor applied after each HALS column update (keeps Γ nonsingular).
   double epsilon = 1e-12;
   /// Number of HALS inner passes over the columns per mode update.
@@ -34,26 +32,11 @@ struct NncpOptions {
 void hals_update(la::Matrix& a, const la::Matrix& m, const la::Matrix& gamma,
                  double eps_floor, Profile& profile);
 
-/// Runs nonnegative CP-ALS (HALS) until the fitness change drops below
-/// options.tol or max_sweeps is reached. Factors are initialized uniform
-/// in [0,1) (already nonnegative) and stay entrywise >= 0. Like cp_als, the
-/// TensorProblem overload is the storage-agnostic core (HALS consumes only
-/// the MTTKRP and the grams, so sparse storage plugs in unchanged); the
-/// DenseTensor/CsfTensor overloads adapt via core::make_problem.
-[[nodiscard]] CpResult nncp_hals(const TensorProblem& problem,
-                                 const CpOptions& options,
-                                 const NncpOptions& nn_options = {},
-                                 const DriverHooks& hooks = {});
-[[nodiscard]] CpResult nncp_hals(const tensor::DenseTensor& t,
-                                 const CpOptions& options,
-                                 const NncpOptions& nn_options = {});
-[[nodiscard]] CpResult nncp_hals(const tensor::DenseTensor& t,
-                                 const CpOptions& options,
-                                 const NncpOptions& nn_options,
-                                 const DriverHooks& hooks);
-[[nodiscard]] CpResult nncp_hals(const tensor::CsfTensor& t,
-                                 const CpOptions& options,
-                                 const NncpOptions& nn_options = {},
-                                 const DriverHooks& hooks = {});
+/// The HALS factor update for the shared sweep loops (cp_als, pp_cp_als):
+/// `inner_iterations` hals_update passes per mode. Factors initialized
+/// uniform in [0,1) are already nonnegative and stay entrywise >= 0; HALS
+/// consumes only the MTTKRP and the grams, so sparse storage and the PP
+/// approximation plug in unchanged.
+[[nodiscard]] FactorUpdate nncp_update(const NncpOptions& options);
 
 }  // namespace parpp::core

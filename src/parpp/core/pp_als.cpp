@@ -8,7 +8,6 @@
 #include "parpp/core/pp_engine.hpp"
 #include "parpp/core/pp_operators.hpp"
 #include "parpp/core/solve_update.hpp"
-#include "parpp/core/sparse_engine.hpp"
 #include "parpp/core/sweep_guard.hpp"
 #include "parpp/la/gemm.hpp"
 #include "parpp/util/timer.hpp"
@@ -28,38 +27,9 @@ bool all_changes_small(const std::vector<la::Matrix>& factors,
 
 }  // namespace
 
-CpResult pp_cp_als(const tensor::DenseTensor& t, const CpOptions& options,
-                   const PpOptions& pp_options) {
-  return pp_cp_als(t, options, pp_options, DriverHooks{});
-}
-
-namespace {
-
-detail::FactorUpdate als_update() {
-  return [](la::Matrix& a, const la::Matrix& gamma, const la::Matrix& m,
-            Profile& profile) { a = update_factor(gamma, m, &profile); };
-}
-
-}  // namespace
-
-CpResult pp_cp_als(const tensor::DenseTensor& t, const CpOptions& options,
-                   const PpOptions& pp_options, const DriverHooks& hooks) {
-  return detail::run_pp_driver(make_problem(t), options, pp_options, hooks,
-                               als_update(), "als");
-}
-
-CpResult pp_cp_als(const tensor::CsfTensor& t, const CpOptions& options,
-                   const PpOptions& pp_options, const DriverHooks& hooks) {
-  return detail::run_pp_driver(make_problem(t), options, pp_options, hooks,
-                               als_update(), "als");
-}
-
-namespace detail {
-
-CpResult run_pp_driver(const TensorProblem& problem, const CpOptions& options,
-                       const PpOptions& pp_options, const DriverHooks& hooks,
-                       const FactorUpdate& update,
-                       const char* regular_phase) {
+CpResult pp_cp_als(const TensorProblem& problem, const CpOptions& options,
+                   const PpOptions& pp_options, const DriverHooks& hooks,
+                   const FactorUpdate& update, const char* regular_phase) {
   const int n = problem.order();
   PARPP_CHECK(n >= 3, "pp driver: order must be >= 3");
   PARPP_CHECK(pp_options.pp_tol > 0.0 && pp_options.pp_tol < 1.0,
@@ -75,8 +45,7 @@ CpResult run_pp_driver(const TensorProblem& problem, const CpOptions& options,
   std::vector<la::Matrix> grams = all_grams(factors, &profile);
 
   EngineOptions eopt = options.engine_options;
-  auto engine = problem.make_engine(pp_options.regular_engine, factors,
-                                    &profile, eopt);
+  auto engine = problem.make_engine(options.engine, factors, &profile, eopt);
   auto* tree_engine = dynamic_cast<TreeEngineBase*>(engine.get());
   auto ops_ptr = problem.make_pp_operators(factors, &profile, eopt);
   PpOperators& ops = *ops_ptr;
@@ -251,7 +220,5 @@ CpResult run_pp_driver(const TensorProblem& problem, const CpOptions& options,
   result.profile = profile;
   return result;
 }
-
-}  // namespace detail
 
 }  // namespace parpp::core

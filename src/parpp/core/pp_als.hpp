@@ -9,8 +9,6 @@ struct PpOptions {
   /// PP tolerance epsilon: the approximated step runs while every factor's
   /// relative change since the snapshot stays below it.
   double pp_tol = 0.1;
-  /// Engine used for the regular ALS sweeps (the paper pairs PP with MSDT).
-  EngineKind regular_engine = EngineKind::kMsdt;
   /// Record (approximate) fitness after each PP-approximated sweep too.
   bool record_pp_sweeps = true;
   /// Disable the second-order V(n) correction (ablation).
@@ -20,45 +18,24 @@ struct PpOptions {
   int max_pp_sweeps_per_phase = 500;
 };
 
-/// Runs PP-CP-ALS: regular sweeps until the factors move slowly, then PP
-/// initialization + approximated sweeps, falling back to regular sweeps
-/// whenever the perturbation grows past pp_tol (Algorithm 2). Like cp_als,
-/// the TensorProblem overload is the storage-agnostic core; the
-/// DenseTensor and CsfTensor overloads adapt via core::make_problem (the
-/// sparse path builds its operators with CSF pair walks and never
-/// densifies).
-[[nodiscard]] CpResult pp_cp_als(const tensor::DenseTensor& t,
-                                 const CpOptions& options,
-                                 const PpOptions& pp_options = {});
-[[nodiscard]] CpResult pp_cp_als(const tensor::DenseTensor& t,
+/// Runs the PP sweep loop (Algorithm 2): regular sweeps until the factors
+/// move slowly, then PP initialization + approximated sweeps, falling back
+/// to regular sweeps whenever the perturbation grows past pp_tol. The
+/// PP-phase trigger, divergence guard, stopping comparison and final exact
+/// residual do not depend on the factor update, so `update` is a parameter
+/// (als_update, or nncp_update for PP-NNCP) and `regular_phase` labels the
+/// exact sweeps in the history ("als"/"nncp"). PP approximates the MTTKRP
+/// and never looks at how the update consumes it; HALS consumes one MTTKRP
+/// per mode like the solve, its max(0, ·) projection keeps the factors
+/// feasible whatever the approximation error, and pp_tol and the trust
+/// guard bound that error as for ALS. The regular sweeps use
+/// options.engine; `problem` must provide make_pp_operators (the sparse
+/// path builds its operators with CSF pair walks and never densifies).
+[[nodiscard]] CpResult pp_cp_als(const TensorProblem& problem,
                                  const CpOptions& options,
                                  const PpOptions& pp_options,
-                                 const DriverHooks& hooks);
-[[nodiscard]] CpResult pp_cp_als(const tensor::CsfTensor& t,
-                                 const CpOptions& options,
-                                 const PpOptions& pp_options = {},
-                                 const DriverHooks& hooks = {});
-
-namespace detail {
-
-/// One factor update inside the shared Algorithm-2 loop: overwrite `a`
-/// given Γ and the (exact or PP-approximated) MTTKRP `m`.
-using FactorUpdate = std::function<void(
-    la::Matrix& a, const la::Matrix& gamma, const la::Matrix& m,
-    Profile& profile)>;
-
-/// The Algorithm-2 driver core shared by pp_cp_als and pp_nncp_hals: the
-/// PP-phase trigger, divergence guard, stopping comparison and final exact
-/// residual are identical for both; only the factor update differs.
-/// `regular_phase` labels the exact sweeps in the history ("als"/"nncp").
-/// `problem` must provide make_pp_operators.
-[[nodiscard]] CpResult run_pp_driver(const TensorProblem& problem,
-                                     const CpOptions& options,
-                                     const PpOptions& pp_options,
-                                     const DriverHooks& hooks,
-                                     const FactorUpdate& update,
-                                     const char* regular_phase);
-
-}  // namespace detail
+                                 const DriverHooks& hooks = {},
+                                 const FactorUpdate& update = als_update(),
+                                 const char* regular_phase = "als");
 
 }  // namespace parpp::core

@@ -424,4 +424,128 @@ void run_with_elastic(mpsim::Comm& comm, const dist::DistProblem& problem,
   }
 }
 
+namespace {
+
+/// Folds the per-rank abort slots the rank bodies record on CommFailure (or
+/// a poisoned local exception) into `result`: identical reasons are grouped
+/// into one deterministic recovery_log event listing the ranks, and the
+/// status becomes kCommAbort. Slots of ranks in `removed` (world-rank
+/// indexed) were folded into a successful shrink's recovery_log entry
+/// already, so their expected abort reasons are skipped. No-op when no
+/// slot is set.
+void merge_abort_records(ParResult& result,
+                         const std::vector<std::string>& reasons,
+                         const std::vector<int>& sweeps,
+                         const std::vector<char>& removed) {
+  bool any = false;
+  // Group identical reasons in first-rank order so the log is deterministic
+  // and compact (a tree-wide poison gives every rank the same reason).
+  std::vector<std::pair<std::string, std::string>> groups;  // reason -> ranks
+  std::vector<int> group_sweep;
+  for (std::size_t r = 0; r < reasons.size(); ++r) {
+    if (reasons[r].empty()) continue;
+    // Ranks folded into a successful shrink are already covered by the
+    // recovery_log entry the survivors wrote; their unwind records must not
+    // flip a recovered-shrunk run into a comm-abort.
+    if (r < removed.size() && removed[r] != 0) continue;
+    any = true;
+    bool found = false;
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      if (groups[g].first == reasons[r]) {
+        groups[g].second += "," + std::to_string(r);
+        group_sweep[g] = std::max(group_sweep[g], sweeps[r]);
+        found = true;
+        break;
+      }
+    }
+    if (!found) {
+      groups.emplace_back(reasons[r], std::to_string(r));
+      group_sweep.push_back(sweeps[r]);
+    }
+  }
+  if (!any) return;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    result.recovery_log.push_back(
+        {group_sweep[g],
+         "rank(s) " + groups[g].second + ": " + groups[g].first});
+  }
+  result.status = core::SolveStatus::kCommAbort;
+}
+
+/// Slowest-rank reduction. Per sweep: the whole-rank profile of the rank
+/// with the largest total time (sweep_profiles) and the per-category
+/// maximum over ranks, summed into critical_path_profile. Ranks can hold
+/// different counts after an elastic shrink; each sweep folds the ranks
+/// that recorded it.
+void fold_sweep_profiles(ParResult& result,
+                         const std::vector<std::vector<Profile>>& per_rank) {
+  for (std::size_t s = 0;; ++s) {
+    Profile worst;
+    Profile cat_max;
+    double worst_total = -1.0;
+    bool any = false;
+    for (const auto& rank : per_rank) {
+      if (s >= rank.size()) continue;
+      any = true;
+      cat_max.max_merge(rank[s]);
+      if (rank[s].total_seconds() > worst_total) {
+        worst_total = rank[s].total_seconds();
+        worst = rank[s];
+      }
+    }
+    if (!any) return;
+    result.sweep_profiles.push_back(worst);
+    result.critical_path_profile.accumulate(cat_max);
+  }
+}
+
+}  // namespace
+
+void run_sweep_loop(const dist::DistProblem& problem, int nprocs,
+                    const ParOptions& options, const core::DriverHooks& hooks,
+                    ParResult& result, const SweepLoop& loop) {
+  const auto ranks = static_cast<std::size_t>(nprocs);
+  std::vector<std::vector<Profile>> profiles(ranks);
+  std::vector<std::string> abort_reasons(ranks);
+  std::vector<int> abort_sweeps(ranks, 0);
+  BuddyStore store(nprocs);
+  std::vector<char> removed(ranks, 0);
+
+  mpsim::RunOptions ropt;
+  ropt.threads_per_rank = options.threads_per_rank;
+  ropt.fault = options.fault;
+  ropt.comm_timeout_seconds = options.comm_timeout_seconds;
+  const mpsim::RunResult run_result = mpsim::run(
+      nprocs,
+      [&](mpsim::Comm& world) {
+        const auto me = static_cast<std::size_t>(world.rank());
+        int sweep = 0;
+        try {
+          run_with_elastic(world, problem, options, hooks, store, result,
+                           removed, [&](ElasticAttempt& at) {
+                             loop(at, profiles[me], sweep);
+                           });
+        } catch (const mpsim::CommFailure& e) {
+          abort_reasons[me] = e.what();
+          abort_sweeps[me] = sweep;
+        } catch (const std::exception& e) {
+          // Local failure: poison the communicator tree so peers unwind
+          // (they record the poison reason as their own CommFailure). The
+          // elastic runner already poisoned the current epoch's tree.
+          abort_reasons[me] = std::string("local exception: ") + e.what();
+          abort_sweeps[me] = sweep;
+          world.poison("rank " + std::to_string(world.rank()) +
+                       " failed: " + e.what());
+        }
+      },
+      ropt);
+  merge_abort_records(result, abort_reasons, abort_sweeps, removed);
+  fold_sweep_profiles(result, profiles);
+  if (!result.history.empty() && result.sweeps > 0) {
+    result.mean_sweep_seconds =
+        result.history.back().seconds / static_cast<double>(result.sweeps);
+  }
+  result.comm_cost = run_result.max_cost();
+}
+
 }  // namespace parpp::par

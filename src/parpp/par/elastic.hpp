@@ -151,4 +151,21 @@ void run_with_elastic(mpsim::Comm& comm, const dist::DistProblem& problem,
                       ParResult& result, std::vector<char>& removed,
                       const std::function<void(ElasticAttempt&)>& body);
 
+/// One rank's sweep loop for run_sweep_loop: runs the epoch `at`, appends
+/// one Profile per sweep to `profiles` and keeps `sweep` at the completed
+/// sweep count (reported in abort records).
+using SweepLoop = std::function<void(ElasticAttempt& at,
+                                     std::vector<Profile>& profiles,
+                                     int& sweep)>;
+
+/// The scaffolding both parallel sweep loops share: runs `loop` on each of
+/// `nprocs` simulated ranks under run_with_elastic, turns CommFailures and
+/// local exceptions into merged abort records, and finishes `result` with
+/// the slowest-rank reduction of the per-rank profiles (sweep_profiles,
+/// critical_path_profile), the busiest rank's comm cost and the mean sweep
+/// time.
+void run_sweep_loop(const dist::DistProblem& problem, int nprocs,
+                    const ParOptions& options, const core::DriverHooks& hooks,
+                    ParResult& result, const SweepLoop& loop);
+
 }  // namespace parpp::par

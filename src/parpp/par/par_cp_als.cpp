@@ -8,7 +8,6 @@
 #include "parpp/core/fitness.hpp"
 #include "parpp/core/gram.hpp"
 #include "parpp/core/solve_update.hpp"
-#include "parpp/dist/sparse_dist.hpp"
 #include "parpp/la/gemm.hpp"
 #include "parpp/par/elastic.hpp"
 #include "parpp/util/timer.hpp"
@@ -65,28 +64,12 @@ bool hooks_continue_collective(mpsim::Comm& comm,
 ParCpContext::ParCpContext(mpsim::Comm& comm, const dist::DistProblem& problem,
                            const ParOptions& options,
                            const std::vector<la::Matrix>* initial_factors)
-    : ParCpContext(comm, options, nullptr, &problem, initial_factors) {}
-
-ParCpContext::ParCpContext(mpsim::Comm& comm,
-                           const tensor::DenseTensor& global_t,
-                           const ParOptions& options,
-                           const std::vector<la::Matrix>* initial_factors)
-    : ParCpContext(comm, options,
-                   std::make_unique<dist::DenseBlockProblem>(global_t),
-                   nullptr, initial_factors) {}
-
-ParCpContext::ParCpContext(mpsim::Comm& comm, const ParOptions& options,
-                           std::unique_ptr<dist::DistProblem> owned,
-                           const dist::DistProblem* problem,
-                           const std::vector<la::Matrix>* initial_factors)
     : comm_(comm),
       options_(options),
-      owned_problem_(std::move(owned)),
-      problem_(owned_problem_ ? owned_problem_.get() : problem),
-      n_(static_cast<int>(problem_->global_shape().size())),
+      n_(static_cast<int>(problem.global_shape().size())),
       grid_(comm, options.grid_dims),
-      dist_(problem_->make_block_dist(grid_)),
-      local_(problem_->make_local(dist_, grid_.coords())),
+      dist_(problem.make_block_dist(grid_)),
+      local_(problem.make_local(dist_, grid_.coords())),
       fd_(grid_, dist_, options.base.rank) {
   // Deterministic global initialization so any grid reproduces the
   // sequential run bit-for-bit (each rank generates — or, for a warm
@@ -105,8 +88,8 @@ ParCpContext::ParCpContext(mpsim::Comm& comm, const ParOptions& options,
     grams_[static_cast<std::size_t>(m)] = std::move(s);
     fd_.gather_slice(m);
   }
-  engine_ = local_->make_engine(options_.local_engine, fd_.slices(), nullptr,
-                                options_.engine_options);
+  engine_ = local_->make_engine(options_.base.engine, fd_.slices(), nullptr,
+                                options_.base.engine_options);
 
   double sq = local_->squared_norm();
   comm_.allreduce_sum(&sq, 1, PARPP_COMM_TAG("tensor-sqnorm-allreduce"));
@@ -275,62 +258,11 @@ void ParCpContext::restore_state() {
   for (int m = 0; m < n_; ++m) engine_->notify_update(m);
 }
 
-std::vector<double> ParCpContext::global_sq_norms(
-    const std::vector<la::Matrix>& q_mats) const {
-  std::vector<double> sq(q_mats.size(), 0.0);
-  for (std::size_t i = 0; i < q_mats.size(); ++i) {
-    const double f = q_mats[i].frobenius_norm();
-    sq[i] = f * f;
-  }
-  comm_.allreduce_sum(sq.data(), static_cast<index_t>(sq.size()),
-                      PARPP_COMM_TAG("factor-sqnorm-allreduce"));
-  return sq;
-}
-
-void merge_abort_records(ParResult& result,
-                         const std::vector<std::string>& reasons,
-                         const std::vector<int>& sweeps) {
-  merge_abort_records(result, reasons, sweeps,
-                      std::vector<char>(reasons.size(), 0));
-}
-
-void merge_abort_records(ParResult& result,
-                         const std::vector<std::string>& reasons,
-                         const std::vector<int>& sweeps,
-                         const std::vector<char>& removed) {
-  bool any = false;
-  // Group identical reasons in first-rank order so the log is deterministic
-  // and compact (a tree-wide poison gives every rank the same reason).
-  std::vector<std::pair<std::string, std::string>> groups;  // reason -> ranks
-  std::vector<int> group_sweep;
-  for (std::size_t r = 0; r < reasons.size(); ++r) {
-    if (reasons[r].empty()) continue;
-    // Ranks folded into a successful shrink are already covered by the
-    // recovery_log entry the survivors wrote; their unwind records must not
-    // flip a recovered-shrunk run into a comm-abort.
-    if (r < removed.size() && removed[r] != 0) continue;
-    any = true;
-    bool found = false;
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      if (groups[g].first == reasons[r]) {
-        groups[g].second += "," + std::to_string(r);
-        group_sweep[g] = std::max(group_sweep[g], sweeps[r]);
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      groups.emplace_back(reasons[r], std::to_string(r));
-      group_sweep.push_back(sweeps[r]);
-    }
-  }
-  if (!any) return;
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    result.recovery_log.push_back(
-        {group_sweep[g],
-         "rank(s) " + groups[g].second + ": " + groups[g].first});
-  }
-  result.status = core::SolveStatus::kCommAbort;
+std::vector<la::Matrix> ParCpContext::assemble_factors() {
+  std::vector<la::Matrix> out;
+  out.reserve(static_cast<std::size_t>(n_));
+  for (int m = 0; m < n_; ++m) out.push_back(assemble_factor(m));
+  return out;
 }
 
 void record_health_events(ParResult& result, int sweep,
@@ -354,176 +286,99 @@ void record_health_events(ParResult& result, int sweep,
   }
 }
 
-ParResult par_cp_als(const tensor::DenseTensor& global_t, int nprocs,
-                     const ParOptions& options) {
-  return par_cp_als(global_t, nprocs, options, core::DriverHooks{});
-}
-
-ParResult par_cp_als(const tensor::DenseTensor& global_t, int nprocs,
-                     const ParOptions& options,
-                     const core::DriverHooks& hooks) {
-  const dist::DenseBlockProblem problem(global_t);
-  return par_cp_als(problem, nprocs, options, hooks);
-}
-
-ParResult par_cp_als(const tensor::CsfTensor& global_t, int nprocs,
-                     const ParOptions& options,
-                     const core::DriverHooks& hooks) {
-  const auto problem = dist::make_sparse_problem(global_t, options.partition);
-  return par_cp_als(*problem, nprocs, options, hooks);
+bool book_rollback(ParResult& result, int rank, int sweep, int& rollbacks) {
+  if (rollbacks < kParRollbackBudget) {
+    ++rollbacks;
+    if (rank == 0) {
+      result.recovery_log.push_back(
+          {sweep, "non-finite iterate: rolled back to the last good sweep "
+                  "(rollback " +
+                      std::to_string(rollbacks) + "/" +
+                      std::to_string(kParRollbackBudget) + ")"});
+      if (result.status == core::SolveStatus::kOk)
+        result.status = core::SolveStatus::kRecovered;
+    }
+    return true;
+  }
+  if (rank == 0) {
+    result.recovery_log.push_back(
+        {sweep, "non-finite iterate persisted past the rollback budget; "
+                "aborting on the last good state"});
+    result.status = core::SolveStatus::kNumericalAbort;
+  }
+  return false;
 }
 
 ParResult par_cp_als(const dist::DistProblem& problem, int nprocs,
                      const ParOptions& options,
-                     const core::DriverHooks& hooks) {
+                     const core::DriverHooks& hooks,
+                     const core::NncpOptions* nn) {
+  const char* phase = nn ? "nncp" : "als";
   ParResult result;
-  std::vector<std::vector<Profile>> sweep_profiles(
-      static_cast<std::size_t>(nprocs));
-  std::vector<std::string> abort_reasons(static_cast<std::size_t>(nprocs));
-  std::vector<int> abort_sweeps(static_cast<std::size_t>(nprocs), 0);
-  BuddyStore store(nprocs);
-  std::vector<char> removed(static_cast<std::size_t>(nprocs), 0);
-
-  mpsim::RunOptions ropt;
-  ropt.threads_per_rank = options.threads_per_rank;
-  ropt.fault = options.fault;
-  ropt.comm_timeout_seconds = options.comm_timeout_seconds;
-  auto run_result = mpsim::run(
-      nprocs,
-      [&](mpsim::Comm& world) {
-        const auto me = static_cast<std::size_t>(world.rank());
-        int cur_sweep = 0;
-        try {
-          run_with_elastic(
-              world, problem, options, hooks, store, result, removed,
-              [&](ElasticAttempt& at) {
-                mpsim::Comm& comm = at.comm;
-                ParCpContext ctx(comm, problem, at.options, at.init_factors);
-                at.begin_epoch(ctx);
-                const int n = ctx.order();
-                WallTimer timer;
-                double fit = at.fit, fit_old = at.fit_old;
-                int sweep = at.start_sweep, rollbacks = 0;
-                cur_sweep = sweep;
-                while (sweep < options.base.max_sweeps &&
-                       std::abs(fit - fit_old) > options.base.tol) {
-                  at.publish(ctx, sweep, fit, fit_old);
-                  ctx.capture_state();
-                  const double saved_fit = fit, saved_fit_old = fit_old;
-                  const Profile before = Profile::thread_default();
-                  for (int i = 0; i < n; ++i) ctx.update_mode(i);
-                  ++sweep;
-                  cur_sweep = sweep;
-                  fit_old = fit;
-                  const double r = ctx.residual();
-                  fit = core::fitness_from_residual(r);
-                  sweep_profiles[me].push_back(
-                      Profile::thread_default().delta_since(before));
-                  const ParCpContext::SweepHealth h = ctx.last_health();
-                  if (comm.rank() == 0) record_health_events(result, sweep, h);
-                  if (h.nonfinite > 0.0 || !std::isfinite(fit)) {
-                    // Replicated verdict: every rank rolls back in lockstep
-                    // to the pre-sweep iterate. The sweep counter keeps
-                    // advancing, so termination stays bounded by max_sweeps.
-                    ctx.restore_state();
-                    fit = saved_fit;
-                    fit_old = saved_fit_old;
-                    if (rollbacks < kParRollbackBudget) {
-                      ++rollbacks;
-                      if (comm.rank() == 0) {
-                        result.recovery_log.push_back(
-                            {sweep,
-                             "non-finite iterate: rolled back to the last "
-                             "good sweep (rollback " +
-                                 std::to_string(rollbacks) + "/" +
-                                 std::to_string(kParRollbackBudget) + ")"});
-                        if (result.status == core::SolveStatus::kOk)
-                          result.status = core::SolveStatus::kRecovered;
-                      }
-                      continue;
-                    }
-                    if (comm.rank() == 0) {
-                      result.recovery_log.push_back(
-                          {sweep,
-                           "non-finite iterate persisted past the rollback "
-                           "budget; aborting on the last good state"});
-                      result.status = core::SolveStatus::kNumericalAbort;
-                    }
-                    break;
-                  }
-                  if (comm.rank() == 0) {
-                    if (options.base.record_history)
-                      result.history.push_back({timer.seconds(), fit, "als"});
-                    result.residual = r;
-                    result.fitness = fit;
-                    result.sweeps = sweep;
-                    result.num_als_sweeps = sweep;
-                  }
-                  if (hooks.checkpoint_every > 0 && hooks.on_checkpoint &&
-                      sweep % hooks.checkpoint_every == 0) {
-                    // Collective assembly on the replicated sweep counter;
-                    // only rank 0 invokes the callback (and writes the file).
-                    std::vector<la::Matrix> ck_factors;
-                    ck_factors.reserve(static_cast<std::size_t>(n));
-                    for (int m = 0; m < n; ++m)
-                      ck_factors.push_back(ctx.assemble_factor(m));
-                    if (comm.rank() == 0)
-                      hooks.on_checkpoint(ck_factors, sweep, fit, fit_old);
-                  }
-                  if (!hooks_continue_collective(
-                          comm, hooks, {timer.seconds(), fit, "als"}))
-                    break;
-                }
-                // Assemble global factors (collective); rank 0 keeps them.
-                std::vector<la::Matrix> assembled;
-                assembled.reserve(static_cast<std::size_t>(n));
-                for (int m = 0; m < n; ++m)
-                  assembled.push_back(ctx.assemble_factor(m));
-                if (comm.rank() == 0) result.factors = std::move(assembled);
-              });
-        } catch (const mpsim::CommFailure& e) {
-          abort_reasons[me] = e.what();
-          abort_sweeps[me] = cur_sweep;
-        } catch (const std::exception& e) {
-          // Local failure: poison the communicator tree so peers unwind
-          // (they record the poison reason as their own CommFailure). The
-          // elastic runner already poisoned the current epoch's tree.
-          abort_reasons[me] = std::string("local exception: ") + e.what();
-          abort_sweeps[me] = cur_sweep;
-          world.poison("rank " + std::to_string(world.rank()) +
-                       " failed: " + e.what());
+  run_sweep_loop(
+      problem, nprocs, options, hooks, result,
+      [&](ElasticAttempt& at, std::vector<Profile>& profiles, int& sweep) {
+        mpsim::Comm& comm = at.comm;
+        ParCpContext ctx(comm, problem, at.options, at.init_factors);
+        at.begin_epoch(ctx);
+        // MTTKRP + Reduce-Scatter exactly as Algorithm 3; HALS swaps the
+        // factor update for the row-local projected passes (no extra
+        // communication) and keeps the Eq. (3) residual, which depends on
+        // M(N) and Γ(N) only.
+        if (nn) ctx.enable_hals(nn->epsilon, nn->inner_iterations);
+        const int n = ctx.order();
+        WallTimer timer;
+        double fit = at.fit, fit_old = at.fit_old;
+        int rollbacks = 0;
+        sweep = at.start_sweep;
+        while (sweep < options.base.max_sweeps &&
+               std::abs(fit - fit_old) > options.base.tol) {
+          at.publish(ctx, sweep, fit, fit_old);
+          ctx.capture_state();
+          const double saved_fit = fit, saved_fit_old = fit_old;
+          const Profile before = Profile::thread_default();
+          for (int i = 0; i < n; ++i) ctx.update_mode(i);
+          ++sweep;
+          fit_old = fit;
+          const double r = ctx.residual();
+          fit = core::fitness_from_residual(r);
+          profiles.push_back(Profile::thread_default().delta_since(before));
+          const ParCpContext::SweepHealth h = ctx.last_health();
+          if (comm.rank() == 0) record_health_events(result, sweep, h);
+          if (h.nonfinite > 0.0 || !std::isfinite(fit)) {
+            // Replicated verdict: every rank rolls back in lockstep to the
+            // pre-sweep iterate. The sweep counter keeps advancing, so
+            // termination stays bounded by max_sweeps.
+            ctx.restore_state();
+            fit = saved_fit;
+            fit_old = saved_fit_old;
+            if (book_rollback(result, comm.rank(), sweep, rollbacks))
+              continue;
+            break;
+          }
+          if (comm.rank() == 0) {
+            if (options.base.record_history)
+              result.history.push_back({timer.seconds(), fit, phase});
+            result.residual = r;
+            result.fitness = fit;
+            result.sweeps = sweep;
+            result.num_als_sweeps = sweep;
+          }
+          if (hooks.checkpoint_every > 0 && hooks.on_checkpoint &&
+              sweep % hooks.checkpoint_every == 0) {
+            // Collective assembly on the replicated sweep counter; only
+            // rank 0 invokes the callback (and writes the file).
+            const std::vector<la::Matrix> ck = ctx.assemble_factors();
+            if (comm.rank() == 0) hooks.on_checkpoint(ck, sweep, fit, fit_old);
+          }
+          if (!hooks_continue_collective(comm, hooks,
+                                         {timer.seconds(), fit, phase}))
+            break;
         }
-      },
-      ropt);
-  merge_abort_records(result, abort_reasons, abort_sweeps, removed);
-
-  // Per-sweep profile of the slowest rank. Sized by the longest per-rank
-  // record (post-shrink epochs leave survivors with more entries than the
-  // ranks that died early).
-  std::size_t sweeps = 0;
-  if (result.sweeps > 0)
-    for (const auto& per_rank : sweep_profiles)
-      sweeps = std::max(sweeps, per_rank.size());
-  for (std::size_t s = 0; s < sweeps; ++s) {
-    Profile worst;
-    Profile cat_max;
-    double worst_total = -1.0;
-    for (const auto& per_rank : sweep_profiles) {
-      if (s >= per_rank.size()) continue;
-      cat_max.max_merge(per_rank[s]);
-      if (per_rank[s].total_seconds() > worst_total) {
-        worst_total = per_rank[s].total_seconds();
-        worst = per_rank[s];
-      }
-    }
-    result.sweep_profiles.push_back(worst);
-    result.critical_path_profile.accumulate(cat_max);
-  }
-  if (!result.history.empty()) {
-    result.mean_sweep_seconds =
-        result.history.back().seconds / static_cast<double>(result.sweeps);
-  }
-  result.comm_cost = run_result.max_cost();
+        // Assemble global factors (collective); rank 0 keeps them.
+        std::vector<la::Matrix> assembled = ctx.assemble_factors();
+        if (comm.rank() == 0) result.factors = std::move(assembled);
+      });
   return result;
 }
 

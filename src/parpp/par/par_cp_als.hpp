@@ -5,13 +5,13 @@
 #include <vector>
 
 #include "parpp/core/cp_als.hpp"
+#include "parpp/core/nncp.hpp"
 #include "parpp/dist/dist_tensor.hpp"
 #include "parpp/dist/factor_dist.hpp"
 #include "parpp/dist/local_problem.hpp"
 #include "parpp/la/spd_solve.hpp"
 #include "parpp/mpsim/fault.hpp"
 #include "parpp/mpsim/runtime.hpp"
-#include "parpp/tensor/dense_tensor.hpp"
 
 namespace parpp::par {
 
@@ -34,16 +34,12 @@ struct ElasticOptions {
 };
 
 struct ParOptions {
+  /// Rank, stopping rule, seed and the local engine (base.engine,
+  /// base.engine_options) every rank runs on its block.
   core::CpOptions base;
   std::vector<int> grid_dims;  ///< product must equal the rank count
-  core::EngineKind local_engine = core::EngineKind::kDt;
-  core::EngineOptions engine_options = {};
   SolveMode solve = SolveMode::kDistributedRows;
   int threads_per_rank = 1;
-  /// How sparse inputs are carved over the grid (the CsfTensor driver
-  /// overloads pick the matching DistProblem; ignored when the caller
-  /// passes a DistProblem directly).
-  dist::PartitionKind partition = dist::PartitionKind::kUniformBlocks;
   /// Injected communication fault for chaos runs (kNone = clean run).
   mpsim::FaultPlan fault = {};
   /// Collective timeout; <= 0 picks the runtime default (60 s, or 2 s when
@@ -127,17 +123,11 @@ bool rescue_zero_columns(mpsim::Comm& comm, dist::FactorDist& fd, int mode,
 /// nonnegative parallel drivers. Constructed inside a rank body.
 class ParCpContext {
  public:
-  /// Storage-agnostic form: `problem` must outlive the context.
-  /// `initial_factors`, when non-null, replaces the seeded deterministic
-  /// initialization with a (validated) global warm start; every rank keeps
-  /// its own block of the same matrices.
+  /// `problem` must outlive the context. `initial_factors`, when non-null,
+  /// replaces the seeded deterministic initialization with a (validated)
+  /// global warm start; every rank keeps its own block of the same
+  /// matrices.
   ParCpContext(mpsim::Comm& comm, const dist::DistProblem& problem,
-               const ParOptions& options,
-               const std::vector<la::Matrix>* initial_factors = nullptr);
-
-  /// Dense convenience (the historical signature): wraps `global_t` in an
-  /// owned DenseBlockProblem — behavior is bit for bit the old dense path.
-  ParCpContext(mpsim::Comm& comm, const tensor::DenseTensor& global_t,
                const ParOptions& options,
                const std::vector<la::Matrix>* initial_factors = nullptr);
 
@@ -159,7 +149,7 @@ class ParCpContext {
   /// Engine options of the run (storage scalar, CSF walk, ...) — what the
   /// PP layers pass to make_pp_operators so operators and engine agree.
   [[nodiscard]] const core::EngineOptions& engine_options() const {
-    return options_.engine_options;
+    return options_.base.engine_options;
   }
   [[nodiscard]] double tensor_sq_norm() const { return t_sq_; }
   /// Per-rank nnz imbalance (max / mean) of the block distribution; 0.0
@@ -209,24 +199,14 @@ class ParCpContext {
   /// the PP driver (Algorithm 4 lines 9-15).
   void apply_pp_mttkrp(int mode, const la::Matrix& m_q);
 
-  /// Global squared Frobenius norm of a Q-distributed matrix set, per mode:
-  /// returns {||X||_F^2 for each mode} with one All-Reduce.
-  [[nodiscard]] std::vector<double> global_sq_norms(
-      const std::vector<la::Matrix>& q_mats) const;
-
   /// Assemble the full factor for `mode` (collective).
   [[nodiscard]] la::Matrix assemble_factor(int mode) {
     return fd_.allgather_global(mode);
   }
+  /// Assemble every global factor (collective).
+  [[nodiscard]] std::vector<la::Matrix> assemble_factors();
 
  private:
-  /// Delegation target of the two public constructors: exactly one of
-  /// `owned` and `problem` is set.
-  ParCpContext(mpsim::Comm& comm, const ParOptions& options,
-               std::unique_ptr<dist::DistProblem> owned,
-               const dist::DistProblem* problem,
-               const std::vector<la::Matrix>* initial_factors);
-
   void solve_and_propagate(int mode, const la::Matrix& m_q,
                            const la::Matrix& gamma);
   /// Piggybacked reduction: buf[0] is the caller's scalar, buf[1..4] the
@@ -238,8 +218,6 @@ class ParCpContext {
   bool hals_ = false;
   double hals_epsilon_ = 1e-12;
   int hals_inner_ = 1;
-  std::unique_ptr<dist::DistProblem> owned_problem_;
-  const dist::DistProblem* problem_;  ///< owned_problem_ or the caller's
   int n_;
   mpsim::ProcessorGrid grid_;
   dist::BlockDist dist_;
@@ -259,22 +237,6 @@ class ParCpContext {
   bool have_snapshot_ = false;
 };
 
-/// Folds the per-rank abort slots the rank bodies record on CommFailure (or
-/// a poisoned local exception) into `result`: identical reasons are grouped
-/// into one deterministic recovery_log event listing the ranks, and the
-/// status becomes kCommAbort. No-op when no slot is set.
-void merge_abort_records(ParResult& result,
-                         const std::vector<std::string>& reasons,
-                         const std::vector<int>& sweeps);
-
-/// Elastic-aware overload: slots of ranks in `removed` (world-rank indexed)
-/// were folded into a successful shrink's recovery_log entry already — their
-/// abort reasons are expected and must not flip the status to kCommAbort.
-void merge_abort_records(ParResult& result,
-                         const std::vector<std::string>& reasons,
-                         const std::vector<int>& sweeps,
-                         const std::vector<char>& removed);
-
 /// Rank-0 bookkeeping of a replicated health verdict: folds tolerated
 /// events (guardrail fires, injected delays/corruptions) into the recovery
 /// log and upgrades kOk to kRecovered. Shared by the parallel drivers.
@@ -284,20 +246,22 @@ void record_health_events(ParResult& result, int sweep,
 /// Sweep-rollback budget shared by the resilient drivers.
 inline constexpr int kParRollbackBudget = 3;
 
-/// Runs Algorithm 3 end to end on `nprocs` simulated ranks. The
-/// DistProblem overload is the storage-agnostic driver core; the
-/// DenseTensor overloads are unchanged shims over DenseBlockProblem and
-/// the CsfTensor overload partitions the nonzeros with SparseBlockDist.
+/// Books a replicated non-finite verdict after the caller restored the
+/// pre-sweep iterate on every rank: within kParRollbackBudget it counts a
+/// rollback and returns true (retry); past the budget it records the
+/// numerical abort and returns false. Rank 0 writes the log.
+[[nodiscard]] bool book_rollback(ParResult& result, int rank, int sweep,
+                                 int& rollbacks);
+
+/// Runs the plain parallel sweep loop (Algorithm 3) end to end on `nprocs`
+/// simulated ranks over any storage (`problem` supplies each rank's block,
+/// engine and PP operator factories). The factor update is the SPD solve
+/// when `nn` is null and the row-local HALS passes otherwise (parallel
+/// NNCP); both use the Eq. (3) residual over the stored M(N) and Γ(N), so
+/// the collective pattern is identical.
 [[nodiscard]] ParResult par_cp_als(const dist::DistProblem& problem,
                                    int nprocs, const ParOptions& options,
-                                   const core::DriverHooks& hooks = {});
-[[nodiscard]] ParResult par_cp_als(const tensor::DenseTensor& global_t,
-                                   int nprocs, const ParOptions& options);
-[[nodiscard]] ParResult par_cp_als(const tensor::DenseTensor& global_t,
-                                   int nprocs, const ParOptions& options,
-                                   const core::DriverHooks& hooks);
-[[nodiscard]] ParResult par_cp_als(const tensor::CsfTensor& global_t,
-                                   int nprocs, const ParOptions& options,
-                                   const core::DriverHooks& hooks = {});
+                                   const core::DriverHooks& hooks = {},
+                                   const core::NncpOptions* nn = nullptr);
 
 }  // namespace parpp::par

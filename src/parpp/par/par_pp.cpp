@@ -9,7 +9,6 @@
 #include "parpp/core/gram.hpp"
 #include "parpp/core/pp_engine.hpp"
 #include "parpp/core/pp_operators.hpp"
-#include "parpp/dist/sparse_dist.hpp"
 #include "parpp/la/gemm.hpp"
 #include "parpp/par/elastic.hpp"
 #include "parpp/tensor/mttv.hpp"
@@ -151,40 +150,18 @@ bool all_below(const std::vector<double>& rel, double eps) {
   return true;
 }
 
-/// Shared Algorithm 2/4 loop: the factor update is the SPD solve when
-/// `nn` is null, the row-local HALS passes otherwise (parallel PP-NNCP).
-/// Storage-agnostic: `problem` supplies each rank's engine and PP operator
-/// factories (dense slabs or sparse CSF blocks).
-ParResult run_par_pp(const dist::DistProblem& problem, int nprocs,
-                     const ParOptions& par_in, const core::PpOptions& pp_opt,
-                     const core::NncpOptions* nn,
-                     const core::DriverHooks& hooks) {
-  ParResult result;
-  std::vector<std::vector<Profile>> sweep_profiles(
-      static_cast<std::size_t>(nprocs));
-  std::vector<std::string> abort_reasons(static_cast<std::size_t>(nprocs));
-  std::vector<int> abort_sweeps(static_cast<std::size_t>(nprocs), 0);
-  BuddyStore store(nprocs);
-  std::vector<char> removed(static_cast<std::size_t>(nprocs), 0);
+}  // namespace
 
-  ParOptions par = par_in;
-  if (par.local_engine == core::EngineKind::kNaive)
-    par.local_engine = core::EngineKind::kMsdt;
+ParResult par_pp_cp_als(const dist::DistProblem& problem, int nprocs,
+                        const ParOptions& options,
+                        const core::PpOptions& pp_opt,
+                        const core::DriverHooks& hooks,
+                        const core::NncpOptions* nn) {
   const char* regular_phase = nn ? "nncp" : "als";
-
-  mpsim::RunOptions ropt;
-  ropt.threads_per_rank = par.threads_per_rank;
-  ropt.fault = par.fault;
-  ropt.comm_timeout_seconds = par.comm_timeout_seconds;
-  auto run_result = mpsim::run(
-      nprocs,
-      [&](mpsim::Comm& world) {
-        const auto me = static_cast<std::size_t>(world.rank());
-        int cur_sweep = 0;
-        try {
-          run_with_elastic(
-              world, problem, par, hooks, store, result, removed,
-              [&](ElasticAttempt& at) {
+  ParResult result;
+  run_sweep_loop(
+      problem, nprocs, options, hooks, result,
+      [&](ElasticAttempt& at, std::vector<Profile>& profiles, int& total) {
         mpsim::Comm& comm = at.comm;
         ParCpContext ctx(comm, problem, at.options, at.init_factors);
         at.begin_epoch(ctx);
@@ -224,20 +201,19 @@ ParResult run_par_pp(const dist::DistProblem& problem, int nprocs,
         };
 
         double fit = at.fit, fit_old = at.fit_old;
-        int total = at.start_sweep;
+        total = at.start_sweep;
         int last_checkpoint = at.start_sweep;
         int rollbacks = 0;
         bool have_sweep = false;
         bool aborted = false;
-        cur_sweep = total;
         auto sweep_hook = [&](const char* phase, double f) {
           if (!hooks_continue_collective(comm, hooks,
                                          {timer.seconds(), f, phase}))
             aborted = true;
           return !aborted;
         };
-        while (!aborted && total < par.base.max_sweeps &&
-               std::abs(fit - fit_old) > par.base.tol) {
+        while (!aborted && total < options.base.max_sweeps &&
+               std::abs(fit - fit_old) > options.base.tol) {
           if (have_sweep && all_below(sweep_changes(), pp_opt.pp_tol)) {
             // ---- PP phase -----------------------------------------
             const Profile before_init = Profile::thread_default();
@@ -249,12 +225,11 @@ ParResult run_par_pp(const dist::DistProblem& problem, int nprocs,
             const double fit_p = fit;
             pp.build();
             ++total;
-            cur_sweep = total;
-            sweep_profiles[me].push_back(
+            profiles.push_back(
                 Profile::thread_default().delta_since(before_init));
             if (comm.rank() == 0) {
               ++result.num_pp_init;
-              if (par.base.record_history)
+              if (options.base.record_history)
                 result.history.push_back({timer.seconds(), fit, "pp-init"});
             }
             if (!sweep_hook("pp-init", fit)) break;
@@ -263,17 +238,16 @@ ParResult run_par_pp(const dist::DistProblem& problem, int nprocs,
             double pp_fit = fit, pp_fit_old = fit - 1.0;
             // Trust-guard floor — see the sequential driver.
             const double fit_floor =
-                fit - 10.0 * std::max(par.base.tol, 1e-6);
+                fit - 10.0 * std::max(options.base.tol, 1e-6);
             while (all_below(pp.relative_changes(), pp_opt.pp_tol) &&
-                   std::abs(pp_fit - pp_fit_old) > par.base.tol &&
+                   std::abs(pp_fit - pp_fit_old) > options.base.tol &&
                    pp_sweeps < pp_opt.max_pp_sweeps_per_phase &&
-                   total < par.base.max_sweeps) {
+                   total < options.base.max_sweeps) {
               const Profile before = Profile::thread_default();
               pp.approx_sweep();
               ++pp_sweeps;
               ++total;
-              cur_sweep = total;
-              sweep_profiles[me].push_back(
+              profiles.push_back(
                   Profile::thread_default().delta_since(before));
               // Approximate fitness doubles as the inner stopping
               // criterion (same role as in the sequential driver).
@@ -301,7 +275,7 @@ ParResult run_par_pp(const dist::DistProblem& problem, int nprocs,
               }
               if (comm.rank() == 0) {
                 ++result.num_pp_approx;
-                if (par.base.record_history) {
+                if (options.base.record_history) {
                   result.history.push_back(
                       {timer.seconds(), pp_fit, "pp-approx"});
                 }
@@ -316,7 +290,7 @@ ParResult run_par_pp(const dist::DistProblem& problem, int nprocs,
             else if (pp_sweeps > 0)
               fit = pp_fit;
           }
-          if (aborted || total >= par.base.max_sweeps) break;
+          if (aborted || total >= options.base.max_sweeps) break;
 
           // ---- Regular sweep ---------------------------------------
           at.publish(ctx, total, fit, fit_old);
@@ -327,10 +301,8 @@ ParResult run_par_pp(const dist::DistProblem& problem, int nprocs,
           const Profile before = Profile::thread_default();
           for (int i = 0; i < n; ++i) ctx.update_mode(i);
           ++total;
-          cur_sweep = total;
           have_sweep = true;
-          sweep_profiles[me].push_back(
-              Profile::thread_default().delta_since(before));
+          profiles.push_back(Profile::thread_default().delta_since(before));
           fit_old = fit;
           const double r = ctx.residual();
           fit = core::fitness_from_residual(r);
@@ -341,25 +313,8 @@ ParResult run_par_pp(const dist::DistProblem& problem, int nprocs,
             fit = saved_fit;
             fit_old = saved_fit_old;
             have_sweep = false;  // changes vs prev_q are no longer valid
-            if (rollbacks < kParRollbackBudget) {
-              ++rollbacks;
-              if (comm.rank() == 0) {
-                result.recovery_log.push_back(
-                    {total, "non-finite iterate: rolled back to the last "
-                            "good sweep (rollback " +
-                                std::to_string(rollbacks) + "/" +
-                                std::to_string(kParRollbackBudget) + ")"});
-                if (result.status == core::SolveStatus::kOk)
-                  result.status = core::SolveStatus::kRecovered;
-              }
+            if (book_rollback(result, comm.rank(), total, rollbacks))
               continue;
-            }
-            if (comm.rank() == 0) {
-              result.recovery_log.push_back(
-                  {total, "non-finite iterate persisted past the rollback "
-                          "budget; aborting on the last good state"});
-              result.status = core::SolveStatus::kNumericalAbort;
-            }
             break;
           }
           if (comm.rank() == 0) {
@@ -367,19 +322,15 @@ ParResult run_par_pp(const dist::DistProblem& problem, int nprocs,
             result.residual = r;
             result.fitness = fit;
             result.sweeps = total;
-            if (par.base.record_history)
+            if (options.base.record_history)
               result.history.push_back({timer.seconds(), fit, regular_phase});
           }
           // Checkpoints land after regular (exact) sweeps only, so the
           // saved factors are never mid-approximation.
           if (hooks.checkpoint_every > 0 && hooks.on_checkpoint &&
               total - last_checkpoint >= hooks.checkpoint_every) {
-            std::vector<la::Matrix> ck_factors;
-            ck_factors.reserve(static_cast<std::size_t>(n));
-            for (int m = 0; m < n; ++m)
-              ck_factors.push_back(ctx.assemble_factor(m));
-            if (comm.rank() == 0)
-              hooks.on_checkpoint(ck_factors, total, fit, fit_old);
+            const std::vector<la::Matrix> ck = ctx.assemble_factors();
+            if (comm.rank() == 0) hooks.on_checkpoint(ck, total, fit, fit_old);
             last_checkpoint = total;
           }
           if (!sweep_hook(regular_phase, fit)) break;
@@ -387,110 +338,19 @@ ParResult run_par_pp(const dist::DistProblem& problem, int nprocs,
         // Final exact residual at the current factors (the loop may exit
         // mid-PP-phase, leaving the stored residual stale).
         const double r_final = ctx.measure_residual();
-        std::vector<la::Matrix> assembled;
-        for (int m = 0; m < n; ++m) assembled.push_back(ctx.assemble_factor(m));
+        std::vector<la::Matrix> assembled = ctx.assemble_factors();
         if (comm.rank() == 0) {
           result.factors = std::move(assembled);
           result.sweeps = total;
           result.residual = r_final;
           result.fitness = core::fitness_from_residual(r_final);
         }
-              });
-        } catch (const mpsim::CommFailure& e) {
-          abort_reasons[me] = e.what();
-          abort_sweeps[me] = cur_sweep;
-        } catch (const std::exception& e) {
-          abort_reasons[me] = std::string("local exception: ") + e.what();
-          abort_sweeps[me] = cur_sweep;
-          world.poison("rank " + std::to_string(world.rank()) +
-                       " failed: " + e.what());
-        }
-      },
-      ropt);
-  merge_abort_records(result, abort_reasons, abort_sweeps, removed);
-
-  for (std::size_t s = 0;; ++s) {
-    Profile worst;
-    Profile cat_max;
-    double worst_total = -1.0;
-    bool any = false;
-    for (const auto& per_rank : sweep_profiles) {
-      if (s >= per_rank.size()) continue;
-      any = true;
-      cat_max.max_merge(per_rank[s]);
-      if (per_rank[s].total_seconds() > worst_total) {
-        worst_total = per_rank[s].total_seconds();
-        worst = per_rank[s];
-      }
-    }
-    if (!any) break;
-    result.sweep_profiles.push_back(worst);
-    result.critical_path_profile.accumulate(cat_max);
-  }
-  if (!result.history.empty() && result.sweeps > 0) {
-    result.mean_sweep_seconds =
-        result.history.back().seconds / static_cast<double>(result.sweeps);
-  }
-  result.comm_cost = run_result.max_cost();
+      });
   return result;
 }
 
-}  // namespace
-
-ParResult par_pp_cp_als(const dist::DistProblem& problem, int nprocs,
-                        const ParPpOptions& options,
-                        const core::DriverHooks& hooks) {
-  return run_par_pp(problem, nprocs, options.par, options.pp, nullptr, hooks);
-}
-
-ParResult par_pp_cp_als(const tensor::DenseTensor& global_t, int nprocs,
-                        const ParPpOptions& options) {
-  return par_pp_cp_als(global_t, nprocs, options, core::DriverHooks{});
-}
-
-ParResult par_pp_cp_als(const tensor::DenseTensor& global_t, int nprocs,
-                        const ParPpOptions& options,
-                        const core::DriverHooks& hooks) {
-  const dist::DenseBlockProblem problem(global_t);
-  return run_par_pp(problem, nprocs, options.par, options.pp, nullptr,
-                    hooks);
-}
-
-ParResult par_pp_cp_als(const tensor::CsfTensor& global_t, int nprocs,
-                        const ParPpOptions& options,
-                        const core::DriverHooks& hooks) {
-  const auto problem =
-      dist::make_sparse_problem(global_t, options.par.partition);
-  return run_par_pp(*problem, nprocs, options.par, options.pp, nullptr,
-                    hooks);
-}
-
-ParResult par_pp_nncp_hals(const dist::DistProblem& problem, int nprocs,
-                           const ParPpNncpOptions& options,
-                           const core::DriverHooks& hooks) {
-  return run_par_pp(problem, nprocs, options.par, options.pp, &options.nn,
-                    hooks);
-}
-
-ParResult par_pp_nncp_hals(const tensor::DenseTensor& global_t, int nprocs,
-                           const ParPpNncpOptions& options,
-                           const core::DriverHooks& hooks) {
-  const dist::DenseBlockProblem problem(global_t);
-  return run_par_pp(problem, nprocs, options.par, options.pp, &options.nn,
-                    hooks);
-}
-
-ParResult par_pp_nncp_hals(const tensor::CsfTensor& global_t, int nprocs,
-                           const ParPpNncpOptions& options,
-                           const core::DriverHooks& hooks) {
-  const auto problem =
-      dist::make_sparse_problem(global_t, options.par.partition);
-  return run_par_pp(*problem, nprocs, options.par, options.pp, &options.nn,
-                    hooks);
-}
-
 PpKernelTimings time_pp_kernels(const tensor::DenseTensor& global_t,
-                                int nprocs, const ParPpOptions& options,
+                                int nprocs, const ParOptions& options,
                                 int sweeps) {
   PpKernelTimings out;
   std::vector<double> init_secs(static_cast<std::size_t>(nprocs), 0.0);
@@ -498,13 +358,13 @@ PpKernelTimings time_pp_kernels(const tensor::DenseTensor& global_t,
   std::vector<Profile> init_prof(static_cast<std::size_t>(nprocs));
   std::vector<Profile> approx_prof(static_cast<std::size_t>(nprocs));
 
-  ParOptions par = options.par;
+  const dist::DenseBlockProblem problem(global_t);
   mpsim::RunOptions ropt;
-  ropt.threads_per_rank = par.threads_per_rank;
+  ropt.threads_per_rank = options.threads_per_rank;
   auto run_result = mpsim::run(
       nprocs,
       [&](mpsim::Comm& comm) {
-        ParCpContext ctx(comm, global_t, par);
+        ParCpContext ctx(comm, problem, options);
         const int n = ctx.order();
         // One regular sweep to warm the tree cache (donor amortization).
         for (int i = 0; i < n; ++i) ctx.update_mode(i);

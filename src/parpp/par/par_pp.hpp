@@ -9,57 +9,22 @@
 // (identical to Algorithm 3) and one small All-Reduce for dS(i).
 #pragma once
 
-#include "parpp/core/nncp.hpp"
 #include "parpp/core/pp_als.hpp"
 #include "parpp/par/par_cp_als.hpp"
 
 namespace parpp::par {
 
-struct ParPpOptions {
-  ParOptions par;
-  core::PpOptions pp;
-};
-
-/// Runs PP-CP-ALS (Algorithm 2 with the Algorithm 4 subroutine) on
-/// `nprocs` simulated ranks. The DistProblem overload is the
-/// storage-agnostic core; DenseTensor overloads are unchanged shims and
-/// the CsfTensor overload runs the same loop over SparseBlockDist blocks
-/// (sparse PP operators, identical collective pattern).
+/// Runs the PP sweep loop (Algorithm 2 with the Algorithm 4 subroutine)
+/// on `nprocs` simulated ranks over any storage: dense slabs or sparse CSF
+/// blocks (sparse PP operators, identical collective pattern). The regular
+/// sweeps use options.base.engine. The factor update is the SPD solve when
+/// `nn` is null and the row-local HALS passes otherwise (parallel PP-NNCP,
+/// see core::pp_cp_als for why the composition keeps PP's guarantees).
 [[nodiscard]] ParResult par_pp_cp_als(const dist::DistProblem& problem,
-                                      int nprocs, const ParPpOptions& options,
-                                      const core::DriverHooks& hooks = {});
-[[nodiscard]] ParResult par_pp_cp_als(const tensor::DenseTensor& global_t,
-                                      int nprocs,
-                                      const ParPpOptions& options);
-[[nodiscard]] ParResult par_pp_cp_als(const tensor::DenseTensor& global_t,
-                                      int nprocs, const ParPpOptions& options,
-                                      const core::DriverHooks& hooks);
-[[nodiscard]] ParResult par_pp_cp_als(const tensor::CsfTensor& global_t,
-                                      int nprocs, const ParPpOptions& options,
-                                      const core::DriverHooks& hooks = {});
-
-struct ParPpNncpOptions {
-  ParOptions par;
-  core::PpOptions pp;
-  core::NncpOptions nn;
-};
-
-/// Parallel PP-accelerated nonnegative HALS: the Algorithm 4 loop with the
-/// row-local HALS update substituted for the SPD solve (see
-/// core::pp_nncp_hals for why the composition is exact to PP's usual
-/// guarantees). Identical collective pattern and costs to par_pp_cp_als.
-[[nodiscard]] ParResult par_pp_nncp_hals(const dist::DistProblem& problem,
-                                         int nprocs,
-                                         const ParPpNncpOptions& options,
-                                         const core::DriverHooks& hooks = {});
-[[nodiscard]] ParResult par_pp_nncp_hals(const tensor::DenseTensor& global_t,
-                                         int nprocs,
-                                         const ParPpNncpOptions& options,
-                                         const core::DriverHooks& hooks = {});
-[[nodiscard]] ParResult par_pp_nncp_hals(const tensor::CsfTensor& global_t,
-                                         int nprocs,
-                                         const ParPpNncpOptions& options,
-                                         const core::DriverHooks& hooks = {});
+                                      int nprocs, const ParOptions& options,
+                                      const core::PpOptions& pp,
+                                      const core::DriverHooks& hooks = {},
+                                      const core::NncpOptions* nn = nullptr);
 
 /// Benchmark hook: runs `sweeps` PP-approximated sweeps (after one build)
 /// regardless of the tolerance, returning per-sweep profiles and costs —
@@ -72,7 +37,7 @@ struct PpKernelTimings {
   mpsim::CostCounter comm_cost;
 };
 [[nodiscard]] PpKernelTimings time_pp_kernels(
-    const tensor::DenseTensor& global_t, int nprocs, const ParPpOptions& options,
+    const tensor::DenseTensor& global_t, int nprocs, const ParOptions& options,
     int sweeps);
 
 }  // namespace parpp::par

@@ -110,7 +110,7 @@ class RefPp {
 }  // namespace
 
 PpKernelTimings time_ref_pp_kernels(const tensor::DenseTensor& global_t,
-                                    int nprocs, const ParPpOptions& options,
+                                    int nprocs, const ParOptions& options,
                                     int sweeps) {
   PpKernelTimings out;
   std::vector<double> init_secs(static_cast<std::size_t>(nprocs), 0.0);
@@ -118,12 +118,13 @@ PpKernelTimings time_ref_pp_kernels(const tensor::DenseTensor& global_t,
   std::vector<Profile> init_prof(static_cast<std::size_t>(nprocs));
   std::vector<Profile> approx_prof(static_cast<std::size_t>(nprocs));
 
+  const dist::DenseBlockProblem problem(global_t);
   mpsim::RunOptions ropt;
-  ropt.threads_per_rank = options.par.threads_per_rank;
+  ropt.threads_per_rank = options.threads_per_rank;
   auto run_result = mpsim::run(
       nprocs,
       [&](mpsim::Comm& comm) {
-        ParCpContext ctx(comm, global_t, options.par);
+        ParCpContext ctx(comm, problem, options);
         const int n = ctx.order();
         for (int i = 0; i < n; ++i) ctx.update_mode(i);
         RefPp pp(comm, ctx);

@@ -19,6 +19,6 @@ namespace parpp::par {
 /// Times the reference PP kernels under the same setup as time_pp_kernels.
 [[nodiscard]] PpKernelTimings time_ref_pp_kernels(
     const tensor::DenseTensor& global_t, int nprocs,
-    const ParPpOptions& options, int sweeps);
+    const ParOptions& options, int sweeps);
 
 }  // namespace parpp::par

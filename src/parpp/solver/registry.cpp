@@ -1,13 +1,22 @@
 #include "parpp/solver/registry.hpp"
 
-#include "parpp/core/pp_nncp.hpp"
 #include "parpp/mpsim/grid.hpp"
-#include "parpp/tensor/csf_tensor.hpp"
-#include "parpp/par/par_nncp.hpp"
 #include "parpp/par/par_pp.hpp"
 #include "parpp/solver/strings.hpp"
 
 namespace parpp::solver {
+
+namespace {
+
+bool uses_pp(Method method) {
+  return method == Method::kPp || method == Method::kPpNncp;
+}
+
+bool uses_hals(Method method) {
+  return method == Method::kNncpHals || method == Method::kPpNncp;
+}
+
+}  // namespace
 
 core::CpOptions base_options(const SolverSpec& spec) {
   core::CpOptions o;
@@ -15,7 +24,9 @@ core::CpOptions base_options(const SolverSpec& spec) {
   o.max_sweeps = spec.stopping.max_sweeps;
   o.tol = spec.stopping.fitness_tol;
   o.seed = spec.seed;
-  o.engine = spec.engine;
+  o.engine = uses_pp(spec.method) && spec.engine == core::EngineKind::kNaive
+                 ? core::EngineKind::kMsdt
+                 : spec.engine;
   o.engine_options = spec.engine_options;
   o.record_history = spec.record_history;
   return o;
@@ -28,11 +39,8 @@ par::ParOptions par_options(const SolverSpec& spec, int order) {
                     ? mpsim::ProcessorGrid::balanced_dims(
                           spec.execution.nprocs, order)
                     : spec.execution.grid_dims;
-  p.local_engine = spec.engine;
-  p.engine_options = spec.engine_options;
   p.solve = spec.execution.solve_mode;
   p.threads_per_rank = spec.execution.threads_per_rank;
-  p.partition = spec.execution.partition;
   p.fault = spec.execution.fault;
   p.comm_timeout_seconds = spec.execution.comm_timeout_seconds;
   p.elastic = spec.execution.elastic;
@@ -41,171 +49,54 @@ par::ParOptions par_options(const SolverSpec& spec, int order) {
 
 namespace {
 
-/// The PP methods need a tree engine (the operator build amortizes against
-/// its cache); kNaive is promoted to kMsdt for BOTH executions, mirroring
-/// what the parallel driver does internally, so the same spec resolves to
-/// the same engine regardless of the Execution axis.
-core::EngineKind pp_engine(const SolverSpec& spec) {
-  return spec.engine == core::EngineKind::kNaive ? core::EngineKind::kMsdt
-                                                 : spec.engine;
+// The four runners: {plain, PP} x {sequential, parallel}. The factor
+// update comes from the method (HALS for the nonnegative ones).
+
+core::CpResult run_plain(const core::TensorProblem& problem,
+                         const SolverSpec& spec,
+                         const core::DriverHooks& hooks) {
+  if (uses_hals(spec.method)) {
+    return core::cp_als(problem, base_options(spec), hooks,
+                        core::nncp_update(spec.nncp), "nncp");
+  }
+  return core::cp_als(problem, base_options(spec), hooks);
 }
 
-core::PpOptions pp_options(const SolverSpec& spec) {
-  core::PpOptions pp = spec.pp;
-  pp.regular_engine = pp_engine(spec);  // one engine axis for every method
-  return pp;
-}
-
-core::NncpOptions nncp_options(const SolverSpec& spec) {
-  core::NncpOptions nn = spec.nncp;
-  nn.engine = spec.engine;
-  return nn;
-}
-
-// --- sequential runners ---------------------------------------------------
-
-core::CpResult run_als(const tensor::DenseTensor& t, const SolverSpec& spec,
-                       const core::DriverHooks& hooks) {
-  return core::cp_als(t, base_options(spec), hooks);
-}
-
-core::CpResult run_pp(const tensor::DenseTensor& t, const SolverSpec& spec,
+core::CpResult run_pp(const core::TensorProblem& problem,
+                      const SolverSpec& spec,
                       const core::DriverHooks& hooks) {
-  return core::pp_cp_als(t, base_options(spec), pp_options(spec), hooks);
+  if (uses_hals(spec.method)) {
+    return core::pp_cp_als(problem, base_options(spec), spec.pp, hooks,
+                           core::nncp_update(spec.nncp), "nncp");
+  }
+  return core::pp_cp_als(problem, base_options(spec), spec.pp, hooks);
 }
 
-core::CpResult run_nncp(const tensor::DenseTensor& t, const SolverSpec& spec,
-                        const core::DriverHooks& hooks) {
-  return core::nncp_hals(t, base_options(spec), nncp_options(spec), hooks);
-}
-
-core::CpResult run_pp_nncp(const tensor::DenseTensor& t,
-                           const SolverSpec& spec,
-                           const core::DriverHooks& hooks) {
-  return core::pp_nncp_hals(t, base_options(spec), pp_options(spec),
-                            nncp_options(spec), hooks);
-}
-
-// --- sparse sequential runners --------------------------------------------
-// The engine axis collapses for sparse storage (every kind resolves to the
-// CSF engine), so the runners reuse base_options unchanged.
-
-core::CpResult run_sparse_als(const tensor::CsfTensor& t,
-                              const SolverSpec& spec,
-                              const core::DriverHooks& hooks) {
-  return core::cp_als(t, base_options(spec), hooks);
-}
-
-core::CpResult run_sparse_nncp(const tensor::CsfTensor& t,
-                               const SolverSpec& spec,
-                               const core::DriverHooks& hooks) {
-  return core::nncp_hals(t, base_options(spec), nncp_options(spec), hooks);
-}
-
-core::CpResult run_sparse_pp(const tensor::CsfTensor& t,
+par::ParResult run_par_plain(const dist::DistProblem& problem,
                              const SolverSpec& spec,
                              const core::DriverHooks& hooks) {
-  return core::pp_cp_als(t, base_options(spec), pp_options(spec), hooks);
+  return par::par_cp_als(
+      problem, spec.execution.nprocs,
+      par_options(spec, static_cast<int>(problem.global_shape().size())),
+      hooks, uses_hals(spec.method) ? &spec.nncp : nullptr);
 }
 
-core::CpResult run_sparse_pp_nncp(const tensor::CsfTensor& t,
-                                  const SolverSpec& spec,
-                                  const core::DriverHooks& hooks) {
-  return core::pp_nncp_hals(t, base_options(spec), pp_options(spec),
-                            nncp_options(spec), hooks);
-}
-
-// --- parallel runners -----------------------------------------------------
-
-par::ParResult run_par_als(const tensor::DenseTensor& t,
-                           const SolverSpec& spec,
-                           const core::DriverHooks& hooks) {
-  return par::par_cp_als(t, spec.execution.nprocs,
-                         par_options(spec, t.order()), hooks);
-}
-
-par::ParResult run_par_pp(const tensor::DenseTensor& t,
+par::ParResult run_par_pp(const dist::DistProblem& problem,
                           const SolverSpec& spec,
                           const core::DriverHooks& hooks) {
-  par::ParPpOptions o;
-  o.par = par_options(spec, t.order());
-  o.par.local_engine = pp_engine(spec);
-  o.pp = pp_options(spec);
-  return par::par_pp_cp_als(t, spec.execution.nprocs, o, hooks);
-}
-
-par::ParResult run_par_nncp(const tensor::DenseTensor& t,
-                            const SolverSpec& spec,
-                            const core::DriverHooks& hooks) {
-  par::ParNncpOptions o;
-  o.par = par_options(spec, t.order());
-  o.nn = nncp_options(spec);
-  return par::par_nncp_hals(t, spec.execution.nprocs, o, hooks);
-}
-
-par::ParResult run_par_pp_nncp(const tensor::DenseTensor& t,
-                               const SolverSpec& spec,
-                               const core::DriverHooks& hooks) {
-  par::ParPpNncpOptions o;
-  o.par = par_options(spec, t.order());
-  o.par.local_engine = pp_engine(spec);
-  o.pp = pp_options(spec);
-  o.nn = nncp_options(spec);
-  return par::par_pp_nncp_hals(t, spec.execution.nprocs, o, hooks);
-}
-
-// --- sparse parallel runners ----------------------------------------------
-// Identical driver cores to the dense parallel runners; the CsfTensor
-// overloads partition the nonzeros with dist::SparseBlockDist and run the
-// same Algorithm 3/4 loops over sparse local blocks.
-
-par::ParResult run_par_sparse_als(const tensor::CsfTensor& t,
-                                  const SolverSpec& spec,
-                                  const core::DriverHooks& hooks) {
-  return par::par_cp_als(t, spec.execution.nprocs,
-                         par_options(spec, t.order()), hooks);
-}
-
-par::ParResult run_par_sparse_pp(const tensor::CsfTensor& t,
-                                 const SolverSpec& spec,
-                                 const core::DriverHooks& hooks) {
-  par::ParPpOptions o;
-  o.par = par_options(spec, t.order());
-  o.par.local_engine = pp_engine(spec);
-  o.pp = pp_options(spec);
-  return par::par_pp_cp_als(t, spec.execution.nprocs, o, hooks);
-}
-
-par::ParResult run_par_sparse_nncp(const tensor::CsfTensor& t,
-                                   const SolverSpec& spec,
-                                   const core::DriverHooks& hooks) {
-  par::ParNncpOptions o;
-  o.par = par_options(spec, t.order());
-  o.nn = nncp_options(spec);
-  return par::par_nncp_hals(t, spec.execution.nprocs, o, hooks);
-}
-
-par::ParResult run_par_sparse_pp_nncp(const tensor::CsfTensor& t,
-                                      const SolverSpec& spec,
-                                      const core::DriverHooks& hooks) {
-  par::ParPpNncpOptions o;
-  o.par = par_options(spec, t.order());
-  o.par.local_engine = pp_engine(spec);
-  o.pp = pp_options(spec);
-  o.nn = nncp_options(spec);
-  return par::par_pp_nncp_hals(t, spec.execution.nprocs, o, hooks);
+  return par::par_pp_cp_als(
+      problem, spec.execution.nprocs,
+      par_options(spec, static_cast<int>(problem.global_shape().size())),
+      spec.pp, hooks, uses_hals(spec.method) ? &spec.nncp : nullptr);
 }
 
 const std::vector<MethodEntry>& registry() {
   static const std::vector<MethodEntry> entries{
-      {Method::kAls, to_string(Method::kAls), run_als, run_par_als,
-       run_sparse_als, run_par_sparse_als},
-      {Method::kPp, to_string(Method::kPp), run_pp, run_par_pp,
-       run_sparse_pp, run_par_sparse_pp},
-      {Method::kNncpHals, to_string(Method::kNncpHals), run_nncp,
-       run_par_nncp, run_sparse_nncp, run_par_sparse_nncp},
-      {Method::kPpNncp, to_string(Method::kPpNncp), run_pp_nncp,
-       run_par_pp_nncp, run_sparse_pp_nncp, run_par_sparse_pp_nncp},
+      {Method::kAls, to_string(Method::kAls), run_plain, run_par_plain},
+      {Method::kPp, to_string(Method::kPp), run_pp, run_par_pp},
+      {Method::kNncpHals, to_string(Method::kNncpHals), run_plain,
+       run_par_plain},
+      {Method::kPpNncp, to_string(Method::kPpNncp), run_pp, run_par_pp},
   };
   return entries;
 }

@@ -1,9 +1,13 @@
-// Method registry: dispatches a SolverSpec to the existing driver cores.
+// Method registry: maps each Method to its sweep loops.
 //
-// Each Method owns one MethodEntry with a sequential and a parallel runner.
-// parpp::solve() looks the entry up and calls the runner matching the
-// Execution axis — adding a CP variant means registering one entry here,
-// not growing another free-function cross-product.
+// There are two sweep shapes, plain (Algorithm 1 / 3) and pairwise
+// perturbation (Algorithm 2 / 4), each with a sequential loop over a
+// core::TensorProblem and a parallel loop over a dist::DistProblem. A
+// Method picks one shape and one factor update (the normal-equations solve
+// or HALS), so every MethodEntry points at two of the four runners below.
+// parpp::solve() converts the tensor source into a problem once and calls
+// the runner matching the Execution axis; the runners never see the
+// storage class.
 #pragma once
 
 #include <string_view>
@@ -16,25 +20,13 @@ namespace parpp::solver {
 struct MethodEntry {
   Method method;
   std::string_view name;
-  /// Runs the sequential driver core with the legacy options derived from
-  /// the spec plus the facade's hooks.
-  core::CpResult (*sequential)(const tensor::DenseTensor&, const SolverSpec&,
+  /// Runs the sequential sweep loop with the options derived from the
+  /// spec plus the facade's hooks.
+  core::CpResult (*sequential)(const core::TensorProblem&, const SolverSpec&,
                                const core::DriverHooks&);
-  /// Runs the simulated-parallel driver core on execution.nprocs ranks.
-  par::ParResult (*parallel)(const tensor::DenseTensor&, const SolverSpec&,
+  /// Runs the simulated-parallel sweep loop on execution.nprocs ranks.
+  par::ParResult (*parallel)(const dist::DistProblem&, const SolverSpec&,
                              const core::DriverHooks&);
-  /// Runs the sequential core on CSF sparse storage; nullptr when the
-  /// method has no sparse driver. solve() reports the gap as a structured
-  /// error (parpp::error), never a crash.
-  core::CpResult (*sparse_sequential)(const tensor::CsfTensor&,
-                                      const SolverSpec&,
-                                      const core::DriverHooks&) = nullptr;
-  /// Runs the simulated-parallel driver on CSF sparse storage (nonzeros
-  /// partitioned over the grid by dist::SparseBlockDist); nullptr when
-  /// unsupported — solve() reports a structured error.
-  par::ParResult (*sparse_parallel)(const tensor::CsfTensor&,
-                                    const SolverSpec&,
-                                    const core::DriverHooks&) = nullptr;
 };
 
 /// The entry for `method`; throws parpp::error for an unregistered method.
@@ -43,8 +35,11 @@ struct MethodEntry {
 /// All registered methods, in enum order (CLI help, bench sweeps).
 [[nodiscard]] const std::vector<MethodEntry>& registered_methods();
 
-/// Legacy option structs derived from a spec — shared by the registry
-/// runners and exposed for tests that compare facade vs legacy drivers.
+/// Loop options derived from a spec — shared by the registry runners and
+/// exposed for tests that compare the facade with the loops. The PP
+/// methods need a tree engine for their operator-build amortization, so
+/// base_options promotes kNaive to kMsdt for them (the one place that
+/// promotion happens); par_options builds on base_options.
 [[nodiscard]] core::CpOptions base_options(const SolverSpec& spec);
 [[nodiscard]] par::ParOptions par_options(const SolverSpec& spec, int order);
 

@@ -2,8 +2,11 @@
 
 #include <cmath>
 #include <fstream>
+#include <memory>
 #include <utility>
 
+#include "parpp/core/sparse_engine.hpp"
+#include "parpp/dist/sparse_dist.hpp"
 #include "parpp/solver/registry.hpp"
 #include "parpp/util/rng.hpp"
 #include "parpp/util/serialize.hpp"
@@ -94,17 +97,6 @@ solver::SolveReport solve(const solver::TensorSource& t,
               "fitness is undefined for a zero tensor");
 
   const solver::MethodEntry& entry = solver::method_entry(spec.method);
-  if (t.is_sparse()) {
-    // Every current method fills both sparse cells; the checks keep future
-    // methods failing with a structured error instead of a null call.
-    if (spec.execution.is_parallel()) {
-      PARPP_CHECK(entry.sparse_parallel != nullptr, "solve: method ",
-                  entry.name, " has no sparse simulated-parallel driver");
-    } else {
-      PARPP_CHECK(entry.sparse_sequential != nullptr, "solve: method ",
-                  entry.name, " has no sparse sequential driver");
-    }
-  }
 
   // Resume: if the checkpoint file exists, warm-start from it and spend
   // only the remaining sweep budget; if it does not (the previous run died
@@ -190,16 +182,22 @@ solver::SolveReport solve(const solver::TensorSource& t,
     };
   }
 
-  SolveReport report =
-      t.is_sparse()
-          ? (eff.execution.is_parallel()
-                 ? from_par_result(
-                       entry.sparse_parallel(t.sparse(), eff, hooks))
-                 : from_cp_result(
-                       entry.sparse_sequential(t.sparse(), eff, hooks)))
-      : eff.execution.is_parallel()
-          ? from_par_result(entry.parallel(t.dense(), eff, hooks))
-          : from_cp_result(entry.sequential(t.dense(), eff, hooks));
+  // The one storage dispatch: the source becomes a problem the sweep loops
+  // consume without seeing the storage class. Sparse parallel runs carve
+  // the nonzeros over the grid with the requested partition.
+  SolveReport report;
+  if (eff.execution.is_parallel()) {
+    const std::unique_ptr<dist::DistProblem> problem =
+        t.is_sparse() ? dist::make_sparse_problem(t.sparse(),
+                                                  eff.execution.partition)
+                      : std::make_unique<dist::DenseBlockProblem>(t.dense());
+    report = from_par_result(entry.parallel(*problem, eff, hooks));
+  } else {
+    const core::TensorProblem problem = t.is_sparse()
+                                            ? core::make_problem(t.sparse())
+                                            : core::make_problem(t.dense());
+    report = from_cp_result(entry.sequential(problem, eff, hooks));
+  }
 
   if (aborted_status(report.status)) {
     // A guardrail or communicator failure ended the run; the recovery log

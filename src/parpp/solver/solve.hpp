@@ -5,11 +5,11 @@
 //   spec.rank = 32;
 //   auto report = parpp::solve(tensor, spec);
 //
-// Composes method x execution x engine with pluggable stopping, warm start
-// and per-sweep observation; see spec.hpp for the axes and registry.hpp for
-// how methods plug in. The legacy free functions (core::cp_als,
-// core::pp_cp_als, core::nncp_hals, par::par_cp_als, par::par_pp_cp_als,
-// par::par_nncp_hals) remain as thin shims over the same driver cores.
+// The only entry point to a solve. Composes method x execution x engine
+// with pluggable stopping, warm start and per-sweep observation; see
+// spec.hpp for the axes and registry.hpp for how methods map onto the four
+// sweep loops (plain and PP, each sequential over a core::TensorProblem
+// and parallel over a dist::DistProblem).
 #pragma once
 
 #include "parpp/solver/spec.hpp"
@@ -18,12 +18,13 @@ namespace parpp {
 
 /// Runs the solve described by `spec` on any tensor source — dense or CSF
 /// sparse storage, uniformly (TensorSource converts implicitly from both).
-/// Sparse sources run the storage-agnostic cores through the CSF engine
-/// with the no-densification fitness identity, for every method (als, pp,
-/// nncp, pp-nncp) and both executions: simulated-parallel sparse runs
-/// partition the nonzeros over the grid with dist::SparseBlockDist. Throws
-/// parpp::error on an invalid spec (bad rank, warm-start shape mismatch,
-/// bad grid) or an unsupported cell.
+/// The source is converted into a problem once: core::make_problem for
+/// sequential runs, a DenseBlockProblem or make_sparse_problem (with
+/// execution.partition) for simulated-parallel ones. Sparse sources run the
+/// same loops through the CSF engine with the no-densification fitness
+/// identity, for every method (als, pp, nncp, pp-nncp) and both
+/// executions. Throws parpp::error on an invalid spec (bad rank, warm-start
+/// shape mismatch, bad grid).
 [[nodiscard]] solver::SolveReport solve(const solver::TensorSource& t,
                                         const solver::SolverSpec& spec);
 

@@ -7,8 +7,8 @@
 // update rule, `Execution` picks sequential vs the simulated
 // message-passing runtime, `engine` picks the MTTKRP amortization, and
 // stopping / warm start / observation are orthogonal to all three. Every
-// cell of the method × execution matrix runs through parpp::solve(),
-// including PP × NNCP, which no legacy entry point offered.
+// cell of the method × execution × storage matrix runs through
+// parpp::solve(), the only entry point to a solve.
 #pragma once
 
 #include <functional>
@@ -26,9 +26,9 @@ namespace parpp::solver {
 /// Non-owning view of the decomposition input — the storage axis of the
 /// solve. Implicitly constructible from either storage class, so
 /// parpp::solve(tensor, spec) reads the same for dense and sparse callers;
-/// the facade dispatches on is_sparse() to the matching driver adapter
-/// (sparse runs never densify — they go through core::TensorProblem and
-/// the CSF engine). The referenced tensor must outlive the solve call.
+/// solve() converts it into a core::TensorProblem or dist::DistProblem
+/// once (sparse runs never densify — they go through the CSF engine). The
+/// referenced tensor must outlive the solve call.
 class TensorSource {
  public:
   /*implicit*/ TensorSource(const tensor::DenseTensor& t) : dense_(&t) {}
@@ -157,22 +157,21 @@ struct SolverSpec {
   index_t rank = 16;
   std::uint64_t seed = 42;
 
-  /// MTTKRP engine for the regular sweeps — one engine axis for every
-  /// method (overrides PpOptions::regular_engine / NncpOptions::engine).
-  /// The PP methods need a tree engine for their operator-build
-  /// amortization, so kNaive is promoted to kMsdt for them, identically in
-  /// sequential and parallel execution.
+  /// MTTKRP engine for the regular sweeps — the one engine setting for
+  /// every method and execution. The PP methods need a tree engine for
+  /// their operator-build amortization, so kNaive is promoted to kMsdt for
+  /// them (solver::base_options), identically in sequential and parallel
+  /// execution. Sparse storage has one engine, so every kind resolves to
+  /// the CSF walk there.
   core::EngineKind engine = core::EngineKind::kMsdt;
   core::EngineOptions engine_options = {};
 
   Execution execution = {};
   StoppingRule stopping = {};
 
-  /// PP knobs; used by kPp and kPpNncp (regular_engine is overridden by
-  /// `engine` above).
+  /// PP knobs; used by kPp and kPpNncp.
   core::PpOptions pp = {};
-  /// HALS knobs; used by kNncpHals and kPpNncp (engine is overridden by
-  /// `engine` above).
+  /// HALS knobs; used by kNncpHals and kPpNncp.
   core::NncpOptions nncp = {};
 
   /// Warm start: when non-empty, used instead of the seeded initialization

@@ -515,11 +515,13 @@ void leaf_scatter(const CsfTensor::Tree& tree,
   }
 }
 
-/// kHalf leaf-mode schedule: roots are split over the team like the fiber
-/// walk, but distinct roots may reach the *same* leaf-mode output row, so a
-/// parallel team scatters into per-thread output slabs merged in thread
-/// order (deterministic for a fixed team size); a single thread writes the
-/// output directly.
+/// kHalf leaf-mode schedule: distinct roots may reach the *same* leaf-mode
+/// output row, so a parallel team scatters into per-thread output slabs
+/// merged in thread order; a single thread writes the output directly. Each
+/// thread walks one contiguous block of roots (a static split, not the
+/// fiber walk's dynamic chunks), so every slab sums the same contributions
+/// in the same order on every run and the result is bitwise reproducible
+/// for a fixed team size.
 template <int RB, typename MatT>
 void csf_walk_leaf(const CsfTensor::Tree& tree,
                    const la::matrix_scalar_t<MatT>* vals,
@@ -559,8 +561,10 @@ void csf_walk_leaf(const CsfTensor::Tree& tree,
     double* out0 =
         team > 1 ? outlocal0 + static_cast<index_t>(tid) * osize : out.data();
     double* rootprod = scratch;
-#pragma omp for schedule(dynamic, 32)
-    for (index_t k = 0; k < roots; ++k) {
+    const auto nt = static_cast<index_t>(omp_get_num_threads());
+    const index_t k_begin = roots * tid / nt;
+    const index_t k_end = roots * (tid + 1) / nt;
+    for (index_t k = k_begin; k < k_end; ++k) {
       const S* PARPP_RESTRICT arow =
           root_factor.row(root_fids[static_cast<std::size_t>(k)]);
       double* PARPP_RESTRICT rp = rootprod;

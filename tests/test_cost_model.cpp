@@ -4,6 +4,7 @@
 
 #include "parpp/core/cp_als.hpp"
 #include "parpp/mpsim/cost.hpp"
+#include "parpp/solver/solve.hpp"
 #include "parpp/util/cost_model.hpp"
 #include "test_util.hpp"
 
@@ -66,12 +67,12 @@ TEST(TableOneModel, MeasuredFlopsMatchDt) {
   const index_t s = 12, r = 4;
   const std::vector<index_t> shape{s, s, s};
   const auto t = test::random_tensor(shape, 1001);
-  core::CpOptions opt;
-  opt.rank = r;
-  opt.max_sweeps = 4;
-  opt.tol = 0.0;
-  opt.engine = core::EngineKind::kDt;
-  const auto result = core::cp_als(t, opt);
+  solver::SolverSpec spec;
+  spec.rank = r;
+  spec.stopping.max_sweeps = 4;
+  spec.stopping.fitness_tol = 0.0;
+  spec.engine = core::EngineKind::kDt;
+  const auto result = parpp::solve(t, spec);
   const TableOneModel model{3, s, r, 1};
   const double per_sweep = result.profile.flops(Kernel::kTTM) / 4.0;
   // TTM flops per sweep == 2 first-level TTMs == 4 s^3 R exactly.
@@ -82,12 +83,13 @@ TEST(TableOneModel, MeasuredFlopsMatchMsdt) {
   const index_t s = 12, r = 4;
   const std::vector<index_t> shape{s, s, s};
   const auto t = test::random_tensor(shape, 1002);
-  core::CpOptions opt;
-  opt.rank = r;
-  opt.max_sweeps = 9;  // multiple of N-1 plus warmup: rotation-aligned
-  opt.tol = 0.0;
-  opt.engine = core::EngineKind::kMsdt;
-  const auto result = core::cp_als(t, opt);
+  solver::SolverSpec spec;
+  spec.rank = r;
+  // A multiple of N-1 plus warmup: rotation-aligned.
+  spec.stopping.max_sweeps = 9;
+  spec.stopping.fitness_tol = 0.0;
+  spec.engine = core::EngineKind::kMsdt;
+  const auto result = parpp::solve(t, spec);
   const TableOneModel model{3, s, r, 1};
   const double per_sweep = result.profile.flops(Kernel::kTTM) / 9.0;
   // Steady state: 2N/(N-1) s^N R = 3 s^3 R; allow the warm-up extra TTM.

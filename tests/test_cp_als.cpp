@@ -5,6 +5,7 @@
 #include "parpp/core/cp_als.hpp"
 #include "parpp/core/fitness.hpp"
 #include "parpp/core/gram.hpp"
+#include "parpp/solver/solve.hpp"
 #include "parpp/tensor/mttkrp_naive.hpp"
 #include "test_util.hpp"
 
@@ -52,12 +53,12 @@ class AlsEngines : public ::testing::TestWithParam<EngineKind> {};
 TEST_P(AlsEngines, RecoversLowRankTensor) {
   const std::vector<index_t> shape{10, 11, 12};
   const auto t = test::low_rank_tensor(shape, 3, 505);
-  CpOptions opt;
-  opt.rank = 3;
-  opt.max_sweeps = 150;
-  opt.tol = 1e-9;
-  opt.engine = GetParam();
-  const CpResult result = cp_als(t, opt);
+  solver::SolverSpec spec;
+  spec.rank = 3;
+  spec.stopping.max_sweeps = 150;
+  spec.stopping.fitness_tol = 1e-9;
+  spec.engine = GetParam();
+  const solver::SolveReport result = parpp::solve(t, spec);
   EXPECT_GT(result.fitness, 0.9999)
       << engine_kind_name(GetParam()) << " should recover a rank-3 tensor";
   EXPECT_NEAR(test::explicit_residual(t, result.factors), result.residual,
@@ -70,11 +71,12 @@ INSTANTIATE_TEST_SUITE_P(Engines, AlsEngines,
 
 TEST(CpAls, FitnessMonotonicallyNonDecreasing) {
   const auto t = test::random_tensor({8, 9, 10}, 506);
-  CpOptions opt;
-  opt.rank = 5;
-  opt.max_sweeps = 25;
-  opt.tol = 0.0;  // run all sweeps
-  const CpResult result = cp_als(t, opt);
+  solver::SolverSpec spec;
+  spec.rank = 5;
+  spec.stopping.max_sweeps = 25;
+  spec.stopping.fitness_tol = 0.0;  // run all sweeps
+  spec.engine = EngineKind::kDt;
+  const solver::SolveReport result = parpp::solve(t, spec);
   ASSERT_GE(result.history.size(), 2u);
   for (std::size_t i = 1; i < result.history.size(); ++i) {
     EXPECT_GE(result.history[i].fitness,
@@ -85,16 +87,16 @@ TEST(CpAls, FitnessMonotonicallyNonDecreasing) {
 
 TEST(CpAls, EnginesProduceSameTrajectory) {
   const auto t = test::random_tensor({7, 6, 5}, 507);
-  CpOptions opt;
-  opt.rank = 4;
-  opt.max_sweeps = 10;
-  opt.tol = 0.0;
-  opt.engine = EngineKind::kDt;
-  const CpResult dt = cp_als(t, opt);
-  opt.engine = EngineKind::kMsdt;
-  const CpResult msdt = cp_als(t, opt);
-  opt.engine = EngineKind::kNaive;
-  const CpResult naive = cp_als(t, opt);
+  solver::SolverSpec spec;
+  spec.rank = 4;
+  spec.stopping.max_sweeps = 10;
+  spec.stopping.fitness_tol = 0.0;
+  spec.engine = EngineKind::kDt;
+  const solver::SolveReport dt = parpp::solve(t, spec);
+  spec.engine = EngineKind::kMsdt;
+  const solver::SolveReport msdt = parpp::solve(t, spec);
+  spec.engine = EngineKind::kNaive;
+  const solver::SolveReport naive = parpp::solve(t, spec);
   EXPECT_NEAR(dt.fitness, msdt.fitness, 1e-8);
   EXPECT_NEAR(dt.fitness, naive.fitness, 1e-8);
   for (int m = 0; m < 3; ++m) {
@@ -106,43 +108,46 @@ TEST(CpAls, EnginesProduceSameTrajectory) {
 
 TEST(CpAls, Order4Works) {
   const auto t = test::low_rank_tensor({6, 5, 4, 5}, 2, 508);
-  CpOptions opt;
-  opt.rank = 2;
-  opt.max_sweeps = 120;
-  opt.tol = 1e-10;
-  opt.engine = EngineKind::kMsdt;
-  const CpResult result = cp_als(t, opt);
+  solver::SolverSpec spec;
+  spec.rank = 2;
+  spec.stopping.max_sweeps = 120;
+  spec.stopping.fitness_tol = 1e-10;
+  spec.engine = EngineKind::kMsdt;
+  const solver::SolveReport result = parpp::solve(t, spec);
   EXPECT_GT(result.fitness, 0.999);
 }
 
 TEST(CpAls, StopsOnTolerance) {
   const auto t = test::low_rank_tensor({8, 8, 8}, 2, 509);
-  CpOptions opt;
-  opt.rank = 2;
-  opt.max_sweeps = 300;
-  opt.tol = 1e-4;
-  const CpResult result = cp_als(t, opt);
+  solver::SolverSpec spec;
+  spec.rank = 2;
+  spec.stopping.max_sweeps = 300;
+  spec.stopping.fitness_tol = 1e-4;
+  spec.engine = EngineKind::kDt;
+  const solver::SolveReport result = parpp::solve(t, spec);
   EXPECT_LT(result.sweeps, 300);
 }
 
 TEST(CpAls, HistoryTimestampsIncrease) {
   const auto t = test::random_tensor({6, 6, 6}, 510);
-  CpOptions opt;
-  opt.rank = 3;
-  opt.max_sweeps = 5;
-  opt.tol = 0.0;
-  const CpResult result = cp_als(t, opt);
+  solver::SolverSpec spec;
+  spec.rank = 3;
+  spec.stopping.max_sweeps = 5;
+  spec.stopping.fitness_tol = 0.0;
+  spec.engine = EngineKind::kDt;
+  const solver::SolveReport result = parpp::solve(t, spec);
   for (std::size_t i = 1; i < result.history.size(); ++i)
     EXPECT_GE(result.history[i].seconds, result.history[i - 1].seconds);
 }
 
 TEST(CpAls, ProfileAccountsWork) {
   const auto t = test::random_tensor({8, 8, 8}, 511);
-  CpOptions opt;
-  opt.rank = 4;
-  opt.max_sweeps = 3;
-  opt.tol = 0.0;
-  const CpResult result = cp_als(t, opt);
+  solver::SolverSpec spec;
+  spec.rank = 4;
+  spec.stopping.max_sweeps = 3;
+  spec.stopping.fitness_tol = 0.0;
+  spec.engine = EngineKind::kDt;
+  const solver::SolveReport result = parpp::solve(t, spec);
   EXPECT_GT(result.profile.flops(Kernel::kTTM), 0.0);
   EXPECT_GT(result.profile.flops(Kernel::kMTTV), 0.0);
   EXPECT_GT(result.profile.flops(Kernel::kSolve), 0.0);

@@ -5,6 +5,7 @@
 // promises (tree count, halved pattern memory, walk_for mapping, to_coo
 // round-trip) are pinned here.
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <vector>
 
@@ -174,6 +175,36 @@ TEST(CsfHalf, SolveMatchesAllModesLayout) {
   // The leaf walk reassociates the per-nonzero sums, so roundoff compounds
   // across sweeps — 1e-7 is far below any solver-quality difference.
   EXPECT_NEAR(r_all.fitness, r_half.fitness, 1e-7);
+}
+
+TEST(CsfHalf, SequentialAlsIsBitwiseReproducibleOnFourThreads) {
+  // The leaf walk merges per-thread output slabs, so each slab must sum the
+  // same roots in the same order on every run: 600 root slices are many
+  // more than one 32-root chunk per thread, so a schedule that hands roots
+  // out dynamically would change the rounding from run to run.
+  const auto data = data::make_sparse_lowrank({600, 20, 30}, 4, 0.02, 91);
+  const tensor::CsfTensor half = make_half(data.tensor);
+
+  solver::SolverSpec spec;
+  spec.rank = 4;
+  spec.seed = 12;
+  spec.engine = core::EngineKind::kSparse;
+  spec.stopping.max_sweeps = 5;
+  spec.stopping.fitness_tol = -1.0;
+
+  const int ambient = omp_get_max_threads();
+  omp_set_num_threads(4);
+  std::vector<solver::SolveReport> runs;
+  for (int run = 0; run < 3; ++run) runs.push_back(parpp::solve(half, spec));
+  omp_set_num_threads(ambient);
+
+  for (std::size_t run = 1; run < runs.size(); ++run) {
+    ASSERT_EQ(runs[run].factors.size(), runs[0].factors.size());
+    for (std::size_t m = 0; m < runs[0].factors.size(); ++m) {
+      EXPECT_EQ(runs[run].factors[m].max_abs_diff(runs[0].factors[m]), 0.0)
+          << "run " << run << " mode " << m;
+    }
+  }
 }
 
 }  // namespace

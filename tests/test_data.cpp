@@ -9,6 +9,7 @@
 #include "parpp/data/hyperspectral.hpp"
 #include "parpp/data/sparse_synthetic.hpp"
 #include "parpp/la/gemm.hpp"
+#include "parpp/solver/solve.hpp"
 #include "parpp/tensor/reconstruct.hpp"
 #include "test_util.hpp"
 
@@ -81,11 +82,12 @@ TEST(Chemistry, CompressibleAtModerateRank) {
   opt.terms = 12;
   opt.noise = 1e-5;
   const auto d = make_density_fitting_tensor(opt);
-  core::CpOptions als;
+  solver::SolverSpec als;
   als.rank = 16;
-  als.max_sweeps = 80;
-  als.tol = 1e-7;
-  const auto result = core::cp_als(d, als);
+  als.stopping.max_sweeps = 80;
+  als.stopping.fitness_tol = 1e-7;
+  als.engine = core::EngineKind::kDt;
+  const auto result = parpp::solve(d, als);
   EXPECT_GT(result.fitness, 0.9) << "density-fitting tensor should compress";
 }
 
@@ -115,11 +117,12 @@ TEST(Coil, LowRankCompressible) {
   opt.poses = 6;
   opt.patterns_per_object = 3;
   const auto t = make_coil_tensor(opt);
-  core::CpOptions als;
+  solver::SolverSpec als;
   als.rank = 16;
-  als.max_sweeps = 60;
-  als.tol = 1e-7;
-  const auto result = core::cp_als(t, als);
+  als.stopping.max_sweeps = 60;
+  als.stopping.fitness_tol = 1e-7;
+  als.engine = core::EngineKind::kDt;
+  const auto result = parpp::solve(t, als);
   EXPECT_GT(result.fitness, 0.8);
 }
 

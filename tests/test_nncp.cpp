@@ -4,31 +4,36 @@
 
 #include "parpp/core/nncp.hpp"
 #include "parpp/data/hyperspectral.hpp"
+#include "parpp/solver/solve.hpp"
 #include "parpp/tensor/reconstruct.hpp"
 #include "test_util.hpp"
 
 namespace parpp::core {
 namespace {
 
+// NNCP runs on the MSDT engine unless a test picks another one.
+solver::SolverSpec nncp_spec(index_t rank, int max_sweeps, double tol) {
+  solver::SolverSpec spec;
+  spec.method = solver::Method::kNncpHals;
+  spec.rank = rank;
+  spec.stopping.max_sweeps = max_sweeps;
+  spec.stopping.fitness_tol = tol;
+  return spec;
+}
+
 /// Nonnegative ground truth: uniform [0,1) factors are nonnegative, so the
 /// planted tensor is recoverable by NNCP.
 TEST(Nncp, RecoversNonnegativeLowRank) {
   const auto t = test::low_rank_tensor({10, 9, 8}, 3, 1301);
-  CpOptions opt;
-  opt.rank = 3;
-  opt.max_sweeps = 200;
-  opt.tol = 1e-9;
-  const CpResult r = nncp_hals(t, opt);
+  const solver::SolverSpec spec = nncp_spec(3, 200, 1e-9);
+  const solver::SolveReport r = parpp::solve(t, spec);
   EXPECT_GT(r.fitness, 0.995);
 }
 
 TEST(Nncp, FactorsStayNonnegative) {
   const auto t = test::random_tensor({8, 7, 6}, 1302);
-  CpOptions opt;
-  opt.rank = 4;
-  opt.max_sweeps = 30;
-  opt.tol = 0.0;
-  const CpResult r = nncp_hals(t, opt);
+  const solver::SolverSpec spec = nncp_spec(4, 30, 0.0);
+  const solver::SolveReport r = parpp::solve(t, spec);
   for (const auto& a : r.factors) {
     for (index_t i = 0; i < a.rows(); ++i)
       for (index_t j = 0; j < a.cols(); ++j)
@@ -38,11 +43,8 @@ TEST(Nncp, FactorsStayNonnegative) {
 
 TEST(Nncp, FitnessNonDecreasing) {
   const auto t = test::random_tensor({9, 8, 7}, 1303);
-  CpOptions opt;
-  opt.rank = 5;
-  opt.max_sweeps = 25;
-  opt.tol = 0.0;
-  const CpResult r = nncp_hals(t, opt);
+  const solver::SolverSpec spec = nncp_spec(5, 25, 0.0);
+  const solver::SolveReport r = parpp::solve(t, spec);
   ASSERT_GE(r.history.size(), 2u);
   for (std::size_t i = 1; i < r.history.size(); ++i)
     EXPECT_GE(r.history[i].fitness, r.history[i - 1].fitness - 1e-8);
@@ -50,26 +52,19 @@ TEST(Nncp, FitnessNonDecreasing) {
 
 TEST(Nncp, DtAndMsdtEnginesAgree) {
   const auto t = test::low_rank_tensor({8, 8, 8}, 2, 1304);
-  CpOptions opt;
-  opt.rank = 2;
-  opt.max_sweeps = 20;
-  opt.tol = 0.0;
-  NncpOptions nn;
-  nn.engine = EngineKind::kDt;
-  const CpResult dt = nncp_hals(t, opt, nn);
-  nn.engine = EngineKind::kMsdt;
-  const CpResult msdt = nncp_hals(t, opt, nn);
+  solver::SolverSpec spec = nncp_spec(2, 20, 0.0);
+  spec.engine = EngineKind::kDt;
+  const solver::SolveReport dt = parpp::solve(t, spec);
+  spec.engine = EngineKind::kMsdt;
+  const solver::SolveReport msdt = parpp::solve(t, spec);
   EXPECT_NEAR(dt.fitness, msdt.fitness, 1e-8)
       << "engines are exact, trajectories must match";
 }
 
 TEST(Nncp, ResidualMatchesExplicit) {
   const auto t = test::low_rank_tensor({7, 6, 5}, 2, 1305);
-  CpOptions opt;
-  opt.rank = 2;
-  opt.max_sweeps = 60;
-  opt.tol = 1e-8;
-  const CpResult r = nncp_hals(t, opt);
+  const solver::SolverSpec spec = nncp_spec(2, 60, 1e-8);
+  const solver::SolveReport r = parpp::solve(t, spec);
   EXPECT_NEAR(test::explicit_residual(t, r.factors), r.residual, 1e-6);
 }
 
@@ -80,11 +75,8 @@ TEST(Nncp, HandlesHyperspectralWorkload) {
   hs.bands = 8;
   hs.frames = 4;
   const auto t = data::make_hyperspectral_tensor(hs);
-  CpOptions opt;
-  opt.rank = 12;
-  opt.max_sweeps = 60;
-  opt.tol = 1e-6;
-  const CpResult r = nncp_hals(t, opt);
+  const solver::SolverSpec spec = nncp_spec(12, 60, 1e-6);
+  const solver::SolveReport r = parpp::solve(t, spec);
   EXPECT_GT(r.fitness, 0.8)
       << "nonnegative radiance data should compress well under NNCP";
 }
@@ -94,14 +86,10 @@ TEST(Nncp, InnerIterationsStayInSameBallpark) {
   // comparable stationary fitness (they optimize the same subproblems more
   // tightly per sweep — not necessarily better after a fixed sweep count).
   const auto t = test::random_tensor({8, 8, 8}, 1306);
-  CpOptions opt;
-  opt.rank = 4;
-  opt.max_sweeps = 15;
-  opt.tol = 0.0;
-  NncpOptions one, three;
-  three.inner_iterations = 3;
-  const CpResult r1 = nncp_hals(t, opt, one);
-  const CpResult r3 = nncp_hals(t, opt, three);
+  solver::SolverSpec spec = nncp_spec(4, 15, 0.0);
+  const solver::SolveReport r1 = parpp::solve(t, spec);
+  spec.nncp.inner_iterations = 3;
+  const solver::SolveReport r3 = parpp::solve(t, spec);
   EXPECT_GT(r1.fitness, 0.3);
   EXPECT_GT(r3.fitness, 0.3);
   EXPECT_NEAR(r3.fitness, r1.fitness, 0.05);

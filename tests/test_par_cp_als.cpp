@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "parpp/par/par_cp_als.hpp"
-#include "parpp/par/planc_baseline.hpp"
+#include "parpp/solver/solver.hpp"
 #include "test_util.hpp"
 
 namespace parpp::par {
@@ -20,24 +20,37 @@ void PrintTo(const GridCase& c, std::ostream* os) {
 
 class ParGrids : public ::testing::TestWithParam<GridCase> {};
 
+/// DT ALS at a fixed sweep count (tol 0), on `nprocs` ranks of `grid` when
+/// nprocs > 1.
+solver::SolverSpec dt_spec(index_t rank, int max_sweeps, int nprocs = 1,
+                           std::vector<int> grid = {}) {
+  solver::SolverSpec spec;
+  spec.rank = rank;
+  spec.stopping.max_sweeps = max_sweeps;
+  spec.stopping.fitness_tol = 0.0;
+  spec.engine = core::EngineKind::kDt;
+  if (nprocs > 1)
+    spec.execution =
+        solver::Execution::simulated_parallel(nprocs, std::move(grid));
+  return spec;
+}
+
 /// Algorithm 3 on any grid must reproduce the sequential trajectory exactly
 /// (same deterministic initialization, same updates).
 TEST_P(ParGrids, MatchesSequentialRun) {
   const std::vector<index_t> shape{8, 9, 10};
   const auto t = test::random_tensor(shape, 801);
-  core::CpOptions seq_opt;
-  seq_opt.rank = 4;
-  seq_opt.max_sweeps = 6;
-  seq_opt.tol = 0.0;
-  seq_opt.engine = core::EngineKind::kDt;
-  const core::CpResult seq = core::cp_als(t, seq_opt);
+  solver::SolverSpec spec = dt_spec(4, 6);
+  const solver::SolveReport seq = parpp::solve(t, spec);
 
-  ParOptions par_opt;
-  par_opt.base = seq_opt;
-  par_opt.grid_dims = GetParam().dims;
   int nprocs = 1;
   for (int d : GetParam().dims) nprocs *= d;
-  const ParResult par = par_cp_als(t, nprocs, par_opt);
+  // The parallel loop itself, not solve(): solve() runs the 1x1x1 grid
+  // (nprocs == 1) through the sequential loop.
+  spec.execution.grid_dims = GetParam().dims;
+  const ParResult par =
+      par_cp_als(dist::DenseBlockProblem(t), nprocs,
+                 solver::par_options(spec, static_cast<int>(shape.size())));
 
   EXPECT_NEAR(par.fitness, seq.fitness, 1e-8);
   ASSERT_EQ(par.factors.size(), seq.factors.size());
@@ -56,27 +69,20 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ParCpAls, MsdtLocalEngineMatchesDt) {
   const auto t = test::random_tensor({8, 8, 8}, 802);
-  ParOptions opt;
-  opt.base.rank = 3;
-  opt.base.max_sweeps = 5;
-  opt.base.tol = 0.0;
-  opt.grid_dims = {2, 2, 2};
-  opt.local_engine = core::EngineKind::kDt;
-  const ParResult dt = par_cp_als(t, 8, opt);
-  opt.local_engine = core::EngineKind::kMsdt;
-  const ParResult msdt = par_cp_als(t, 8, opt);
+  solver::SolverSpec spec = dt_spec(3, 5, 8, {2, 2, 2});
+  const solver::SolveReport dt = parpp::solve(t, spec);
+  spec.engine = core::EngineKind::kMsdt;
+  const solver::SolveReport msdt = parpp::solve(t, spec);
   EXPECT_NEAR(dt.fitness, msdt.fitness, 1e-8);
 }
 
 TEST(ParCpAls, PlancBaselineMatchesDistributedSolve) {
   const auto t = test::random_tensor({6, 8, 10}, 803);
-  ParOptions opt;
-  opt.base.rank = 3;
-  opt.base.max_sweeps = 4;
-  opt.base.tol = 0.0;
-  opt.grid_dims = {2, 2, 1};
-  const ParResult ours = par_cp_als(t, 4, opt);
-  const ParResult planc = planc_cp_als(t, 4, opt);
+  solver::SolverSpec spec = dt_spec(3, 4, 4, {2, 2, 1});
+  const solver::SolveReport ours = parpp::solve(t, spec);
+  // The PLANC preset: DT engine + replicated sequential solve.
+  spec.execution.solve_mode = SolveMode::kReplicatedSequential;
+  const solver::SolveReport planc = parpp::solve(t, spec);
   EXPECT_NEAR(ours.fitness, planc.fitness, 1e-8);
   // PLANC moves more words (the extra M All-Gather).
   EXPECT_GT(planc.comm_cost.total().words_horizontal,
@@ -85,30 +91,17 @@ TEST(ParCpAls, PlancBaselineMatchesDistributedSolve) {
 
 TEST(ParCpAls, Order4Grid) {
   const auto t = test::random_tensor({6, 4, 6, 4}, 804);
-  core::CpOptions seq_opt;
-  seq_opt.rank = 3;
-  seq_opt.max_sweeps = 4;
-  seq_opt.tol = 0.0;
-  const core::CpResult seq = core::cp_als(t, seq_opt);
-  ParOptions opt;
-  opt.base = seq_opt;
-  opt.grid_dims = {2, 1, 2, 2};
-  const ParResult par = par_cp_als(t, 8, opt);
+  const solver::SolveReport seq = parpp::solve(t, dt_spec(3, 4));
+  const solver::SolveReport par =
+      parpp::solve(t, dt_spec(3, 4, 8, {2, 1, 2, 2}));
   EXPECT_NEAR(par.fitness, seq.fitness, 1e-8);
 }
 
 TEST(ParCpAls, NonDivisibleExtentsStillExact) {
   // Padding paths: extents not divisible by grid dims or group sizes.
   const auto t = test::random_tensor({7, 9, 5}, 805);
-  core::CpOptions seq_opt;
-  seq_opt.rank = 3;
-  seq_opt.max_sweeps = 5;
-  seq_opt.tol = 0.0;
-  const core::CpResult seq = core::cp_als(t, seq_opt);
-  ParOptions opt;
-  opt.base = seq_opt;
-  opt.grid_dims = {2, 2, 2};
-  const ParResult par = par_cp_als(t, 8, opt);
+  const solver::SolveReport seq = parpp::solve(t, dt_spec(3, 5));
+  const solver::SolveReport par = parpp::solve(t, dt_spec(3, 5, 8, {2, 2, 2}));
   EXPECT_NEAR(par.fitness, seq.fitness, 1e-8);
   for (std::size_t m = 0; m < seq.factors.size(); ++m)
     EXPECT_LE(par.factors[m].max_abs_diff(seq.factors[m]), 1e-6);
@@ -116,12 +109,7 @@ TEST(ParCpAls, NonDivisibleExtentsStillExact) {
 
 TEST(ParCpAls, SweepProfilesRecorded) {
   const auto t = test::random_tensor({8, 8, 8}, 806);
-  ParOptions opt;
-  opt.base.rank = 3;
-  opt.base.max_sweeps = 3;
-  opt.base.tol = 0.0;
-  opt.grid_dims = {2, 2, 1};
-  const ParResult r = par_cp_als(t, 4, opt);
+  const solver::SolveReport r = parpp::solve(t, dt_spec(3, 3, 4, {2, 2, 1}));
   ASSERT_EQ(static_cast<int>(r.sweep_profiles.size()), r.sweeps);
   for (const auto& p : r.sweep_profiles) {
     EXPECT_GT(p.flops(Kernel::kTTM), 0.0);
@@ -132,14 +120,9 @@ TEST(ParCpAls, SweepProfilesRecorded) {
 
 TEST(ParCpAls, CommCostScalesWithCollectiveCount) {
   const auto t = test::random_tensor({8, 8, 8}, 807);
-  ParOptions opt;
-  opt.base.rank = 3;
-  opt.base.tol = 0.0;
-  opt.grid_dims = {2, 2, 2};
-  opt.base.max_sweeps = 2;
-  const ParResult two = par_cp_als(t, 8, opt);
-  opt.base.max_sweeps = 4;
-  const ParResult four = par_cp_als(t, 8, opt);
+  const solver::SolveReport two = parpp::solve(t, dt_spec(3, 2, 8, {2, 2, 2}));
+  const solver::SolveReport four =
+      parpp::solve(t, dt_spec(3, 4, 8, {2, 2, 2}));
   EXPECT_GT(four.comm_cost.total().messages,
             1.5 * two.comm_cost.total().messages);
 }

@@ -4,21 +4,30 @@
 
 #include "parpp/core/pp_als.hpp"
 #include "parpp/data/collinearity.hpp"
+#include "parpp/solver/solve.hpp"
 #include "test_util.hpp"
 
 namespace parpp::core {
 namespace {
 
+// PP runs its regular sweeps on MSDT unless a test picks another engine.
+solver::SolverSpec pp_spec(index_t rank, int max_sweeps, double tol) {
+  solver::SolverSpec spec;
+  spec.method = solver::Method::kPp;
+  spec.rank = rank;
+  spec.stopping.max_sweeps = max_sweeps;
+  spec.stopping.fitness_tol = tol;
+  return spec;
+}
+
 TEST(PpAls, ReachesAlsFitnessOnLowRank) {
   const auto t = test::low_rank_tensor({10, 9, 8}, 3, 601);
-  CpOptions opt;
-  opt.rank = 3;
-  opt.max_sweeps = 200;
-  opt.tol = 1e-9;
-  const CpResult als = cp_als(t, opt);
-  PpOptions pp;
-  pp.pp_tol = 0.1;
-  const CpResult ppr = pp_cp_als(t, opt, pp);
+  solver::SolverSpec spec = pp_spec(3, 200, 1e-9);
+  spec.pp.pp_tol = 0.1;
+  const solver::SolveReport ppr = parpp::solve(t, spec);
+  spec.method = solver::Method::kAls;
+  spec.engine = EngineKind::kDt;
+  const solver::SolveReport als = parpp::solve(t, spec);
   EXPECT_GT(ppr.fitness, 0.999);
   EXPECT_NEAR(ppr.fitness, als.fitness, 5e-3);
 }
@@ -28,13 +37,9 @@ TEST(PpAls, ActivatesPpSweepsOnSlowConvergence) {
   // engages (paper Sec. V-C).
   const auto gen =
       data::make_collinear_tensor({14, 14, 14}, 4, 0.85, 0.9, 602);
-  CpOptions opt;
-  opt.rank = 4;
-  opt.max_sweeps = 120;
-  opt.tol = 1e-8;
-  PpOptions pp;
-  pp.pp_tol = 0.1;
-  const CpResult result = pp_cp_als(gen.tensor, opt, pp);
+  solver::SolverSpec spec = pp_spec(4, 120, 1e-8);
+  spec.pp.pp_tol = 0.1;
+  const solver::SolveReport result = parpp::solve(gen.tensor, spec);
   EXPECT_GT(result.num_pp_init, 0) << "PP should have initialized";
   EXPECT_GT(result.num_pp_approx, 0) << "PP sweeps should have run";
   EXPECT_GT(result.num_als_sweeps, 0);
@@ -42,33 +47,23 @@ TEST(PpAls, ActivatesPpSweepsOnSlowConvergence) {
 
 TEST(PpAls, StatsSumToTotalSweeps) {
   const auto gen = data::make_collinear_tensor({12, 12, 12}, 3, 0.6, 0.8, 603);
-  CpOptions opt;
-  opt.rank = 3;
-  opt.max_sweeps = 80;
-  opt.tol = 1e-8;
-  const CpResult r = pp_cp_als(gen.tensor, opt);
+  const solver::SolverSpec spec = pp_spec(3, 80, 1e-8);
+  const solver::SolveReport r = parpp::solve(gen.tensor, spec);
   EXPECT_EQ(r.sweeps, r.num_als_sweeps + r.num_pp_init + r.num_pp_approx);
 }
 
 TEST(PpAls, FinalFitnessMatchesExplicitResidual) {
   const auto t = test::low_rank_tensor({8, 8, 8}, 2, 604);
-  CpOptions opt;
-  opt.rank = 2;
-  opt.max_sweeps = 100;
-  opt.tol = 1e-9;
-  const CpResult r = pp_cp_als(t, opt);
+  const solver::SolverSpec spec = pp_spec(2, 100, 1e-9);
+  const solver::SolveReport r = parpp::solve(t, spec);
   EXPECT_NEAR(test::explicit_residual(t, r.factors), r.residual, 1e-5);
 }
 
 TEST(PpAls, HistoryPhasesAreLabelled) {
   const auto gen = data::make_collinear_tensor({12, 12, 12}, 3, 0.85, 0.9, 605);
-  CpOptions opt;
-  opt.rank = 3;
-  opt.max_sweeps = 100;
-  opt.tol = 1e-9;
-  PpOptions pp;
-  pp.pp_tol = 0.1;
-  const CpResult r = pp_cp_als(gen.tensor, opt, pp);
+  solver::SolverSpec spec = pp_spec(3, 100, 1e-9);
+  spec.pp.pp_tol = 0.1;
+  const solver::SolveReport r = parpp::solve(gen.tensor, spec);
   bool saw_als = false, saw_init = false, saw_approx = false;
   for (const auto& rec : r.history) {
     saw_als |= rec.phase == "als";
@@ -82,33 +77,25 @@ TEST(PpAls, HistoryPhasesAreLabelled) {
 
 TEST(PpAls, Order4Converges) {
   const auto t = test::low_rank_tensor({6, 5, 4, 5}, 2, 606);
-  CpOptions opt;
-  opt.rank = 2;
-  opt.max_sweeps = 150;
-  opt.tol = 1e-9;
-  PpOptions pp;
-  pp.pp_tol = 0.1;
-  const CpResult r = pp_cp_als(t, opt, pp);
+  solver::SolverSpec spec = pp_spec(2, 150, 1e-9);
+  spec.pp.pp_tol = 0.1;
+  const solver::SolveReport r = parpp::solve(t, spec);
   EXPECT_GT(r.fitness, 0.99);
 }
 
 TEST(PpAls, RejectsBadTolerance) {
   const auto t = test::random_tensor({4, 4, 4}, 607);
-  CpOptions opt;
-  PpOptions pp;
-  pp.pp_tol = 1.5;
-  EXPECT_THROW((void)pp_cp_als(t, opt, pp), error);
+  solver::SolverSpec spec;  // default rank, budget and tolerance
+  spec.method = solver::Method::kPp;
+  spec.pp.pp_tol = 1.5;
+  EXPECT_THROW((void)parpp::solve(t, spec), error);
 }
 
 TEST(PpAls, DtRegularEngineAlsoWorks) {
   const auto t = test::low_rank_tensor({8, 7, 6}, 2, 608);
-  CpOptions opt;
-  opt.rank = 2;
-  opt.max_sweeps = 100;
-  opt.tol = 1e-9;
-  PpOptions pp;
-  pp.regular_engine = EngineKind::kDt;
-  const CpResult r = pp_cp_als(t, opt, pp);
+  solver::SolverSpec spec = pp_spec(2, 100, 1e-9);
+  spec.engine = EngineKind::kDt;
+  const solver::SolveReport r = parpp::solve(t, spec);
   EXPECT_GT(r.fitness, 0.999);
 }
 

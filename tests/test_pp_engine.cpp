@@ -5,6 +5,7 @@
 #include "parpp/core/gram.hpp"
 #include "parpp/la/gemm.hpp"
 #include "parpp/core/pp_engine.hpp"
+#include "parpp/solver/solve.hpp"
 #include "parpp/tensor/mttkrp_naive.hpp"
 #include "test_util.hpp"
 
@@ -85,12 +86,13 @@ TEST(PpApprox, OrderFourErrorAlsoSecondOrder) {
 /// 2 activates PP): warm-start ALS, perturb, and compare errors.
 TEST(PpApprox, SecondOrderTermReducesErrorNearConvergence) {
   const auto t = test::low_rank_tensor({8, 8, 8, 8}, 3, 404);
-  CpOptions warm;
+  solver::SolverSpec warm;
   warm.rank = 3;
-  warm.max_sweeps = 15;
-  warm.tol = 0.0;
+  warm.stopping.max_sweeps = 15;
+  warm.stopping.fitness_tol = 0.0;
   warm.seed = 405;
-  auto a_p = cp_als(t, warm).factors;
+  warm.engine = EngineKind::kDt;
+  auto a_p = parpp::solve(t, warm).factors;
   auto factors = a_p;
   Rng rng(406);
   for (auto& f : factors) {

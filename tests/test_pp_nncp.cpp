@@ -4,23 +4,28 @@
 
 #include <cmath>
 
-#include "parpp/core/pp_nncp.hpp"
 #include "parpp/data/collinearity.hpp"
-#include "parpp/par/par_pp.hpp"
+#include "parpp/solver/solve.hpp"
 #include "test_util.hpp"
 
 namespace parpp::core {
 namespace {
 
+// PP-NNCP runs its regular sweeps on MSDT unless a test picks another one.
+solver::SolverSpec pp_nncp_spec(index_t rank, int max_sweeps, double tol) {
+  solver::SolverSpec spec;
+  spec.method = solver::Method::kPpNncp;
+  spec.rank = rank;
+  spec.stopping.max_sweeps = max_sweeps;
+  spec.stopping.fitness_tol = tol;
+  return spec;
+}
+
 TEST(PpNncp, RecoversNonnegativeLowRank) {
   const auto t = test::low_rank_tensor({10, 9, 8}, 3, 1601);
-  CpOptions opt;
-  opt.rank = 3;
-  opt.max_sweeps = 200;
-  opt.tol = 1e-9;
-  PpOptions pp;
-  pp.pp_tol = 0.3;
-  const CpResult r = pp_nncp_hals(t, opt, pp);
+  solver::SolverSpec spec = pp_nncp_spec(3, 200, 1e-9);
+  spec.pp.pp_tol = 0.3;
+  const solver::SolveReport r = parpp::solve(t, spec);
   EXPECT_GT(r.fitness, 0.99);
 }
 
@@ -28,13 +33,9 @@ TEST(PpNncp, FactorsStayNonnegative) {
   // Even PP-approximated MTTKRPs feed through the projected HALS update,
   // so feasibility survives the approximation.
   const auto t = test::random_tensor({8, 7, 6}, 1602);
-  CpOptions opt;
-  opt.rank = 4;
-  opt.max_sweeps = 60;
-  opt.tol = 0.0;
-  PpOptions pp;
-  pp.pp_tol = 0.5;
-  const CpResult r = pp_nncp_hals(t, opt, pp);
+  solver::SolverSpec spec = pp_nncp_spec(4, 60, 0.0);
+  spec.pp.pp_tol = 0.5;
+  const solver::SolveReport r = parpp::solve(t, spec);
   EXPECT_GT(r.num_pp_approx, 0) << "PP must engage for this test to bite";
   for (const auto& a : r.factors) {
     for (index_t i = 0; i < a.rows(); ++i)
@@ -48,14 +49,11 @@ TEST(PpNncp, UsesPpSweepsOnCollinearityAtEqualFitness) {
   // sweeps — the PP-approximated sweeps replace them.
   const auto gen =
       data::make_collinear_tensor({20, 20, 20}, 8, 0.5, 0.9, 1603, 1e-3);
-  CpOptions opt;
-  opt.rank = 8;
-  opt.max_sweeps = 300;
-  opt.tol = 1e-5;
-  const CpResult plain = nncp_hals(gen.tensor, opt);
-  PpOptions pp;
-  pp.pp_tol = 0.2;
-  const CpResult accel = pp_nncp_hals(gen.tensor, opt, pp);
+  solver::SolverSpec spec = pp_nncp_spec(8, 300, 1e-5);
+  spec.pp.pp_tol = 0.2;
+  const solver::SolveReport accel = parpp::solve(gen.tensor, spec);
+  spec.method = solver::Method::kNncpHals;
+  const solver::SolveReport plain = parpp::solve(gen.tensor, spec);
   EXPECT_NEAR(accel.fitness, plain.fitness, 1e-3);
   EXPECT_GT(accel.num_pp_approx, 0);
   EXPECT_LT(accel.num_als_sweeps, plain.num_als_sweeps)
@@ -64,29 +62,20 @@ TEST(PpNncp, UsesPpSweepsOnCollinearityAtEqualFitness) {
 
 TEST(PpNncp, ResidualMatchesExplicit) {
   const auto t = test::low_rank_tensor({8, 7, 6}, 2, 1604);
-  CpOptions opt;
-  opt.rank = 2;
-  opt.max_sweeps = 80;
-  opt.tol = 1e-8;
-  const CpResult r = pp_nncp_hals(t, opt);
+  const solver::SolverSpec spec = pp_nncp_spec(2, 80, 1e-8);
+  const solver::SolveReport r = parpp::solve(t, spec);
   EXPECT_NEAR(test::explicit_residual(t, r.factors), r.residual, 1e-6);
 }
 
 TEST(PpNncp, ParallelMatchesSequentialFitness) {
   const auto t = test::low_rank_tensor({8, 8, 8}, 3, 1605);
-  CpOptions opt;
-  opt.rank = 3;
-  opt.max_sweeps = 60;
-  opt.tol = 1e-8;
-  PpOptions pp;
-  pp.pp_tol = 0.3;
-  const CpResult seq = pp_nncp_hals(t, opt, pp);
+  solver::SolverSpec spec = pp_nncp_spec(3, 60, 1e-8);
+  spec.pp.pp_tol = 0.3;
+  const solver::SolveReport seq = parpp::solve(t, spec);
 
-  par::ParPpNncpOptions popt;
-  popt.par.base = opt;
-  popt.par.grid_dims = {1, 2, 2};
-  popt.pp = pp;
-  const par::ParResult par = par::par_pp_nncp_hals(t, 4, popt);
+  spec.engine = EngineKind::kDt;
+  spec.execution = solver::Execution::simulated_parallel(4, {1, 2, 2});
+  const solver::SolveReport par = parpp::solve(t, spec);
   // The distributed HALS update is row-exact; PP phase entry depends on
   // norm comparisons whose reduction order differs, so allow small drift.
   EXPECT_NEAR(par.fitness, seq.fitness, 5e-3);

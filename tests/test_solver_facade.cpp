@@ -1,12 +1,12 @@
-// parpp::solve() facade: spec round-trips against the legacy drivers,
-// warm-start determinism, observer early-abort and stopping rules.
+// parpp::solve() facade: spec round-trips against the sweep loops it
+// dispatches to, warm-start determinism, observer early-abort and stopping
+// rules.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
 
-#include "parpp/core/pp_nncp.hpp"
-#include "parpp/par/par_nncp.hpp"
+#include "parpp/core/sparse_engine.hpp"
 #include "parpp/par/par_pp.hpp"
 #include "parpp/solver/solver.hpp"
 #include "test_util.hpp"
@@ -72,58 +72,55 @@ TEST(SolverRegistry, ListsEveryMethodOnce) {
   }
 }
 
-// --- spec round-trips: facade == legacy driver, bit for bit ---------------
+// --- spec round-trips: facade == problem-typed loop, bit for bit ----------
 
 TEST(SolveFacade, AlsMatchesLegacySequential) {
   const auto t = test::low_rank_tensor({9, 8, 7}, 3, 901);
   const SolverSpec spec = small_spec(Method::kAls);
   const SolveReport facade = parpp::solve(t, spec);
-  const core::CpResult legacy = core::cp_als(t, base_options(spec));
-  expect_factors_identical(facade.factors, legacy.factors);
-  EXPECT_EQ(facade.fitness, legacy.fitness);
-  EXPECT_EQ(facade.sweeps, legacy.sweeps);
-  ASSERT_EQ(facade.history.size(), legacy.history.size());
+  const core::CpResult direct =
+      core::cp_als(core::make_problem(t), base_options(spec));
+  expect_factors_identical(facade.factors, direct.factors);
+  EXPECT_EQ(facade.fitness, direct.fitness);
+  EXPECT_EQ(facade.sweeps, direct.sweeps);
+  ASSERT_EQ(facade.history.size(), direct.history.size());
 }
 
 TEST(SolveFacade, PpMatchesLegacySequential) {
   const auto t = test::low_rank_tensor({10, 9, 8}, 3, 902);
   const SolverSpec spec = small_spec(Method::kPp);
   const SolveReport facade = parpp::solve(t, spec);
-  core::PpOptions pp = spec.pp;
-  pp.regular_engine = spec.engine;
-  const core::CpResult legacy = core::pp_cp_als(t, base_options(spec), pp);
-  expect_factors_identical(facade.factors, legacy.factors);
-  EXPECT_EQ(facade.fitness, legacy.fitness);
-  EXPECT_EQ(facade.sweeps, legacy.sweeps);
-  EXPECT_EQ(facade.num_pp_init, legacy.num_pp_init);
-  EXPECT_EQ(facade.num_pp_approx, legacy.num_pp_approx);
+  const core::CpResult direct =
+      core::pp_cp_als(core::make_problem(t), base_options(spec), spec.pp);
+  expect_factors_identical(facade.factors, direct.factors);
+  EXPECT_EQ(facade.fitness, direct.fitness);
+  EXPECT_EQ(facade.sweeps, direct.sweeps);
+  EXPECT_EQ(facade.num_pp_init, direct.num_pp_init);
+  EXPECT_EQ(facade.num_pp_approx, direct.num_pp_approx);
 }
 
 TEST(SolveFacade, NncpMatchesLegacySequential) {
   const auto t = test::low_rank_tensor({9, 8, 7}, 3, 903);
   const SolverSpec spec = small_spec(Method::kNncpHals);
   const SolveReport facade = parpp::solve(t, spec);
-  core::NncpOptions nn = spec.nncp;
-  nn.engine = spec.engine;
-  const core::CpResult legacy = core::nncp_hals(t, base_options(spec), nn);
-  expect_factors_identical(facade.factors, legacy.factors);
-  EXPECT_EQ(facade.fitness, legacy.fitness);
-  EXPECT_EQ(facade.sweeps, legacy.sweeps);
+  const core::CpResult direct =
+      core::cp_als(core::make_problem(t), base_options(spec), {},
+                   core::nncp_update(spec.nncp), "nncp");
+  expect_factors_identical(facade.factors, direct.factors);
+  EXPECT_EQ(facade.fitness, direct.fitness);
+  EXPECT_EQ(facade.sweeps, direct.sweeps);
 }
 
 TEST(SolveFacade, PpNncpMatchesDriverSequential) {
   const auto t = test::low_rank_tensor({9, 8, 7}, 3, 904);
   const SolverSpec spec = small_spec(Method::kPpNncp);
   const SolveReport facade = parpp::solve(t, spec);
-  core::PpOptions pp = spec.pp;
-  pp.regular_engine = spec.engine;
-  core::NncpOptions nn = spec.nncp;
-  nn.engine = spec.engine;
-  const core::CpResult legacy =
-      core::pp_nncp_hals(t, base_options(spec), pp, nn);
-  expect_factors_identical(facade.factors, legacy.factors);
-  EXPECT_EQ(facade.fitness, legacy.fitness);
-  EXPECT_EQ(facade.sweeps, legacy.sweeps);
+  const core::CpResult direct =
+      core::pp_cp_als(core::make_problem(t), base_options(spec), spec.pp, {},
+                      core::nncp_update(spec.nncp), "nncp");
+  expect_factors_identical(facade.factors, direct.factors);
+  EXPECT_EQ(facade.fitness, direct.fitness);
+  EXPECT_EQ(facade.sweeps, direct.sweeps);
 }
 
 TEST(SolveFacade, AlsMatchesLegacyParallel) {
@@ -131,14 +128,14 @@ TEST(SolveFacade, AlsMatchesLegacyParallel) {
   SolverSpec spec = small_spec(Method::kAls);
   spec.execution = Execution::simulated_parallel(4);
   const SolveReport facade = parpp::solve(t, spec);
-  const par::ParResult legacy =
-      par::par_cp_als(t, 4, par_options(spec, t.order()));
-  expect_factors_identical(facade.factors, legacy.factors);
-  EXPECT_EQ(facade.fitness, legacy.fitness);
-  EXPECT_EQ(facade.sweeps, legacy.sweeps);
+  const par::ParResult direct = par::par_cp_als(
+      dist::DenseBlockProblem(t), 4, par_options(spec, t.order()));
+  expect_factors_identical(facade.factors, direct.factors);
+  EXPECT_EQ(facade.fitness, direct.fitness);
+  EXPECT_EQ(facade.sweeps, direct.sweeps);
   // No hooks configured: the facade must add zero collectives.
   EXPECT_EQ(facade.comm_cost.total().messages,
-            legacy.comm_cost.total().messages);
+            direct.comm_cost.total().messages);
 }
 
 TEST(SolveFacade, PpMatchesLegacyParallel) {
@@ -146,14 +143,13 @@ TEST(SolveFacade, PpMatchesLegacyParallel) {
   SolverSpec spec = small_spec(Method::kPp);
   spec.execution = Execution::simulated_parallel(4);
   const SolveReport facade = parpp::solve(t, spec);
-  par::ParPpOptions o;
-  o.par = par_options(spec, t.order());
-  o.pp = spec.pp;
-  o.pp.regular_engine = spec.engine;
-  const par::ParResult legacy = par::par_pp_cp_als(t, 4, o);
-  expect_factors_identical(facade.factors, legacy.factors);
-  EXPECT_EQ(facade.fitness, legacy.fitness);
-  EXPECT_EQ(facade.sweeps, legacy.sweeps);
+  const par::ParResult direct = par::par_pp_cp_als(
+      dist::DenseBlockProblem(t), 4, par_options(spec, t.order()), spec.pp);
+  expect_factors_identical(facade.factors, direct.factors);
+  EXPECT_EQ(facade.fitness, direct.fitness);
+  EXPECT_EQ(facade.sweeps, direct.sweeps);
+  EXPECT_EQ(facade.comm_cost.total().messages,
+            direct.comm_cost.total().messages);
 }
 
 TEST(SolveFacade, NncpMatchesLegacyParallel) {
@@ -161,14 +157,14 @@ TEST(SolveFacade, NncpMatchesLegacyParallel) {
   SolverSpec spec = small_spec(Method::kNncpHals);
   spec.execution = Execution::simulated_parallel(4);
   const SolveReport facade = parpp::solve(t, spec);
-  par::ParNncpOptions o;
-  o.par = par_options(spec, t.order());
-  o.nn = spec.nncp;
-  o.nn.engine = spec.engine;
-  const par::ParResult legacy = par::par_nncp_hals(t, 4, o);
-  expect_factors_identical(facade.factors, legacy.factors);
-  EXPECT_EQ(facade.fitness, legacy.fitness);
-  EXPECT_EQ(facade.sweeps, legacy.sweeps);
+  const par::ParResult direct =
+      par::par_cp_als(dist::DenseBlockProblem(t), 4,
+                      par_options(spec, t.order()), {}, &spec.nncp);
+  expect_factors_identical(facade.factors, direct.factors);
+  EXPECT_EQ(facade.fitness, direct.fitness);
+  EXPECT_EQ(facade.sweeps, direct.sweeps);
+  EXPECT_EQ(facade.comm_cost.total().messages,
+            direct.comm_cost.total().messages);
 }
 
 TEST(SolveFacade, EveryMethodExecutionCellRuns) {
@@ -188,6 +184,28 @@ TEST(SolveFacade, EveryMethodExecutionCellRuns) {
       EXPECT_GT(r.fitness, 0.9)
           << std::string(entry.name) << " x procs=" << procs;
       EXPECT_EQ(r.factors.size(), 3u);
+    }
+  }
+}
+
+TEST(SolveFacade, ProfilesInEveryCell) {
+  // Every method records where its time went on both executions; the
+  // parallel loops add one slowest-rank profile per sweep and a critical
+  // path that books the MTTKRP work.
+  const auto t = test::random_tensor({12, 10, 8}, 921);
+  for (const MethodEntry& entry : registered_methods()) {
+    for (int procs : {1, 4}) {
+      SolverSpec spec = small_spec(entry.method);
+      spec.stopping.max_sweeps = 6;
+      spec.stopping.fitness_tol = -1.0;  // every sweep runs
+      if (procs > 1) spec.execution = Execution::simulated_parallel(procs);
+      const SolveReport r = parpp::solve(t, spec);
+      const std::string cell =
+          std::string(entry.name) + " x procs=" + std::to_string(procs);
+      EXPECT_GT(r.profile.total_flops(), 0.0) << cell;
+      if (procs == 1) continue;
+      EXPECT_EQ(static_cast<int>(r.sweep_profiles.size()), r.sweeps) << cell;
+      EXPECT_GT(r.critical_path_profile.flops(Kernel::kTTM), 0.0) << cell;
     }
   }
 }

@@ -7,8 +7,6 @@
 #include <cmath>
 #include <vector>
 
-#include "parpp/core/pp_als.hpp"
-#include "parpp/core/pp_nncp.hpp"
 #include "parpp/core/pp_operators.hpp"
 #include "parpp/data/sparse_synthetic.hpp"
 #include "parpp/solver/solver.hpp"
@@ -113,15 +111,16 @@ TEST(SparsePp, SequentialSolveTracksDensifiedRun) {
   const tensor::CsfTensor csf(gen.tensor);
   const tensor::DenseTensor dense = gen.tensor.densify();
 
-  core::CpOptions options;
-  options.rank = 4;
-  options.max_sweeps = 30;
-  options.tol = 0.0;  // fixed budget keeps both storages on one trajectory
-  options.seed = 7;
-  core::PpOptions pp;
+  solver::SolverSpec spec;
+  spec.method = solver::Method::kPp;
+  spec.rank = 4;
+  spec.stopping.max_sweeps = 30;
+  // Fixed budget keeps both storages on one trajectory.
+  spec.stopping.fitness_tol = 0.0;
+  spec.seed = 7;
 
-  const core::CpResult sparse_run = core::pp_cp_als(csf, options, pp);
-  const core::CpResult dense_run = core::pp_cp_als(dense, options, pp);
+  const solver::SolveReport sparse_run = parpp::solve(csf, spec);
+  const solver::SolveReport dense_run = parpp::solve(dense, spec);
 
   ASSERT_EQ(sparse_run.history.size(), dense_run.history.size());
   for (std::size_t s = 0; s < sparse_run.history.size(); ++s) {

@@ -192,7 +192,8 @@ TEST(SparseSolve, LegacyCoreOverloadMatchesFacade) {
   options.max_sweeps = 6;
   options.tol = 1e-14;
   options.seed = 7;
-  const core::CpResult direct = core::cp_als(csf, options);
+  const core::CpResult direct =
+      core::cp_als(core::make_problem(csf), options);
 
   solver::SolverSpec spec = base_spec(solver::Method::kAls, 3, 6, 1e-14);
   const auto facade = parpp::solve(csf, spec);

@@ -6,10 +6,9 @@
 #include <tuple>
 
 #include "parpp/core/gram.hpp"
-#include "parpp/core/pp_als.hpp"
 #include "parpp/la/gemm.hpp"
 #include "parpp/core/solve_update.hpp"
-#include "parpp/par/par_cp_als.hpp"
+#include "parpp/solver/solve.hpp"
 #include "parpp/tensor/mttkrp_naive.hpp"
 #include "test_util.hpp"
 
@@ -75,18 +74,17 @@ TEST_P(ParallelStress, GridMatchesSequential) {
   const std::uint64_t seed = std::get<3>(GetParam());
   const auto t = test::random_tensor(shape, seed);
 
-  core::CpOptions opt;
-  opt.rank = rank;
-  opt.max_sweeps = 4;
-  opt.tol = 0.0;
-  opt.seed = seed + 2;
-  const auto seq = core::cp_als(t, opt);
+  solver::SolverSpec spec;
+  spec.rank = rank;
+  spec.stopping.max_sweeps = 4;
+  spec.stopping.fitness_tol = 0.0;
+  spec.seed = seed + 2;
+  spec.engine = core::EngineKind::kDt;
+  const auto seq = parpp::solve(t, spec);
 
-  par::ParOptions popt;
-  popt.base = opt;
-  popt.grid_dims = mpsim::ProcessorGrid::balanced_dims(
-      4, static_cast<int>(shape.size()));
-  const auto par = par::par_cp_als(t, 4, popt);
+  // Execution::simulated_parallel picks the balanced grid.
+  spec.execution = solver::Execution::simulated_parallel(4);
+  const auto par = parpp::solve(t, spec);
   EXPECT_NEAR(par.fitness, seq.fitness, 1e-8);
 }
 
@@ -106,14 +104,16 @@ TEST_P(PpStress, TracksAlsWithinTolerance) {
   const std::uint64_t seed = std::get<3>(GetParam());
   const auto t = test::low_rank_tensor(shape, rank, seed);
 
-  core::CpOptions opt;
-  opt.rank = rank;
-  opt.max_sweeps = 100;
-  opt.tol = 1e-8;
-  const auto als = core::cp_als(t, opt);
-  core::PpOptions pp;
-  pp.pp_tol = 0.1;
-  const auto ppr = core::pp_cp_als(t, opt, pp);
+  solver::SolverSpec spec;
+  spec.rank = rank;
+  spec.stopping.max_sweeps = 100;
+  spec.stopping.fitness_tol = 1e-8;
+  spec.engine = core::EngineKind::kDt;
+  const auto als = parpp::solve(t, spec);
+  spec.method = solver::Method::kPp;
+  spec.engine = core::EngineKind::kMsdt;
+  spec.pp.pp_tol = 0.1;
+  const auto ppr = parpp::solve(t, spec);
   EXPECT_GE(ppr.fitness, als.fitness - 0.01)
       << "PP must not lose meaningful fitness on " << shape.size()
       << "-order instance";
