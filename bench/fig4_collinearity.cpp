@@ -2,7 +2,7 @@
 //
 // Paper setting: s = 1600, R = 400, 4x4x4 grid, PP tolerance 0.2, stopping
 // tolerance 1e-5, <= 300 sweeps, 5 seeds per bucket. Scaled default:
-// s = 72, R = 16, sequential drivers (the speed-up ratio is what matters),
+// s = 72, R = 16, sequential solves (the speed-up ratio is what matters),
 // 3 seeds per bucket.
 #include <cstdio>
 #include <vector>

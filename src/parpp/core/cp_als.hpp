@@ -1,4 +1,6 @@
-// Sequential CP-ALS driver (Algorithm 1).
+// Options, sweep records, health verdicts and per-sweep hooks shared by the
+// sweep loops (Algorithms 1-4 run as par::par_cp_als / par::par_pp_cp_als),
+// plus the seeded factor initialization every rank reproduces.
 #pragma once
 
 #include <functional>
@@ -48,24 +50,6 @@ struct RecoveryEvent {
   std::string what;
 };
 
-struct CpResult {
-  std::vector<la::Matrix> factors;
-  double residual = 1.0;
-  double fitness = 0.0;
-  int sweeps = 0;  ///< total sweeps of any kind
-  std::vector<SweepRecord> history;
-  Profile profile;
-
-  // PP statistics (zero for plain ALS): counts match Tables III/IV.
-  int num_als_sweeps = 0;
-  int num_pp_init = 0;
-  int num_pp_approx = 0;
-
-  // Resilience outcome (kOk + empty log on the legacy happy path).
-  SolveStatus status = SolveStatus::kOk;
-  std::vector<RecoveryEvent> recovery_log;
-};
-
 /// Cross-cutting extension points the parpp::solve() facade threads through
 /// every driver. Default-constructed hooks leave a driver bit-for-bit on its
 /// legacy behavior (no extra collectives, no extra callbacks).
@@ -76,9 +60,10 @@ struct DriverHooks {
   const std::vector<la::Matrix>* initial_factors = nullptr;
   /// Called after every sweep of any kind ("als", "nncp", "pp-init",
   /// "pp-approx") with the record just produced and the current factors.
-  /// The simulated-parallel drivers pass an empty factor vector (factors
-  /// live distributed) and broadcast the verdict so all ranks agree.
-  /// Returning false aborts the run after the current sweep.
+  /// Rank 0 evaluates it and the verdict is broadcast so all ranks agree.
+  /// A 1-rank run passes the factors; with more ranks the factor vector is
+  /// empty (factors live distributed). Returning false aborts the run
+  /// after the current sweep.
   std::function<bool(const SweepRecord&, const std::vector<la::Matrix>&)>
       on_sweep;
 
@@ -114,29 +99,5 @@ struct DriverHooks {
 [[nodiscard]] std::vector<la::Matrix> resolve_init_factors(
     const std::vector<index_t>& shape, index_t rank, std::uint64_t seed,
     const DriverHooks& hooks);
-
-/// One factor update inside a sweep loop: overwrite `a` given Γ and the
-/// (exact or PP-approximated) MTTKRP `m`. The plain and PP loops take it as
-/// a parameter, so the normal-equations solve and the nonnegative HALS
-/// passes (core::nncp_update) share one loop each.
-using FactorUpdate = std::function<void(
-    la::Matrix& a, const la::Matrix& gamma, const la::Matrix& m,
-    Profile& profile)>;
-
-/// The ALS update A <- M Γ† (Algorithm 1 line 8).
-[[nodiscard]] FactorUpdate als_update();
-
-/// Runs the plain sweep loop (Algorithm 1) with the selected MTTKRP engine
-/// until the fitness change falls below `tol` or `max_sweeps` is reached.
-/// `update` is the factor update and `phase` labels the sweeps in the
-/// history ("als", or "nncp" with the HALS update). The loop sees only the
-/// storage-agnostic TensorProblem, so dense and sparse storage run the
-/// identical sweep (including the Eq. (3) residual, which reuses the last
-/// MTTKRP and never reconstructs the tensor).
-[[nodiscard]] CpResult cp_als(const TensorProblem& problem,
-                              const CpOptions& options,
-                              const DriverHooks& hooks = {},
-                              const FactorUpdate& update = als_update(),
-                              const char* phase = "als");
 
 }  // namespace parpp::core

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "parpp/core/msdt.hpp"
-#include "parpp/core/pp_operators.hpp"
 #include "parpp/tensor/mttkrp_fused.hpp"
 #include "parpp/tensor/mttv.hpp"
 #include "parpp/tensor/transpose.hpp"
@@ -370,24 +369,6 @@ std::unique_ptr<MttkrpEngine> make_engine(EngineKind kind,
   }
   PARPP_CHECK(false, "make_engine: unknown kind");
   return nullptr;
-}
-
-TensorProblem make_problem(const tensor::DenseTensor& t) {
-  TensorProblem p;
-  p.shape = t.shape();
-  p.squared_norm = t.squared_norm();
-  p.make_engine = [&t](EngineKind kind, const std::vector<la::Matrix>& factors,
-                       Profile* profile, const EngineOptions& options) {
-    return make_engine(kind, t, factors, profile, options);
-  };
-  p.make_pp_operators = [&t](const std::vector<la::Matrix>& factors,
-                             Profile* profile, const EngineOptions& options) {
-    PARPP_CHECK(options.scalar == la::Scalar::kF64,
-                "make_pp_operators: the dense PP operator chains are "
-                "fp64-only — fp32 storage applies to sparse PP builds");
-    return std::make_unique<PpOperators>(t, factors, profile);
-  };
-  return p;
 }
 
 }  // namespace parpp::core

@@ -8,7 +8,6 @@
 // claimed flop savings simply rely on the standard sweep order.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -89,39 +88,5 @@ struct EngineOptions {
     EngineKind kind, const tensor::DenseTensor& t,
     const std::vector<la::Matrix>& factors, Profile* profile = nullptr,
     const EngineOptions& options = {});
-
-class PpOperators;
-
-/// Storage-agnostic view of a decomposition input — the complete contract
-/// between a tensor storage format and the sequential driver cores: the
-/// shape, the squared Frobenius norm feeding the Eq. (3) residual identity
-/// ||T - [[A]]||^2 = ||T||^2 - 2<M(N), A(N)> + <Γ(N), S(N)> (which reuses
-/// the sweep's last MTTKRP and never reconstructs the tensor), an engine
-/// factory bound to the storage, and a pairwise-perturbation operator
-/// factory for the PP drivers. Drivers written against TensorProblem
-/// cannot see the storage class, so they cannot densify.
-struct TensorProblem {
-  std::vector<index_t> shape;
-  double squared_norm = 0.0;
-  std::function<std::unique_ptr<MttkrpEngine>(
-      EngineKind, const std::vector<la::Matrix>&, Profile*,
-      const EngineOptions&)>
-      make_engine;
-  /// PP operators bound to the storage (dense dimension-tree chains or
-  /// sparse CSF pair walks); both emit the same dense pair operators, so
-  /// PpApprox and the Algorithm 2/4 loops are storage-blind. `options`
-  /// carries the storage scalar (EngineOptions::scalar): sparse builds
-  /// honor kF32, the dense chains reject it.
-  std::function<std::unique_ptr<PpOperators>(const std::vector<la::Matrix>&,
-                                             Profile*, const EngineOptions&)>
-      make_pp_operators;
-
-  [[nodiscard]] int order() const { return static_cast<int>(shape.size()); }
-};
-
-/// Views a tensor as a TensorProblem (non-owning: `t` must outlive the
-/// problem and every engine made from it). The CsfTensor adapter lives in
-/// sparse_engine.hpp.
-[[nodiscard]] TensorProblem make_problem(const tensor::DenseTensor& t);
 
 }  // namespace parpp::core

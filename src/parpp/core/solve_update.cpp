@@ -9,11 +9,4 @@ la::Matrix update_factor(const la::Matrix& gamma, const la::Matrix& mttkrp,
   return la::solve_gram(gamma, mttkrp, profile);
 }
 
-double relative_change(const la::Matrix& a_new, const la::Matrix& a_old) {
-  la::Matrix d = a_new;
-  d.axpy(-1.0, a_old);
-  const double denom = a_new.frobenius_norm();
-  return denom > 0.0 ? d.frobenius_norm() / denom : 0.0;
-}
-
 }  // namespace parpp::core

@@ -12,9 +12,4 @@ namespace parpp::core {
                                        const la::Matrix& mttkrp,
                                        Profile* profile = nullptr);
 
-/// Relative factor change ||A_new - A_old||_F / ||A_new||_F, the quantity
-/// compared against the PP tolerance in Algorithm 2.
-[[nodiscard]] double relative_change(const la::Matrix& a_new,
-                                     const la::Matrix& a_old);
-
 }  // namespace parpp::core

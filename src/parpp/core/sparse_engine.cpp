@@ -1,6 +1,5 @@
 #include "parpp/core/sparse_engine.hpp"
 
-#include "parpp/core/pp_operators.hpp"
 #include "parpp/tensor/mttkrp_sparse.hpp"
 
 namespace parpp::core {
@@ -46,22 +45,6 @@ std::unique_ptr<MttkrpEngine> make_engine(EngineKind /*kind*/,
                                           Profile* profile,
                                           const EngineOptions& options) {
   return std::make_unique<SparseEngine>(t, factors, profile, options);
-}
-
-TensorProblem make_problem(const tensor::CsfTensor& t) {
-  TensorProblem p;
-  p.shape = t.shape();
-  p.squared_norm = t.squared_norm();
-  p.make_engine = [&t](EngineKind kind, const std::vector<la::Matrix>& factors,
-                       Profile* profile, const EngineOptions& options) {
-    return make_engine(kind, t, factors, profile, options);
-  };
-  p.make_pp_operators = [&t](const std::vector<la::Matrix>& factors,
-                             Profile* profile, const EngineOptions& options) {
-    return std::make_unique<PpOperators>(t, factors, profile,
-                                         options.scalar);
-  };
-  return p;
 }
 
 }  // namespace parpp::core

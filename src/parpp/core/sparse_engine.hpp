@@ -57,7 +57,4 @@ class SparseEngine final : public MttkrpEngine {
     const std::vector<la::Matrix>& factors, Profile* profile = nullptr,
     const EngineOptions& options = {});
 
-/// Views a CSF tensor as a storage-agnostic TensorProblem (non-owning).
-[[nodiscard]] TensorProblem make_problem(const tensor::CsfTensor& t);
-
 }  // namespace parpp::core

@@ -1,47 +1,91 @@
 #include "parpp/dist/local_problem.hpp"
 
 #include "parpp/core/pp_operators.hpp"
+#include "parpp/core/sparse_engine.hpp"
 
 namespace parpp::dist {
 
 namespace {
 
-class DenseLocalProblem final : public LocalProblem {
+std::unique_ptr<core::PpOperators> pp_operators(
+    const tensor::DenseTensor& t, const std::vector<la::Matrix>& factors,
+    Profile* profile, const core::EngineOptions& options) {
+  PARPP_CHECK(options.scalar == la::Scalar::kF64,
+              "make_pp_operators: dense PP operator chains are fp64-only");
+  return std::make_unique<core::PpOperators>(t, factors, profile);
+}
+
+std::unique_ptr<core::PpOperators> pp_operators(
+    const tensor::CsfTensor& t, const std::vector<la::Matrix>& factors,
+    Profile* profile, const core::EngineOptions& options) {
+  return std::make_unique<core::PpOperators>(t, factors, profile,
+                                             options.scalar);
+}
+
+index_t stored_nnz(const tensor::DenseTensor& /*t*/) { return -1; }
+index_t stored_nnz(const tensor::CsfTensor& t) { return t.nnz(); }
+
+/// A block of either storage class, viewed in place (`owned` null) or owned.
+template <class Storage>
+class BlockProblem final : public LocalProblem {
  public:
-  explicit DenseLocalProblem(tensor::DenseTensor block)
-      : block_(std::move(block)), sq_norm_(block_.squared_norm()) {}
+  BlockProblem(const Storage& t, std::unique_ptr<const Storage> owned)
+      : owned_(std::move(owned)), t_(&t), sq_norm_(t.squared_norm()) {}
 
   [[nodiscard]] const std::vector<index_t>& shape() const override {
-    return block_.shape();
+    return t_->shape();
   }
   [[nodiscard]] double squared_norm() const override { return sq_norm_; }
+  [[nodiscard]] index_t nnz() const override { return stored_nnz(*t_); }
 
   [[nodiscard]] std::unique_ptr<core::MttkrpEngine> make_engine(
       core::EngineKind kind, const std::vector<la::Matrix>& slice_factors,
       Profile* profile, const core::EngineOptions& options) const override {
-    return core::make_engine(kind, block_, slice_factors, profile, options);
+    // The CSF factory resolves every EngineKind to the sparse engine, so a
+    // spec tuned for dense engines still runs on a sparse block.
+    return core::make_engine(kind, *t_, slice_factors, profile, options);
   }
 
   [[nodiscard]] std::unique_ptr<core::PpOperators> make_pp_operators(
       const std::vector<la::Matrix>& slice_factors, Profile* profile,
       const core::EngineOptions& options) const override {
-    PARPP_CHECK(options.scalar == la::Scalar::kF64,
-                "make_pp_operators: dense PP operator chains are fp64-only");
-    return std::make_unique<core::PpOperators>(block_, slice_factors,
-                                               profile);
+    return pp_operators(*t_, slice_factors, profile, options);
   }
 
  private:
-  tensor::DenseTensor block_;
+  std::unique_ptr<const Storage> owned_;
+  const Storage* t_;
   double sq_norm_;
 };
 
+template <class Storage>
+std::unique_ptr<LocalProblem> owning(Storage block) {
+  auto owned = std::make_unique<const Storage>(std::move(block));
+  const Storage& t = *owned;
+  return std::make_unique<BlockProblem<Storage>>(t, std::move(owned));
+}
+
 }  // namespace
+
+std::unique_ptr<LocalProblem> view_block(const tensor::DenseTensor& t) {
+  return std::make_unique<BlockProblem<tensor::DenseTensor>>(t, nullptr);
+}
+
+std::unique_ptr<LocalProblem> view_block(const tensor::CsfTensor& t) {
+  return std::make_unique<BlockProblem<tensor::CsfTensor>>(t, nullptr);
+}
+
+std::unique_ptr<LocalProblem> own_block(tensor::DenseTensor block) {
+  return owning(std::move(block));
+}
+
+std::unique_ptr<LocalProblem> own_block(tensor::CsfTensor block) {
+  return owning(std::move(block));
+}
 
 std::unique_ptr<LocalProblem> DenseBlockProblem::make_local(
     const BlockDist& dist, const std::vector<int>& coords) const {
-  return std::make_unique<DenseLocalProblem>(
-      extract_local_block(*t_, dist, coords));
+  return own_block(extract_local_block(*t_, dist, coords));
 }
 
 }  // namespace parpp::dist

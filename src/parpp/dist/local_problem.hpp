@@ -1,16 +1,16 @@
 // Storage-agnostic distributed tensor problems for the parallel drivers.
 //
-// dist::LocalProblem is the per-rank analogue of core::TensorProblem: the
-// complete contract between one grid block's storage and the Algorithm 3/4
-// driver loop — the (padded) block shape the slice factors must match, the
-// block's squared Frobenius norm feeding the Eq. (3) residual reductions,
-// the local MTTKRP engine factory, and the pairwise-perturbation operator
-// factory for the Algorithm 4 initialization. dist::DistProblem hands out
-// LocalProblems per grid coordinate; the historical dense slab extraction
-// (extract_local_block) is one implementation (DenseBlockProblem, bit for
-// bit the old behavior), the sparse COO partition another
-// (SparseBlockDist, sparse_dist.hpp). Drivers written against these
-// interfaces cannot see the storage class, so they cannot densify.
+// dist::LocalProblem is the complete contract between one grid block's
+// storage and the Algorithm 3/4 sweep loop — the (padded) block shape the
+// slice factors must match, the block's squared Frobenius norm feeding the
+// Eq. (3) residual reductions, the local MTTKRP engine factory, and the
+// pairwise-perturbation operator factory for the Algorithm 4
+// initialization. dist::DistProblem hands out LocalProblems per grid
+// coordinate: the dense slab extraction (DenseBlockProblem), the sparse COO
+// partition (SparseBlockDist, sparse_dist.hpp), and the one block of a
+// 1-rank solve, which views the caller's tensor (WholeTensorProblem).
+// Sweep loops written against these interfaces cannot see the storage
+// class, so they cannot densify.
 #pragma once
 
 #include <memory>
@@ -18,6 +18,11 @@
 
 #include "parpp/core/mttkrp_engine.hpp"
 #include "parpp/dist/dist_tensor.hpp"
+#include "parpp/tensor/csf_tensor.hpp"
+
+namespace parpp::core {
+class PpOperators;
+}  // namespace parpp::core
 
 namespace parpp::dist {
 
@@ -57,6 +62,17 @@ class LocalProblem {
   [[nodiscard]] virtual index_t nnz() const { return -1; }
 };
 
+/// The local problem over one dense or CSF block. view_block reads `t` in
+/// place, so `t` must outlive the problem and every engine made from it;
+/// own_block keeps the block alive itself.
+[[nodiscard]] std::unique_ptr<LocalProblem> view_block(
+    const tensor::DenseTensor& t);
+[[nodiscard]] std::unique_ptr<LocalProblem> view_block(
+    const tensor::CsfTensor& t);
+[[nodiscard]] std::unique_ptr<LocalProblem> own_block(
+    tensor::DenseTensor block);
+[[nodiscard]] std::unique_ptr<LocalProblem> own_block(tensor::CsfTensor block);
+
 /// A global decomposition input that knows how to carve itself into
 /// per-rank local problems over a BlockDist.
 class DistProblem {
@@ -79,6 +95,29 @@ class DistProblem {
   /// must be thread-safe (const reads of the shared global storage).
   [[nodiscard]] virtual std::unique_ptr<LocalProblem> make_local(
       const BlockDist& dist, const std::vector<int>& coords) const = 0;
+};
+
+/// The one block of a 1-rank solve: its local problem views the caller's
+/// dense or CSF tensor, with no block copy and no repartition. Non-owning —
+/// `t` must outlive this and every local problem made from it.
+template <class Storage>
+class WholeTensorProblem final : public DistProblem {
+ public:
+  explicit WholeTensorProblem(const Storage& t) : t_(&t) {}
+
+  [[nodiscard]] const std::vector<index_t>& global_shape() const override {
+    return t_->shape();
+  }
+  [[nodiscard]] std::unique_ptr<LocalProblem> make_local(
+      const BlockDist& dist,
+      const std::vector<int>& /*coords*/) const override {
+    PARPP_CHECK(dist.local_shape() == t_->shape(),
+                "WholeTensorProblem: the grid must have exactly one block");
+    return view_block(*t_);
+  }
+
+ private:
+  const Storage* t_;
 };
 
 /// Dense storage: hyper-rectangular zero-padded slabs via

@@ -2,46 +2,7 @@
 
 #include <algorithm>
 
-#include "parpp/core/pp_operators.hpp"
-#include "parpp/core/sparse_engine.hpp"
-
 namespace parpp::dist {
-
-namespace {
-
-class SparseLocalProblem final : public LocalProblem {
- public:
-  explicit SparseLocalProblem(const tensor::CooTensor& local_coo)
-      : block_(local_coo) {}
-
-  [[nodiscard]] const std::vector<index_t>& shape() const override {
-    return block_.shape();
-  }
-  [[nodiscard]] double squared_norm() const override {
-    return block_.squared_norm();
-  }
-  [[nodiscard]] index_t nnz() const override { return block_.nnz(); }
-
-  [[nodiscard]] std::unique_ptr<core::MttkrpEngine> make_engine(
-      core::EngineKind kind, const std::vector<la::Matrix>& slice_factors,
-      Profile* profile, const core::EngineOptions& options) const override {
-    // The CSF factory resolves every EngineKind to the sparse engine, so a
-    // spec tuned for dense local engines still runs on a sparse block.
-    return core::make_engine(kind, block_, slice_factors, profile, options);
-  }
-
-  [[nodiscard]] std::unique_ptr<core::PpOperators> make_pp_operators(
-      const std::vector<la::Matrix>& slice_factors, Profile* profile,
-      const core::EngineOptions& options) const override {
-    return std::make_unique<core::PpOperators>(block_, slice_factors,
-                                               profile, options.scalar);
-  }
-
- private:
-  tensor::CsfTensor block_;
-};
-
-}  // namespace
 
 SparseBlockDist::SparseBlockDist(const tensor::CooTensor& coo) : coo_(&coo) {
   PARPP_CHECK(coo.coalesced(),
@@ -101,7 +62,7 @@ std::unique_ptr<LocalProblem> SparseBlockDist::make_local(
       fetched_ = 0;
     }
   }
-  return std::make_unique<SparseLocalProblem>(bucket);
+  return own_block(tensor::CsfTensor(bucket));
 }
 
 void SparseBlockDist::rebuild_buckets(const BlockDist& dist) const {

@@ -80,6 +80,16 @@ RunResult run(int nprocs, const std::function<void(Comm&)>& body,
       faults[static_cast<std::size_t>(r)] =
           std::make_unique<FaultyComm>(options.fault, r);
   }
+  if (nprocs == 1) {
+    // A lone rank has no peer to poison or wait for, so it runs inline on
+    // the calling thread, with the caller's OpenMP team, and its profile is
+    // what the body added to the caller's thread-local default.
+    const Profile before = Profile::thread_default();
+    Comm comm(group, 0, &result.costs[0], nullptr, faults[0].get());
+    body(comm);
+    result.profiles[0] = Profile::thread_default().delta_since(before);
+    return result;
+  }
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nprocs));
   std::vector<char> comm_failures(static_cast<std::size_t>(nprocs), 0);
   std::vector<std::thread> threads;

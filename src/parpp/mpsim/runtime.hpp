@@ -11,7 +11,8 @@ namespace parpp::mpsim {
 
 struct RunOptions {
   /// OpenMP threads each rank may use inside kernels. Default 1 so rank
-  /// wall-times are comparable; raise it for few-rank runs.
+  /// wall-times are comparable; raise it for few-rank runs. A 1-rank run
+  /// keeps the caller's team instead.
   int threads_per_rank = 1;
   /// Injected communication fault for chaos runs (none by default).
   FaultPlan fault = {};
@@ -45,7 +46,10 @@ struct RunResult {
 };
 
 /// Runs `body(comm)` on `nprocs` ranks (std::thread each) and returns the
-/// per-rank accounting. A rank-body exception poisons the communicator tree
+/// per-rank accounting. A single rank runs inline on the calling thread,
+/// with the caller's OpenMP team, and its exceptions propagate unchanged;
+/// its profile is the delta it added to the caller's thread-local default.
+/// With several ranks, a rank-body exception poisons the communicator tree
 /// so the surviving ranks observe CommFailure at their next collective
 /// instead of deadlocking; after all ranks join, the first non-CommFailure
 /// exception (or, failing that, the first CommFailure) is rethrown. Bodies

@@ -529,6 +529,9 @@ void run_sweep_loop(const dist::DistProblem& problem, int nprocs,
           abort_reasons[me] = e.what();
           abort_sweeps[me] = sweep;
         } catch (const std::exception& e) {
+          // A lone rank has no peer to unwind, so its failure (a bad warm
+          // start, an engine the storage cannot run) reaches the caller.
+          if (nprocs == 1) throw;
           // Local failure: poison the communicator tree so peers unwind
           // (they record the poison reason as their own CommFailure). The
           // elastic runner already poisoned the current epoch's tree.

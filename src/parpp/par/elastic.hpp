@@ -158,9 +158,10 @@ using SweepLoop = std::function<void(ElasticAttempt& at,
                                      std::vector<Profile>& profiles,
                                      int& sweep)>;
 
-/// The scaffolding both parallel sweep loops share: runs `loop` on each of
-/// `nprocs` simulated ranks under run_with_elastic, turns CommFailures and
-/// local exceptions into merged abort records, and finishes `result` with
+/// The scaffolding both sweep loops share: runs `loop` on each of `nprocs`
+/// simulated ranks under run_with_elastic, turns CommFailures and local
+/// exceptions into merged abort records (a 1-rank run rethrows a local
+/// exception instead), and finishes `result` with
 /// the slowest-rank reduction of the per-rank profiles (sweep_profiles,
 /// critical_path_profile), the busiest rank's comm cost and the mean sweep
 /// time.

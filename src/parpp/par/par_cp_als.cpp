@@ -21,6 +21,7 @@ void hals_update_rows(la::Matrix& a, const la::Matrix& m,
                    2.0 * static_cast<double>(s) * r * r);
   for (index_t j = 0; j < r; ++j) {
     const double gjj = std::max(gamma(j, j), eps_floor);
+#pragma omp parallel for schedule(static) if (s > 4096)
     for (index_t i = 0; i < s; ++i) {
       double agij = 0.0;
       const double* arow = a.row(i);
@@ -52,11 +53,14 @@ bool rescue_zero_columns(mpsim::Comm& comm, dist::FactorDist& fd, int mode,
 
 bool hooks_continue_collective(mpsim::Comm& comm,
                                const core::DriverHooks& hooks,
-                               const core::SweepRecord& rec) {
+                               const core::SweepRecord& rec,
+                               const std::vector<la::Matrix>& factors) {
   if (!hooks.on_sweep) return true;
   static const std::vector<la::Matrix> kNoFactors;
   double stop = 0.0;
-  if (comm.rank() == 0 && !hooks.on_sweep(rec, kNoFactors)) stop = 1.0;
+  if (comm.rank() == 0 &&
+      !hooks.on_sweep(rec, comm.size() == 1 ? factors : kNoFactors))
+    stop = 1.0;
   comm.allreduce_sum(&stop, 1, PARPP_COMM_TAG("observer-stop-allreduce"));
   return stop == 0.0;
 }
@@ -72,7 +76,7 @@ ParCpContext::ParCpContext(mpsim::Comm& comm, const dist::DistProblem& problem,
       local_(problem.make_local(dist_, grid_.coords())),
       fd_(grid_, dist_, options.base.rank) {
   // Deterministic global initialization so any grid reproduces the
-  // sequential run bit-for-bit (each rank generates — or, for a warm
+  // 1-rank run bit-for-bit (each rank generates — or, for a warm
   // start, copies — the same matrices).
   core::DriverHooks init_hooks;
   init_hooks.initial_factors = initial_factors;
@@ -372,7 +376,8 @@ ParResult par_cp_als(const dist::DistProblem& problem, int nprocs,
             if (comm.rank() == 0) hooks.on_checkpoint(ck, sweep, fit, fit_old);
           }
           if (!hooks_continue_collective(comm, hooks,
-                                         {timer.seconds(), fit, phase}))
+                                         {timer.seconds(), fit, phase},
+                                         ctx.factor_dist().slices()))
             break;
         }
         // Assemble global factors (collective); rank 0 keeps them.

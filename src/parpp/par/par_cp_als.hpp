@@ -78,46 +78,44 @@ struct ParResult {
   core::SolveStatus status = core::SolveStatus::kOk;
   std::vector<core::RecoveryEvent> recovery_log;
   /// Ranks the solve finished on (== the launch count unless an elastic
-  /// shrink removed some; 0 for results that never ran a parallel epoch).
+  /// shrink removed some; 0 when no epoch started).
   int final_ranks = 0;
   /// nnz imbalance of the repartitioned grid after the last shrink (0.0
   /// when no shrink happened or the storage reports no nnz).
   double post_shrink_nnz_imbalance = 0.0;
 };
 
-/// Row-local HALS pass over the Q-distributed rows (see core::hals_update):
-/// columns sequentially (Gauss-Seidel), rows independent. The zero-column
-/// rescue is global — see rescue_zero_columns. Shared by the nonnegative
-/// parallel drivers.
+/// One HALS pass over the Q-distributed rows of A given M = MTTKRP(A's
+/// mode) and Γ:
+///   A(:,r) <- max(0, A(:,r) + (M(:,r) - A Γ(:,r)) / Γ(r,r))
+/// Columns update sequentially (Gauss-Seidel, so later columns see earlier
+/// updates — the HALS property), rows independently. The zero-column rescue
+/// is global — see rescue_zero_columns.
 void hals_update_rows(la::Matrix& a, const la::Matrix& m,
                       const la::Matrix& gamma, double eps_floor);
 
-/// Global zero-column rescue matching core::hals_update: `s` is the
+/// Global zero-column rescue after a mode's HALS passes: `s` is the
 /// already All-Reduced Gram of factor `mode`, whose diagonal is the global
 /// squared column norm — an exactly-zero entry means the column died on
 /// every rank. Each rank then refloors its true (non-padding) Q rows to
-/// eps_floor and `s` is rebuilt with one extra All-Reduce. Returns whether
-/// a rescue fired; when none does (the common case) no additional
-/// communication happens, preserving the legacy collective pattern.
+/// eps_floor, which keeps Γ nonsingular, and `s` is rebuilt with one extra
+/// All-Reduce. Returns whether a rescue fired; when none does (the common
+/// case) no additional communication happens.
 ///
-/// Runs once per mode update (after the final inner pass), whereas the
-/// sequential hals_update rescues inside every inner pass — detecting a
-/// mid-iteration collapse globally would cost one collective per pass
-/// unconditionally. Parallel NNCP therefore matches sequential exactly
-/// for inner_iterations == 1 (the default); with more passes the two can
-/// differ only in the rare event that a column hits exactly zero on an
-/// inner pass that is not the last.
+/// Runs once per mode update (after the final inner pass), not after every
+/// inner pass: detecting a mid-iteration collapse globally would cost one
+/// collective per pass unconditionally.
 bool rescue_zero_columns(mpsim::Comm& comm, dist::FactorDist& fd, int mode,
                          la::Matrix& s, double eps_floor);
 
 /// Collective verdict of `hooks.on_sweep`: rank 0 evaluates the hook, the
 /// verdict is all-reduced so every rank agrees on continuing. A no-op — and
-/// no extra collective, preserving legacy communication costs — when the
-/// hook is absent. The factor view passed to the hook is empty (factors
-/// live distributed).
-[[nodiscard]] bool hooks_continue_collective(mpsim::Comm& comm,
-                                             const core::DriverHooks& hooks,
-                                             const core::SweepRecord& rec);
+/// no extra collective — when the hook is absent. The hook sees `factors`
+/// on a 1-rank run, whose slices are the whole factors; with more ranks it
+/// sees an empty view (factors live distributed).
+[[nodiscard]] bool hooks_continue_collective(
+    mpsim::Comm& comm, const core::DriverHooks& hooks,
+    const core::SweepRecord& rec, const std::vector<la::Matrix>& factors);
 
 /// Per-rank state of Algorithm 3, shared by the plain, PLANC-style, PP and
 /// nonnegative parallel drivers. Constructed inside a rank body.

@@ -21,8 +21,9 @@ namespace {
 /// Per-rank PP state layered over the Algorithm 3 context.
 class LocalPp {
  public:
-  LocalPp(mpsim::Comm& comm, ParCpContext& ctx)
-      : comm_(comm), ctx_(ctx), n_(ctx.order()),
+  /// `second_order` = false drops the V(n) correction (ablation).
+  LocalPp(mpsim::Comm& comm, ParCpContext& ctx, bool second_order)
+      : comm_(comm), ctx_(ctx), n_(ctx.order()), second_order_(second_order),
         ops_(ctx.local_problem().make_pp_operators(
             ctx.factor_dist().slices(), nullptr, ctx.engine_options())) {}
 
@@ -128,8 +129,7 @@ class LocalPp {
     for (int j = 0; j < n_; ++j) {
       la::Matrix m_local = local_correction(j);
       la::Matrix m_q = ctx_.factor_dist().reduce_scatter(j, m_local);
-      la::Matrix v = second_order_term(j);
-      m_q.axpy(1.0, v);
+      if (second_order_) m_q.axpy(1.0, second_order_term(j));
       ctx_.apply_pp_mttkrp(j, m_q);
       refresh_dgram(j);
     }
@@ -139,6 +139,7 @@ class LocalPp {
   mpsim::Comm& comm_;
   ParCpContext& ctx_;
   int n_;
+  bool second_order_;
   std::unique_ptr<core::PpOperators> ops_;
   std::vector<la::Matrix> a_p_slice_, a_p_q_;
   std::vector<la::Matrix> d_grams_;
@@ -167,7 +168,7 @@ ParResult par_pp_cp_als(const dist::DistProblem& problem, int nprocs,
         at.begin_epoch(ctx);
         if (nn) ctx.enable_hals(nn->epsilon, nn->inner_iterations);
         const int n = ctx.order();
-        LocalPp pp(comm, ctx);
+        LocalPp pp(comm, ctx, pp_opt.second_order);
         WallTimer timer;
 
         // dA across the latest regular sweep; seeded large so regular
@@ -208,7 +209,8 @@ ParResult par_pp_cp_als(const dist::DistProblem& problem, int nprocs,
         bool aborted = false;
         auto sweep_hook = [&](const char* phase, double f) {
           if (!hooks_continue_collective(comm, hooks,
-                                         {timer.seconds(), f, phase}))
+                                         {timer.seconds(), f, phase},
+                                         ctx.factor_dist().slices()))
             aborted = true;
           return !aborted;
         };
@@ -236,7 +238,10 @@ ParResult par_pp_cp_als(const dist::DistProblem& problem, int nprocs,
             int pp_sweeps = 0;
             bool discarded = false;
             double pp_fit = fit, pp_fit_old = fit - 1.0;
-            // Trust-guard floor — see the sequential driver.
+            // Trust-guard floor: the PP model can break down when Γ is
+            // rank-deficient (e.g. CP rank above a mode extent), so a phase
+            // whose approximate fitness drops below this floor is
+            // discarded.
             const double fit_floor =
                 fit - 10.0 * std::max(options.base.tol, 1e-6);
             while (all_below(pp.relative_changes(), pp_opt.pp_tol) &&
@@ -247,10 +252,14 @@ ParResult par_pp_cp_als(const dist::DistProblem& problem, int nprocs,
               pp.approx_sweep();
               ++pp_sweeps;
               ++total;
+              if (comm.rank() == 0) ++result.num_pp_approx;
               profiles.push_back(
                   Profile::thread_default().delta_since(before));
-              // Approximate fitness doubles as the inner stopping
-              // criterion (same role as in the sequential driver).
+              // Approximate fitness: cheap and close to exact while the PP
+              // condition holds. It is also the inner stopping criterion —
+              // the paper stops on the fitness difference of neighbouring
+              // sweeps, which must apply inside the PP phase too or a
+              // converged run would spin until max_sweeps.
               const double r = ctx.residual();
               pp_fit_old = pp_fit;
               pp_fit = core::fitness_from_residual(r);
@@ -273,18 +282,16 @@ ParResult par_pp_cp_als(const dist::DistProblem& problem, int nprocs,
                 }
                 break;
               }
-              if (comm.rank() == 0) {
-                ++result.num_pp_approx;
-                if (options.base.record_history) {
-                  result.history.push_back(
-                      {timer.seconds(), pp_fit, "pp-approx"});
-                }
-              }
+              if (comm.rank() == 0 && options.base.record_history)
+                result.history.push_back(
+                    {timer.seconds(), pp_fit, "pp-approx"});
               if (!sweep_hook("pp-approx", pp_fit)) break;
             }
-            // Carry PP progress into the outer stopping comparison (see
-            // the sequential driver); a discarded phase keeps the entry
-            // fitness — its sweeps were reverted.
+            // Carry PP progress into the outer stopping comparison, or
+            // the next regular sweep is compared against a fitness from
+            // before the whole phase and the loop re-initializes forever.
+            // A discarded phase keeps the entry fitness — its sweeps were
+            // reverted.
             if (discarded)
               fit = fit_p;
             else if (pp_sweeps > 0)
@@ -301,6 +308,7 @@ ParResult par_pp_cp_als(const dist::DistProblem& problem, int nprocs,
           const Profile before = Profile::thread_default();
           for (int i = 0; i < n; ++i) ctx.update_mode(i);
           ++total;
+          if (comm.rank() == 0) ++result.num_als_sweeps;
           have_sweep = true;
           profiles.push_back(Profile::thread_default().delta_since(before));
           fit_old = fit;
@@ -318,7 +326,6 @@ ParResult par_pp_cp_als(const dist::DistProblem& problem, int nprocs,
             break;
           }
           if (comm.rank() == 0) {
-            ++result.num_als_sweeps;
             result.residual = r;
             result.fitness = fit;
             result.sweeps = total;
@@ -369,7 +376,7 @@ PpKernelTimings time_pp_kernels(const tensor::DenseTensor& global_t,
         // One regular sweep to warm the tree cache (donor amortization).
         for (int i = 0; i < n; ++i) ctx.update_mode(i);
 
-        LocalPp pp(comm, ctx);
+        LocalPp pp(comm, ctx, /*second_order=*/true);
         const auto r = static_cast<std::size_t>(comm.rank());
         {
           WallTimer t;

@@ -16,10 +16,17 @@ namespace parpp::par {
 
 /// Runs the PP sweep loop (Algorithm 2 with the Algorithm 4 subroutine)
 /// on `nprocs` simulated ranks over any storage: dense slabs or sparse CSF
-/// blocks (sparse PP operators, identical collective pattern). The regular
-/// sweeps use options.base.engine. The factor update is the SPD solve when
-/// `nn` is null and the row-local HALS passes otherwise (parallel PP-NNCP,
-/// see core::pp_cp_als for why the composition keeps PP's guarantees).
+/// blocks (sparse PP operators, identical collective pattern): regular
+/// sweeps until the factors move slowly, then PP initialization +
+/// approximated sweeps, falling back to regular sweeps whenever the
+/// perturbation grows past pp.pp_tol. The regular sweeps use
+/// options.base.engine. The factor update is the SPD solve when `nn` is
+/// null and the row-local HALS passes otherwise (PP-NNCP): PP approximates
+/// the MTTKRP and never looks at how the update consumes it, HALS consumes
+/// one MTTKRP per mode like the solve, its max(0, ·) projection keeps the
+/// factors feasible whatever the approximation error, and pp_tol and the
+/// trust guard bound that error as for ALS. Expects order >= 3 and pp_tol
+/// in (0, 1); parpp::solve() checks both before any rank starts.
 [[nodiscard]] ParResult par_pp_cp_als(const dist::DistProblem& problem,
                                       int nprocs, const ParOptions& options,
                                       const core::PpOptions& pp,

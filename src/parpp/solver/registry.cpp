@@ -49,28 +49,8 @@ par::ParOptions par_options(const SolverSpec& spec, int order) {
 
 namespace {
 
-// The four runners: {plain, PP} x {sequential, parallel}. The factor
-// update comes from the method (HALS for the nonnegative ones).
-
-core::CpResult run_plain(const core::TensorProblem& problem,
-                         const SolverSpec& spec,
-                         const core::DriverHooks& hooks) {
-  if (uses_hals(spec.method)) {
-    return core::cp_als(problem, base_options(spec), hooks,
-                        core::nncp_update(spec.nncp), "nncp");
-  }
-  return core::cp_als(problem, base_options(spec), hooks);
-}
-
-core::CpResult run_pp(const core::TensorProblem& problem,
-                      const SolverSpec& spec,
-                      const core::DriverHooks& hooks) {
-  if (uses_hals(spec.method)) {
-    return core::pp_cp_als(problem, base_options(spec), spec.pp, hooks,
-                           core::nncp_update(spec.nncp), "nncp");
-  }
-  return core::pp_cp_als(problem, base_options(spec), spec.pp, hooks);
-}
+// One runner per sweep loop; the factor update comes from the method
+// (HALS for the nonnegative ones).
 
 par::ParResult run_par_plain(const dist::DistProblem& problem,
                              const SolverSpec& spec,
@@ -92,11 +72,10 @@ par::ParResult run_par_pp(const dist::DistProblem& problem,
 
 const std::vector<MethodEntry>& registry() {
   static const std::vector<MethodEntry> entries{
-      {Method::kAls, to_string(Method::kAls), run_plain, run_par_plain},
-      {Method::kPp, to_string(Method::kPp), run_pp, run_par_pp},
-      {Method::kNncpHals, to_string(Method::kNncpHals), run_plain,
-       run_par_plain},
-      {Method::kPpNncp, to_string(Method::kPpNncp), run_pp, run_par_pp},
+      {Method::kAls, to_string(Method::kAls), run_par_plain},
+      {Method::kPp, to_string(Method::kPp), run_par_pp},
+      {Method::kNncpHals, to_string(Method::kNncpHals), run_par_plain},
+      {Method::kPpNncp, to_string(Method::kPpNncp), run_par_pp},
   };
   return entries;
 }

@@ -1,13 +1,11 @@
-// Method registry: maps each Method to its sweep loops.
+// Method registry: maps each Method to its sweep loop.
 //
-// There are two sweep shapes, plain (Algorithm 1 / 3) and pairwise
-// perturbation (Algorithm 2 / 4), each with a sequential loop over a
-// core::TensorProblem and a parallel loop over a dist::DistProblem. A
-// Method picks one shape and one factor update (the normal-equations solve
-// or HALS), so every MethodEntry points at two of the four runners below.
+// There are two sweep loops, plain (Algorithm 1 / 3, par::par_cp_als) and
+// pairwise perturbation (Algorithm 2 / 4, par::par_pp_cp_als), both over a
+// dist::DistProblem; a sequential solve is their 1-rank run. A Method picks
+// one loop and one factor update (the normal-equations solve or HALS).
 // parpp::solve() converts the tensor source into a problem once and calls
-// the runner matching the Execution axis; the runners never see the
-// storage class.
+// the method's runner; the runners never see the storage class.
 #pragma once
 
 #include <string_view>
@@ -20,13 +18,10 @@ namespace parpp::solver {
 struct MethodEntry {
   Method method;
   std::string_view name;
-  /// Runs the sequential sweep loop with the options derived from the
-  /// spec plus the facade's hooks.
-  core::CpResult (*sequential)(const core::TensorProblem&, const SolverSpec&,
-                               const core::DriverHooks&);
-  /// Runs the simulated-parallel sweep loop on execution.nprocs ranks.
-  par::ParResult (*parallel)(const dist::DistProblem&, const SolverSpec&,
-                             const core::DriverHooks&);
+  /// Runs the method's sweep loop on execution.nprocs ranks with the
+  /// options derived from the spec plus the facade's hooks.
+  par::ParResult (*run)(const dist::DistProblem&, const SolverSpec&,
+                        const core::DriverHooks&);
 };
 
 /// The entry for `method`; throws parpp::error for an unregistered method.

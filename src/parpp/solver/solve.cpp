@@ -5,7 +5,6 @@
 #include <memory>
 #include <utility>
 
-#include "parpp/core/sparse_engine.hpp"
 #include "parpp/dist/sparse_dist.hpp"
 #include "parpp/solver/registry.hpp"
 #include "parpp/util/rng.hpp"
@@ -19,26 +18,6 @@ namespace {
 using solver::SolveReport;
 using solver::SolverSpec;
 using solver::StopReason;
-
-SolveReport from_cp_result(core::CpResult&& r) {
-  SolveReport report;
-  report.factors = std::move(r.factors);
-  report.residual = r.residual;
-  report.fitness = r.fitness;
-  report.sweeps = r.sweeps;
-  report.history = std::move(r.history);
-  report.profile = r.profile;
-  report.num_als_sweeps = r.num_als_sweeps;
-  report.num_pp_init = r.num_pp_init;
-  report.num_pp_approx = r.num_pp_approx;
-  report.status = r.status;
-  report.recovery_log = std::move(r.recovery_log);
-  if (!report.history.empty() && report.sweeps > 0) {
-    report.mean_sweep_seconds =
-        report.history.back().seconds / static_cast<double>(report.sweeps);
-  }
-  return report;
-}
 
 SolveReport from_par_result(par::ParResult&& r) {
   SolveReport report;
@@ -59,8 +38,8 @@ SolveReport from_par_result(par::ParResult&& r) {
   report.nnz_imbalance = r.nnz_imbalance;
   report.final_ranks = r.final_ranks;
   report.post_shrink_nnz_imbalance = r.post_shrink_nnz_imbalance;
-  // The parallel cores report per-sweep slices of the slowest rank;
-  // aggregate them so report.profile is populated for both executions.
+  // The sweep loops report per-sweep slices of the slowest rank; their sum
+  // is the solve's profile.
   for (const Profile& p : report.sweep_profiles) report.profile.accumulate(p);
   return report;
 }
@@ -95,6 +74,15 @@ solver::SolveReport solve(const solver::TensorSource& t,
   PARPP_CHECK(tensor_norm > 0.0,
               "solve: tensor is identically zero (Frobenius norm 0); CP "
               "fitness is undefined for a zero tensor");
+  if (spec.method == solver::Method::kPp ||
+      spec.method == solver::Method::kPpNncp) {
+    const int order =
+        t.is_sparse() ? t.sparse().order() : t.dense().order();
+    PARPP_CHECK(order >= 3, "solve: pairwise perturbation needs tensor order "
+                            ">= 3");
+    PARPP_CHECK(spec.pp.pp_tol > 0.0 && spec.pp.pp_tol < 1.0,
+                "solve: pp.pp_tol must be in (0, 1)");
+  }
 
   const solver::MethodEntry& entry = solver::method_entry(spec.method);
 
@@ -183,21 +171,24 @@ solver::SolveReport solve(const solver::TensorSource& t,
   }
 
   // The one storage dispatch: the source becomes a problem the sweep loops
-  // consume without seeing the storage class. Sparse parallel runs carve
-  // the nonzeros over the grid with the requested partition.
-  SolveReport report;
-  if (eff.execution.is_parallel()) {
-    const std::unique_ptr<dist::DistProblem> problem =
-        t.is_sparse() ? dist::make_sparse_problem(t.sparse(),
-                                                  eff.execution.partition)
-                      : std::make_unique<dist::DenseBlockProblem>(t.dense());
-    report = from_par_result(entry.parallel(*problem, eff, hooks));
+  // consume without seeing the storage class. One rank views the caller's
+  // tensor; more ranks carve it over the grid, sparse nonzeros with the
+  // requested partition.
+  std::unique_ptr<dist::DistProblem> problem;
+  if (!eff.execution.is_parallel()) {
+    if (t.is_sparse())
+      problem = std::make_unique<dist::WholeTensorProblem<tensor::CsfTensor>>(
+          t.sparse());
+    else
+      problem =
+          std::make_unique<dist::WholeTensorProblem<tensor::DenseTensor>>(
+              t.dense());
+  } else if (t.is_sparse()) {
+    problem = dist::make_sparse_problem(t.sparse(), eff.execution.partition);
   } else {
-    const core::TensorProblem problem = t.is_sparse()
-                                            ? core::make_problem(t.sparse())
-                                            : core::make_problem(t.dense());
-    report = from_cp_result(entry.sequential(problem, eff, hooks));
+    problem = std::make_unique<dist::DenseBlockProblem>(t.dense());
   }
+  SolveReport report = from_par_result(entry.run(*problem, eff, hooks));
 
   if (aborted_status(report.status)) {
     // A guardrail or communicator failure ended the run; the recovery log

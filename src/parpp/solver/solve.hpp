@@ -7,9 +7,9 @@
 //
 // The only entry point to a solve. Composes method x execution x engine
 // with pluggable stopping, warm start and per-sweep observation; see
-// spec.hpp for the axes and registry.hpp for how methods map onto the four
-// sweep loops (plain and PP, each sequential over a core::TensorProblem
-// and parallel over a dist::DistProblem).
+// spec.hpp for the axes and registry.hpp for how methods map onto the two
+// sweep loops (plain and PP, both over a dist::DistProblem; a sequential
+// solve is their 1-rank run).
 #pragma once
 
 #include "parpp/solver/spec.hpp"
@@ -18,13 +18,14 @@ namespace parpp {
 
 /// Runs the solve described by `spec` on any tensor source — dense or CSF
 /// sparse storage, uniformly (TensorSource converts implicitly from both).
-/// The source is converted into a problem once: core::make_problem for
-/// sequential runs, a DenseBlockProblem or make_sparse_problem (with
-/// execution.partition) for simulated-parallel ones. Sparse sources run the
-/// same loops through the CSF engine with the no-densification fitness
-/// identity, for every method (als, pp, nncp, pp-nncp) and both
-/// executions. Throws parpp::error on an invalid spec (bad rank, warm-start
-/// shape mismatch, bad grid).
+/// The source is converted into one problem: a WholeTensorProblem that
+/// views the tensor at one rank, a DenseBlockProblem or make_sparse_problem
+/// (with execution.partition) at more. Sparse sources run the same loops
+/// through the CSF engine with the no-densification fitness identity, for
+/// every method (als, pp, nncp, pp-nncp) and rank count. Throws
+/// parpp::error on an invalid spec (bad rank, warm-start shape mismatch,
+/// bad grid, a PP method on an order-2 tensor or with pp_tol outside
+/// (0, 1)) before any rank starts.
 [[nodiscard]] solver::SolveReport solve(const solver::TensorSource& t,
                                         const solver::SolverSpec& spec);
 

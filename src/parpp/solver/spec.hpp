@@ -4,8 +4,9 @@
 // pairwise perturbation (Alg. 2/4) and the nonnegative HALS the PLANC
 // baseline runs — shares the same MTTKRP bottleneck. The spec below makes
 // the variants composable instead of multiplicative: `Method` picks the
-// update rule, `Execution` picks sequential vs the simulated
-// message-passing runtime, `engine` picks the MTTKRP amortization, and
+// update rule, `Execution` picks how many simulated message-passing ranks
+// run it (one rank is the sequential solve), `engine` picks the MTTKRP
+// amortization, and
 // stopping / warm start / observation are orthogonal to all three. Every
 // cell of the method × execution × storage matrix runs through
 // parpp::solve(), the only entry point to a solve.
@@ -26,9 +27,9 @@ namespace parpp::solver {
 /// Non-owning view of the decomposition input — the storage axis of the
 /// solve. Implicitly constructible from either storage class, so
 /// parpp::solve(tensor, spec) reads the same for dense and sparse callers;
-/// solve() converts it into a core::TensorProblem or dist::DistProblem
-/// once (sparse runs never densify — they go through the CSF engine). The
-/// referenced tensor must outlive the solve call.
+/// solve() converts it into one dist::DistProblem (sparse runs never
+/// densify — they go through the CSF engine). The referenced tensor must
+/// outlive the solve call.
 class TensorSource {
  public:
   /*implicit*/ TensorSource(const tensor::DenseTensor& t) : dense_(&t) {}
@@ -57,9 +58,11 @@ enum class Method {
   kPpNncp,    ///< PP-accelerated nonnegative HALS (new: PP × NNCP)
 };
 
-/// Where the sweeps run. nprocs <= 1 is the sequential driver; nprocs > 1
-/// runs the simulated message-passing runtime (Algorithm 3/4) with one
-/// thread-rank per processor.
+/// Where the sweeps run: the simulated message-passing runtime (Algorithm
+/// 3/4) with nprocs ranks. One rank is the sequential solve: it runs inline
+/// on the calling thread with the caller's OpenMP team and reads the
+/// caller's tensor in place; more ranks run one thread-rank per processor
+/// on their own blocks.
 struct Execution {
   int nprocs = 1;
   /// Processor grid; empty picks mpsim::ProcessorGrid::balanced_dims.
@@ -67,6 +70,8 @@ struct Execution {
   /// How the R x R normal equations are solved on the grid (ignored by the
   /// HALS methods, whose update is row-local).
   par::SolveMode solve_mode = par::SolveMode::kDistributedRows;
+  /// OpenMP threads per rank when nprocs > 1 (one rank keeps the caller's
+  /// team).
   int threads_per_rank = 1;
   /// How sparse inputs are partitioned over the grid: uniform blocks, or
   /// nnz-balanced chains-on-chains boundaries for skewed tensors (same
@@ -83,7 +88,7 @@ struct Execution {
   /// shrinks the communicator to the survivors, repartitions the tensor,
   /// and resumes from the buddy-replicated snapshot instead of aborting
   /// (SolveReport::status reports kRecoveredShrunk). kOff keeps the abort
-  /// semantics. Sequential executions ignore it.
+  /// semantics. A 1-rank execution has no rank to lose.
   par::ElasticOptions elastic = {};
 
   [[nodiscard]] bool is_parallel() const { return nprocs > 1; }
@@ -144,8 +149,8 @@ struct CheckpointOptions {
 enum class ObserverAction { kContinue, kStop };
 
 /// Per-sweep callback: receives the record just produced and a view of the
-/// current factors (empty for simulated-parallel runs, whose factors live
-/// distributed until the run assembles them). Subsumes record_history for
+/// current factors (empty when nprocs > 1, whose factors live distributed
+/// until the run assembles them). Subsumes record_history for
 /// streaming progress and enables early abort.
 using Observer = std::function<ObserverAction(
     const core::SweepRecord&, const std::vector<la::Matrix>&)>;
@@ -160,9 +165,8 @@ struct SolverSpec {
   /// MTTKRP engine for the regular sweeps — the one engine setting for
   /// every method and execution. The PP methods need a tree engine for
   /// their operator-build amortization, so kNaive is promoted to kMsdt for
-  /// them (solver::base_options), identically in sequential and parallel
-  /// execution. Sparse storage has one engine, so every kind resolves to
-  /// the CSF walk there.
+  /// them (solver::base_options), on every rank count. Sparse storage has
+  /// one engine, so every kind resolves to the CSF walk there.
   core::EngineKind engine = core::EngineKind::kMsdt;
   core::EngineOptions engine_options = {};
 
@@ -187,8 +191,7 @@ struct SolverSpec {
   Observer observer = {};
 };
 
-/// Result of a solve; the union of what the sequential and parallel driver
-/// cores report (parallel-only fields stay default for sequential runs).
+/// Result of a solve, as the sweep loop reports it on every rank count.
 struct SolveReport {
   std::vector<la::Matrix> factors;
   double residual = 1.0;
@@ -209,18 +212,20 @@ struct SolveReport {
   int num_pp_init = 0;
   int num_pp_approx = 0;
 
-  // Simulated-parallel extras.
+  /// Modeled communication cost of the busiest rank (zero at one rank).
   mpsim::CostCounter comm_cost;
   double mean_sweep_seconds = 0.0;
+  /// Per-sweep profile of the slowest rank; `profile` is their sum, so it
+  /// books the sweeps and not the set-up.
   std::vector<Profile> sweep_profiles;
-  /// Per-category critical path across ranks (see ParResult); empty for
-  /// sequential runs — use `profile` there.
+  /// Per-category critical path across ranks (see ParResult); at one rank
+  /// it equals `profile`.
   Profile critical_path_profile;
-  /// Per-rank nonzero load imbalance, max / mean (1.0 = perfectly even;
-  /// 0.0 for dense or sequential runs, whose blocks report no nnz).
+  /// Per-rank nonzero load imbalance, max / mean (1.0 = perfectly even, as
+  /// at one rank; 0.0 for dense runs, whose blocks report no nnz).
   double nnz_imbalance = 0.0;
   /// Ranks the run finished on (== execution.nprocs unless an elastic
-  /// shrink removed some; 0 for sequential runs).
+  /// shrink removed some).
   int final_ranks = 0;
   /// nnz_imbalance of the repartitioned grid after the last shrink
   /// (0.0 when no shrink happened or the blocks report no nnz).

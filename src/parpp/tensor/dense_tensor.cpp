@@ -99,13 +99,27 @@ void DenseTensor::fill_normal(Rng& rng) {
 }
 
 double DenseTensor::squared_norm() const {
-  double s = 0.0;
-#pragma omp parallel for reduction(+ : s) schedule(static) \
-    if (size_ > (index_t{1} << 18))
-  for (index_t i = 0; i < size_; ++i) {
-    const double x = data_ptr_[i];
-    s += x * x;
+  const auto sum_sq = [this](index_t lo, index_t hi) {
+    double s = 0.0;
+    for (index_t i = lo; i < hi; ++i) {
+      const double x = data_ptr_[i];
+      s += x * x;
+    }
+    return s;
+  };
+  if (size_ <= (index_t{1} << 18)) return sum_sq(0, size_);
+  // Fixed-size blocks whose sums are added in index order, so the value
+  // does not depend on the thread count or on the order threads finish.
+  constexpr index_t kBlock = index_t{1} << 14;
+  const index_t blocks = (size_ + kBlock - 1) / kBlock;
+  std::vector<double> partial(static_cast<std::size_t>(blocks));
+#pragma omp parallel for schedule(static)
+  for (index_t b = 0; b < blocks; ++b) {
+    partial[static_cast<std::size_t>(b)] =
+        sum_sq(b * kBlock, std::min(size_, (b + 1) * kBlock));
   }
+  double s = 0.0;
+  for (const double p : partial) s += p;
   return s;
 }
 

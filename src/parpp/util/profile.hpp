@@ -3,9 +3,9 @@
 // The paper's Figure 3c–f breaks each ALS sweep into five categories:
 // TTM, mTTV, hadamard, solve, and "others". Library kernels tag their work
 // with a ScopedProfile so drivers and benchmarks can report the same
-// breakdown. Profiling is per-thread-context: each simulator rank and the
-// sequential drivers own a Profile instance that kernels reach through an
-// explicit parameter or the thread-local default.
+// breakdown. Profiling is per-thread-context: kernels reach a Profile
+// through an explicit parameter or the thread-local default, which each
+// simulator rank thread owns (a 1-rank run uses the calling thread's).
 #pragma once
 
 #include <array>

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <array>
 #include <cmath>
@@ -47,6 +48,20 @@ TEST(DenseTensor, NormMatchesDefinition) {
   t.fill(2.0);
   EXPECT_DOUBLE_EQ(t.squared_norm(), 36.0);
   EXPECT_DOUBLE_EQ(t.frobenius_norm(), 6.0);
+}
+
+TEST(DenseTensor, SquaredNormIsIndependentOfThreadCount) {
+  // Above the serial threshold the norm is summed by the OpenMP team; the
+  // value feeds ||T||^2 in the Eq. (3) residual, so reruns and thread
+  // counts must not change its bits.
+  const DenseTensor t = test::random_tensor({64, 64, 128}, 47);
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+  const double serial = t.squared_norm();
+  omp_set_num_threads(4);
+  for (int call = 0; call < 50; ++call)
+    ASSERT_EQ(t.squared_norm(), serial) << "call " << call;
+  omp_set_num_threads(saved);
 }
 
 TEST(DenseTensor, AxpyAndMaxAbsDiff) {

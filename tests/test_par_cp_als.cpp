@@ -45,8 +45,8 @@ TEST_P(ParGrids, MatchesSequentialRun) {
 
   int nprocs = 1;
   for (int d : GetParam().dims) nprocs *= d;
-  // The parallel loop itself, not solve(): solve() runs the 1x1x1 grid
-  // (nprocs == 1) through the sequential loop.
+  // The loop on copied DenseBlockProblem blocks (one block for 1x1x1),
+  // against the 1-rank solve(), which views the tensor in place.
   spec.execution.grid_dims = GetParam().dims;
   const ParResult par =
       par_cp_als(dist::DenseBlockProblem(t), nprocs,

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "parpp/core/pp_als.hpp"
 #include "parpp/data/collinearity.hpp"
@@ -89,6 +90,57 @@ TEST(PpAls, RejectsBadTolerance) {
   spec.method = solver::Method::kPp;
   spec.pp.pp_tol = 1.5;
   EXPECT_THROW((void)parpp::solve(t, spec), error);
+}
+
+TEST(PpAls, SecondOrderSwitchHoldsOnEveryRankCount) {
+  const auto gen =
+      data::make_collinear_tensor({12, 12, 12}, 4, 0.6, 0.8, 53, 1e-3);
+  for (int procs : {1, 4}) {
+    solver::SolverSpec spec = pp_spec(4, 80, -1.0);  // every sweep runs
+    spec.pp.pp_tol = 0.2;
+    if (procs > 1)
+      spec.execution = solver::Execution::simulated_parallel(procs);
+    const solver::SolveReport with = parpp::solve(gen.tensor, spec);
+    spec.pp.second_order = false;
+    const solver::SolveReport without = parpp::solve(gen.tensor, spec);
+    ASSERT_GT(with.num_pp_approx, 0) << procs << " ranks";
+    EXPECT_NE(with.fitness, without.fitness)
+        << procs << " ranks: dropping V(n) must change the run";
+  }
+}
+
+TEST(PpAls, InputChecksHoldOnEveryRankCount) {
+  const auto order3 = test::random_tensor({4, 4, 4}, 607);
+  const auto order2 = test::random_tensor({6, 5}, 609);
+  for (int procs : {1, 4}) {
+    solver::SolverSpec spec = pp_spec(2, 10, 1e-5);
+    if (procs > 1)
+      spec.execution = solver::Execution::simulated_parallel(procs);
+    spec.pp.pp_tol = 1.5;
+    EXPECT_THROW((void)parpp::solve(order3, spec), error) << procs;
+    spec.pp.pp_tol = 0.1;
+    EXPECT_THROW((void)parpp::solve(order2, spec), error) << procs;
+  }
+}
+
+TEST(PpAls, SweepCountsAddUpWhenTheTrustGuardFires) {
+  // Rank 4 on a noise tensor trips the PP trust guard; the discarded
+  // approximated sweeps still count, in num_pp_approx and in the total.
+  const auto t = test::random_tensor({8, 7, 6, 5}, 2);
+  for (int procs : {1, 4}) {
+    solver::SolverSpec spec = pp_spec(4, 40, -1.0);
+    spec.pp.pp_tol = 0.3;
+    if (procs > 1)
+      spec.execution = solver::Execution::simulated_parallel(procs);
+    const solver::SolveReport r = parpp::solve(t, spec);
+    bool guard = false;
+    for (const auto& e : r.recovery_log)
+      guard |= e.what.find("PP trust guard") != std::string::npos;
+    ASSERT_TRUE(guard) << procs << " ranks";
+    EXPECT_EQ(r.sweeps, 40);
+    EXPECT_EQ(r.num_als_sweeps + r.num_pp_init + r.num_pp_approx, r.sweeps)
+        << procs << " ranks";
+  }
 }
 
 TEST(PpAls, DtRegularEngineAlsoWorks) {

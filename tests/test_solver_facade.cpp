@@ -3,10 +3,12 @@
 // rules.
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
 #include <cmath>
 #include <string>
+#include <thread>
 
-#include "parpp/core/sparse_engine.hpp"
 #include "parpp/par/par_pp.hpp"
 #include "parpp/solver/solver.hpp"
 #include "test_util.hpp"
@@ -67,19 +69,20 @@ TEST(SolverRegistry, ListsEveryMethodOnce) {
   ASSERT_EQ(methods.size(), 4u);
   for (const MethodEntry& e : methods) {
     EXPECT_EQ(&method_entry(e.method), &e);
-    EXPECT_NE(e.sequential, nullptr);
-    EXPECT_NE(e.parallel, nullptr);
+    EXPECT_NE(e.run, nullptr);
   }
 }
 
 // --- spec round-trips: facade == problem-typed loop, bit for bit ----------
+// The sequential cases run the loop at one rank, on a copied block, while
+// the facade views the caller's tensor.
 
 TEST(SolveFacade, AlsMatchesLegacySequential) {
   const auto t = test::low_rank_tensor({9, 8, 7}, 3, 901);
   const SolverSpec spec = small_spec(Method::kAls);
   const SolveReport facade = parpp::solve(t, spec);
-  const core::CpResult direct =
-      core::cp_als(core::make_problem(t), base_options(spec));
+  const par::ParResult direct = par::par_cp_als(
+      dist::DenseBlockProblem(t), 1, par_options(spec, t.order()));
   expect_factors_identical(facade.factors, direct.factors);
   EXPECT_EQ(facade.fitness, direct.fitness);
   EXPECT_EQ(facade.sweeps, direct.sweeps);
@@ -90,8 +93,8 @@ TEST(SolveFacade, PpMatchesLegacySequential) {
   const auto t = test::low_rank_tensor({10, 9, 8}, 3, 902);
   const SolverSpec spec = small_spec(Method::kPp);
   const SolveReport facade = parpp::solve(t, spec);
-  const core::CpResult direct =
-      core::pp_cp_als(core::make_problem(t), base_options(spec), spec.pp);
+  const par::ParResult direct = par::par_pp_cp_als(
+      dist::DenseBlockProblem(t), 1, par_options(spec, t.order()), spec.pp);
   expect_factors_identical(facade.factors, direct.factors);
   EXPECT_EQ(facade.fitness, direct.fitness);
   EXPECT_EQ(facade.sweeps, direct.sweeps);
@@ -103,9 +106,9 @@ TEST(SolveFacade, NncpMatchesLegacySequential) {
   const auto t = test::low_rank_tensor({9, 8, 7}, 3, 903);
   const SolverSpec spec = small_spec(Method::kNncpHals);
   const SolveReport facade = parpp::solve(t, spec);
-  const core::CpResult direct =
-      core::cp_als(core::make_problem(t), base_options(spec), {},
-                   core::nncp_update(spec.nncp), "nncp");
+  const par::ParResult direct =
+      par::par_cp_als(dist::DenseBlockProblem(t), 1,
+                      par_options(spec, t.order()), {}, &spec.nncp);
   expect_factors_identical(facade.factors, direct.factors);
   EXPECT_EQ(facade.fitness, direct.fitness);
   EXPECT_EQ(facade.sweeps, direct.sweeps);
@@ -115,9 +118,9 @@ TEST(SolveFacade, PpNncpMatchesDriverSequential) {
   const auto t = test::low_rank_tensor({9, 8, 7}, 3, 904);
   const SolverSpec spec = small_spec(Method::kPpNncp);
   const SolveReport facade = parpp::solve(t, spec);
-  const core::CpResult direct =
-      core::pp_cp_als(core::make_problem(t), base_options(spec), spec.pp, {},
-                      core::nncp_update(spec.nncp), "nncp");
+  const par::ParResult direct = par::par_pp_cp_als(
+      dist::DenseBlockProblem(t), 1, par_options(spec, t.order()), spec.pp,
+      {}, &spec.nncp);
   expect_factors_identical(facade.factors, direct.factors);
   EXPECT_EQ(facade.fitness, direct.fitness);
   EXPECT_EQ(facade.sweeps, direct.sweeps);
@@ -280,12 +283,20 @@ TEST(SolveFacade, ObserverEarlyAbort) {
   const auto t = test::random_tensor({8, 7, 6}, 913);
   SolverSpec spec = small_spec(Method::kAls, 4);
   int seen = 0;
-  spec.observer = [&seen](const core::SweepRecord&,
-                          const std::vector<la::Matrix>& factors) {
-    EXPECT_EQ(factors.size(), 3u) << "sequential observer sees the factors";
+  // A 1-rank solve runs inline: the observer sees the caller's thread and
+  // OpenMP team.
+  const std::thread::id caller = std::this_thread::get_id();
+  const int saved_threads = omp_get_max_threads();
+  omp_set_num_threads(3);
+  spec.observer = [&seen, caller](const core::SweepRecord&,
+                                  const std::vector<la::Matrix>& factors) {
+    EXPECT_EQ(factors.size(), 3u) << "1-rank observer sees the factors";
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(omp_get_max_threads(), 3);
     return ++seen >= 3 ? ObserverAction::kStop : ObserverAction::kContinue;
   };
   const SolveReport r = parpp::solve(t, spec);
+  omp_set_num_threads(saved_threads);
   EXPECT_EQ(r.sweeps, 3);
   EXPECT_EQ(seen, 3);
   EXPECT_EQ(r.stop_reason, StopReason::kObserver);

@@ -3,12 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <ostream>
 #include <vector>
 
 #include "parpp/core/cp_als.hpp"
+#include "parpp/core/solve_update.hpp"
 #include "parpp/la/matrix.hpp"
 #include "parpp/tensor/dense_tensor.hpp"
+#include "parpp/tensor/mttkrp_naive.hpp"
 #include "parpp/tensor/reconstruct.hpp"
 #include "parpp/util/rng.hpp"
 
@@ -70,6 +73,59 @@ inline double explicit_residual(const tensor::DenseTensor& t,
   tensor::DenseTensor approx = tensor::reconstruct(factors);
   approx.axpy(-1.0, t);
   return approx.frobenius_norm() / t.frobenius_norm();
+}
+
+/// Brute-force reference sweeps, independent of every engine, sweep loop
+/// and dist/ class: `sweeps` sweeps from the seeded initialization, each mode
+/// updated against the KRP+GEMM MTTKRP and an explicitly formed Hadamard
+/// of Grams, with the normal-equations solve or (hals) one pass of the
+/// HALS column formula. Returns the factors; their fitness is
+/// 1 - explicit_residual.
+inline std::vector<la::Matrix> reference_sweeps(const tensor::DenseTensor& t,
+                                                index_t rank,
+                                                std::uint64_t seed,
+                                                int sweeps, bool hals,
+                                                double eps_floor = 1e-12) {
+  std::vector<la::Matrix> f = core::init_factors(t.shape(), rank, seed);
+  const int n = t.order();
+  for (int sweep = 0; sweep < sweeps; ++sweep) {
+    for (int i = 0; i < n; ++i) {
+      la::Matrix gamma(rank, rank);
+      gamma.fill(1.0);
+      for (int j = 0; j < n; ++j) {
+        if (j == i) continue;
+        const la::Matrix& a = f[static_cast<std::size_t>(j)];
+        for (index_t p = 0; p < rank; ++p)
+          for (index_t q = 0; q < rank; ++q) {
+            double g = 0.0;
+            for (index_t row = 0; row < a.rows(); ++row)
+              g += a(row, p) * a(row, q);
+            gamma(p, q) *= g;
+          }
+      }
+      const la::Matrix m = tensor::mttkrp_krp(t, f, i);
+      la::Matrix& a = f[static_cast<std::size_t>(i)];
+      if (!hals) {
+        a = core::update_factor(gamma, m);
+        continue;
+      }
+      for (index_t c = 0; c < rank; ++c) {
+        const double gcc = std::max(gamma(c, c), eps_floor);
+        for (index_t row = 0; row < a.rows(); ++row) {
+          double ag = 0.0;
+          for (index_t k = 0; k < rank; ++k) ag += a(row, k) * gamma(k, c);
+          a(row, c) = std::max(a(row, c) + (m(row, c) - ag) / gcc, 0.0);
+        }
+      }
+      for (index_t c = 0; c < rank; ++c) {
+        bool zero = true;
+        for (index_t row = 0; row < a.rows(); ++row) zero &= a(row, c) == 0.0;
+        if (zero)
+          for (index_t row = 0; row < a.rows(); ++row) a(row, c) = eps_floor;
+      }
+    }
+  }
+  return f;
 }
 
 /// Writes `dims` as "6x7x8". Value-parameterized cases print through this
