@@ -6,9 +6,10 @@
 // Eq. (3) residual reductions, the local MTTKRP engine factory, and the
 // pairwise-perturbation operator factory for the Algorithm 4
 // initialization. dist::DistProblem hands out LocalProblems per grid
-// coordinate: the dense slab extraction (DenseBlockProblem), the sparse COO
-// partition (SparseBlockDist, sparse_dist.hpp), and the one block of a
-// 1-rank solve, which views the caller's tensor (WholeTensorProblem).
+// coordinate: the dense slab extraction (DenseBlockProblem), the sparse
+// blocks cut from the caller's CSF trees (SparseBlockDist, sparse_dist.hpp),
+// and the one block of a 1-rank solve, which views the caller's tensor
+// (WholeTensorProblem).
 // Sweep loops written against these interfaces cannot see the storage
 // class, so they cannot densify.
 #pragma once

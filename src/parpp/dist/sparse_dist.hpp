@@ -5,8 +5,10 @@
 // follows the same padded BlockDist geometry the dense path and the factor
 // distribution use, so the medium-grained collective pattern of Algorithm 3
 // (slice All-Gather, Reduce-Scatter of slice-shaped MTTKRP contributions)
-// carries over unchanged. Each rank's block becomes a local CsfTensor with
-// block-relative coordinates; blocks that own no nonzeros still get a valid
+// carries over unchanged. Each rank's block is cut straight out of the
+// caller's CsfTensor: the owned box [slab_offset, slab_end) of every mode,
+// re-indexed to block-relative coordinates, with the padded block extents
+// and the caller's layout. Blocks that own no nonzeros still get a valid
 // (empty) CSF tensor whose MTTKRP contributes zeros.
 //
 // Two geometries are offered behind the same DistProblem interface:
@@ -21,90 +23,57 @@
 //     extent grows to the widest slab, so slice collectives exchange more
 //     words; the trade wins whenever the critical-path MTTKRP dominates.
 //
-// Setup cost: every nonzero is assigned to its owner block in one shared
-// bucketing pass over the entry list (plus one pass for the balanced
-// histograms), not one full scan per rank — make_local() then hands each
-// rank its prebuilt coalesced bucket. partition_passes() exposes the pass
-// count so tests can pin the O(nnz) setup.
+// Setup cost: make_local() is a stateless cut — per tree, a walk over the
+// global nodes inside the box with two binary searches per visited node,
+// and no entry is re-sorted — so every rank cuts its own block
+// concurrently. The balanced histograms are read off the trees once at
+// construction.
 #pragma once
 
-#include <mutex>
 #include <vector>
 
 #include "parpp/dist/local_problem.hpp"
-#include "parpp/tensor/coo_tensor.hpp"
 #include "parpp/tensor/csf_tensor.hpp"
 
 namespace parpp::dist {
 
 class SparseBlockDist : public DistProblem {
  public:
-  /// Non-owning view of a coalesced COO tensor (must outlive this and
-  /// every local problem made from it).
-  explicit SparseBlockDist(const tensor::CooTensor& coo);
+  /// Non-owning view of `t`, which must outlive this. Local problems own
+  /// their blocks, so they do not depend on `t`.
+  explicit SparseBlockDist(const tensor::CsfTensor& t) : t_(&t) {}
 
-  /// Owning adapter for already-compressed storage: reconstructs the
-  /// coalesced entry list from `t`'s mode-0 fiber tree. `t` may be
-  /// discarded afterwards.
-  explicit SparseBlockDist(const tensor::CsfTensor& t);
+  [[nodiscard]] const std::vector<index_t>& global_shape() const override {
+    return t_->shape();
+  }
 
-  // coo_ may point into owned_, so default copies/moves would leave the
-  // new object aimed at the source's storage.
-  SparseBlockDist(const SparseBlockDist&) = delete;
-  SparseBlockDist& operator=(const SparseBlockDist&) = delete;
+  /// The block at grid coordinates `coords`: the entries of the owned box
+  /// [slab_offset, slab_end) of every mode, cut from the caller's trees,
+  /// with block-relative coordinates and dist.local_shape() extents.
+  [[nodiscard]] tensor::CsfTensor block(const BlockDist& dist,
+                                        const std::vector<int>& coords) const;
 
-  [[nodiscard]] const std::vector<index_t>& global_shape() const override;
-
-  /// Hands out this rank's bucket of the shared partition as a local
-  /// CsfTensor with block-relative coordinates. The first caller for a
-  /// given geometry runs the single O(nnz) bucketing pass (serialized);
-  /// concurrent callers with the same geometry only read their bucket.
+  /// own_block(block(dist, coords)).
   [[nodiscard]] std::unique_ptr<LocalProblem> make_local(
       const BlockDist& dist, const std::vector<int>& coords) const override;
 
-  /// Number of full entry-list bucketing passes run so far: one per
-  /// distinct BlockDist geometry, regardless of the rank count (the old
-  /// per-rank scan was O(nprocs * nnz); this pins O(nnz)).
-  [[nodiscard]] std::size_t partition_passes() const;
-
- protected:
-  [[nodiscard]] const tensor::CooTensor& coo() const { return *coo_; }
-
  private:
-  /// The shared bucketing pass (call with mu_ held).
-  void rebuild_buckets(const BlockDist& dist) const;
-
-  tensor::CooTensor owned_;  ///< engaged by the CsfTensor constructor
-  const tensor::CooTensor* coo_;
-
-  // Bucket cache for the current geometry, built lazily under mu_ by the
-  // first make_local of a run, read by every rank, and dropped once all
-  // blocks have been fetched (each coordinate asks exactly once per run,
-  // so holding the copy longer would waste O(nnz) memory). Rebuilt if a
-  // later call arrives with a different geometry (e.g. another grid).
-  mutable std::mutex mu_;
-  mutable std::vector<std::vector<index_t>> cached_bounds_;
-  mutable std::vector<tensor::CooTensor> buckets_;  ///< row-major by coords
-  mutable std::vector<char> taken_;  ///< buckets already moved out
-  mutable index_t fetched_ = 0;
-  mutable std::size_t partition_passes_ = 0;
+  const tensor::CsfTensor* t_;
 };
 
-/// nnz-balanced sparse distribution: same bucketing machinery, non-uniform
-/// chains-on-chains boundaries. Slice nnz histograms are accumulated once
-/// at construction (O(nnz)); each make_block_dist() call only partitions
-/// the histograms for the requested grid (O(sum extents * log nnz)).
+/// nnz-balanced sparse distribution: the same cut, non-uniform
+/// chains-on-chains boundaries. Slice nnz histograms are read off the trees
+/// once at construction (O(roots * order) for a root-tree mode, O(nnz) for a
+/// kHalf leaf mode); each make_block_dist() call only partitions the
+/// histograms for the requested grid (O(sum extents * log nnz)).
 class BalancedSparseDist final : public SparseBlockDist {
  public:
-  explicit BalancedSparseDist(const tensor::CooTensor& coo);
   explicit BalancedSparseDist(const tensor::CsfTensor& t);
 
   [[nodiscard]] BlockDist make_block_dist(
       const mpsim::ProcessorGrid& grid) const override;
 
  private:
-  void build_histograms();
-
   std::vector<std::vector<index_t>> slice_nnz_;  ///< per mode, per slice
 };
 
@@ -115,7 +84,8 @@ class BalancedSparseDist final : public SparseBlockDist {
 [[nodiscard]] std::vector<index_t> chains_on_chains(
     const std::vector<index_t>& loads, int parts);
 
-/// Factory for the partition axis: wraps `t` in the matching DistProblem.
+/// Factory for the partition axis: wraps `t` in the matching DistProblem,
+/// a view that `t` must outlive.
 [[nodiscard]] std::unique_ptr<DistProblem> make_sparse_problem(
     const tensor::CsfTensor& t, PartitionKind partition);
 

@@ -80,6 +80,11 @@ solver::SolveReport solve(const solver::TensorSource& t,
         t.is_sparse() ? t.sparse().order() : t.dense().order();
     PARPP_CHECK(order >= 3, "solve: pairwise perturbation needs tensor order "
                             ">= 3");
+    PARPP_CHECK(!t.is_sparse() ||
+                    t.sparse().layout() == tensor::CsfLayout::kAllModes,
+                "solve: pairwise perturbation on sparse storage needs "
+                "CsfLayout::kAllModes (the pair operators walk a root tree "
+                "per mode)");
     PARPP_CHECK(spec.pp.pp_tol > 0.0 && spec.pp.pp_tol < 1.0,
                 "solve: pp.pp_tol must be in (0, 1)");
   }

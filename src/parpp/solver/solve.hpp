@@ -24,8 +24,8 @@ namespace parpp {
 /// through the CSF engine with the no-densification fitness identity, for
 /// every method (als, pp, nncp, pp-nncp) and rank count. Throws
 /// parpp::error on an invalid spec (bad rank, warm-start shape mismatch,
-/// bad grid, a PP method on an order-2 tensor or with pp_tol outside
-/// (0, 1)) before any rank starts.
+/// bad grid, a PP method on an order-2 tensor, on a CsfLayout::kHalf
+/// tensor or with pp_tol outside (0, 1)) before any rank starts.
 [[nodiscard]] solver::SolveReport solve(const solver::TensorSource& t,
                                         const solver::SolverSpec& spec);
 

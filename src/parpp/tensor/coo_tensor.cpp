@@ -47,9 +47,8 @@ void CooTensor::coalesce() {
   const int n = order();
   const index_t count = nnz();
   // Fast path: entries pushed in strictly increasing lexicographic order
-  // with no zeros (e.g. a CSF walk or a block extraction from an already
-  // coalesced list) only need the invariant flag restored — one linear
-  // scan instead of a full sort + rebuild.
+  // with no zeros (e.g. a sorted .tns file) only need the invariant flag
+  // restored — one linear scan instead of a full sort + rebuild.
   {
     bool sorted_unique_nonzero = true;
     for (index_t e = 0; e < count && sorted_unique_nonzero; ++e) {

@@ -1,5 +1,6 @@
 #include "parpp/tensor/csf_tensor.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <utility>
@@ -101,6 +102,75 @@ CsfTensor::Tree build_tree(const CooTensor& coo, std::vector<int> mode_order) {
   return tree;
 }
 
+/// Cuts the part of tree `g` inside the box [lo, hi) (re-indexed to start
+/// at `lo`) in two walks, as build_tree does: count the kept nodes per
+/// level, then fill arrays allocated at their exact sizes. A node's children
+/// are sorted by coordinate, so those inside the box form one contiguous
+/// range, found by two binary searches; a non-leaf node is kept only if its
+/// subtree keeps a leaf. Restricting to a box keeps the lexicographic order
+/// of the mode order, so the result is the tree build_tree would make from
+/// the box's entries.
+CsfTensor::Tree cut_tree(const CsfTensor::Tree& g,
+                         const std::vector<index_t>& lo,
+                         const std::vector<index_t>& hi) {
+  const std::size_t n = g.mode_order.size();
+  CsfTensor::Tree tree;
+  tree.mode_order = g.mode_order;
+  tree.fids.resize(n);
+  tree.fptr.resize(n - 1);
+
+  // Visits the global nodes [begin, end) of level l, appending each kept one
+  // at nodes[l] (and, when `fill`, writing it there). Returns whether any
+  // node was kept.
+  std::vector<index_t> nodes(n, 0);
+  const auto walk = [&](auto&& self, bool fill, std::size_t l, index_t begin,
+                        index_t end) -> bool {
+    const auto mode = static_cast<std::size_t>(g.mode_order[l]);
+    const std::vector<index_t>& f = g.fids[l];
+    const auto first =
+        std::lower_bound(f.begin() + begin, f.begin() + end, lo[mode]);
+    const auto last = std::lower_bound(first, f.begin() + end, hi[mode]);
+    const auto k0 = static_cast<std::size_t>(first - f.begin());
+    const auto k1 = static_cast<std::size_t>(last - f.begin());
+    const index_t before = nodes[l];
+    if (l + 1 == n) {  // leaves: the whole range is kept
+      if (!fill) {
+        nodes[l] += static_cast<index_t>(k1 - k0);
+        return k1 > k0;
+      }
+      for (std::size_t k = k0; k < k1; ++k) {
+        const auto j = static_cast<std::size_t>(nodes[l]++);
+        tree.fids[l][j] = f[k] - lo[mode];
+        tree.vals[j] = g.vals[k];
+      }
+      return k1 > k0;
+    }
+    for (std::size_t k = k0; k < k1; ++k) {
+      const index_t children = nodes[l + 1];
+      if (!self(self, fill, l + 1, g.fptr[l][k], g.fptr[l][k + 1])) continue;
+      const auto j = static_cast<std::size_t>(nodes[l]++);
+      if (!fill) continue;
+      tree.fids[l][j] = f[k] - lo[mode];
+      tree.fptr[l][j] = children;
+    }
+    return nodes[l] > before;
+  };
+
+  // An empty box (hi <= lo on some mode) finds empty child ranges there.
+  walk(walk, /*fill=*/false, 0, 0, g.root_count());
+  for (std::size_t l = 0; l < n; ++l) {
+    tree.fids[l].resize(static_cast<std::size_t>(nodes[l]));
+    if (l + 1 < n) tree.fptr[l].resize(static_cast<std::size_t>(nodes[l]) + 1);
+  }
+  tree.vals.resize(static_cast<std::size_t>(nodes[n - 1]));
+  for (std::size_t l = 0; l + 1 < n; ++l) tree.fptr[l].back() = nodes[l + 1];
+  for (std::size_t l = 1; l + 1 < n; ++l) tree.internal_nodes += nodes[l];
+  std::fill(nodes.begin(), nodes.end(), 0);
+  walk(walk, /*fill=*/true, 0, 0, g.root_count());
+  build_tiles(tree, static_cast<int>(n));
+  return tree;
+}
+
 /// Mode order for root tree `m` of the kAllModes layout: root first, the
 /// rest ascending.
 std::vector<int> all_modes_order(int n, int m) {
@@ -189,6 +259,28 @@ CsfTensor::CsfTensor(const CooTensor& coo, const CsfOptions& options)
   build(coo);
 }
 
+CsfTensor::CsfTensor(const CsfTensor& global, const std::vector<index_t>& lo,
+                     const std::vector<index_t>& hi, std::vector<index_t> shape)
+    : shape_(std::move(shape)), dense_size_(1.0), layout_(global.layout_) {
+  const auto n = static_cast<std::size_t>(global.order());
+  PARPP_CHECK(lo.size() == n && hi.size() == n && shape_.size() == n,
+              "CsfTensor: the box and the block shape need one entry per "
+              "mode");
+  for (std::size_t m = 0; m < n; ++m) {
+    PARPP_CHECK(lo[m] >= 0 && hi[m] - lo[m] <= shape_[m],
+                "CsfTensor: mode ", m, " box [", lo[m], ", ", hi[m],
+                ") does not fit the block extent ", shape_[m]);
+    dense_size_ *= static_cast<double>(shape_[m]);
+  }
+  trees_.reserve(global.trees_.size());
+  for (const Tree& g : global.trees_) trees_.push_back(cut_tree(g, lo, hi));
+  nnz_ = static_cast<index_t>(trees_.front().vals.size());
+  // Tree 0's mode order is the identity in both layouts, so its leaves are
+  // the coalesced COO order: this is CooTensor::squared_norm's sum, bit for
+  // bit.
+  for (double v : trees_.front().vals) squared_norm_ += v * v;
+}
+
 void CsfTensor::build(const CooTensor& coo) {
   const int n = order();
   if (layout_ == CsfLayout::kAllModes) {
@@ -222,37 +314,6 @@ index_t CsfTensor::pattern_words() const {
     for (const auto& v : t.fids) words += static_cast<index_t>(v.size());
   }
   return words;
-}
-
-CooTensor CsfTensor::to_coo() const {
-  CooTensor coo(shape_);
-  coo.reserve(nnz_);
-  const Tree& tree = trees_.front();  // mode order is the identity
-  PARPP_ASSERT(tree.mode_order.front() == 0, "to_coo: tree 0 not rooted at 0");
-  const int n = order();
-  std::vector<index_t> idx(static_cast<std::size_t>(n), 0);
-  // Depth-first walk emitting one entry per leaf; tree 0's identity mode
-  // order (both layouts) makes the output lexicographically sorted, so
-  // coalesce() below only restores the invariant flag (no re-sort work, no
-  // duplicates to merge).
-  auto walk = [&](auto&& self, int lv, index_t begin, index_t end) -> void {
-    const auto& fids = tree.fids[static_cast<std::size_t>(lv)];
-    for (index_t k = begin; k < end; ++k) {
-      idx[static_cast<std::size_t>(
-          tree.mode_order[static_cast<std::size_t>(lv)])] =
-          fids[static_cast<std::size_t>(k)];
-      if (lv == n - 1) {
-        coo.push(idx, tree.vals[static_cast<std::size_t>(k)]);
-      } else {
-        const auto& fptr = tree.fptr[static_cast<std::size_t>(lv)];
-        self(self, lv + 1, fptr[static_cast<std::size_t>(k)],
-             fptr[static_cast<std::size_t>(k + 1)]);
-      }
-    }
-  };
-  walk(walk, 0, 0, tree.root_count());
-  coo.coalesce();
-  return coo;
 }
 
 void CsfValsF32::sync(const CsfTensor& t) {

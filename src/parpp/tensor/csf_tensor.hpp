@@ -45,7 +45,8 @@ struct CsfOptions {
 /// Transient scratch is two index words plus one byte per nonzero, and one
 /// bucket word per index of the mode being sorted.
 ///
-/// Immutable once built: construct from a coalesced CooTensor.
+/// Immutable once built: construct from a coalesced CooTensor, or cut a
+/// block out of another CsfTensor (the grid blocks of dist::SparseBlockDist).
 class CsfTensor {
  public:
   /// One fiber tree. Level l stores one node per distinct coordinate prefix
@@ -91,6 +92,16 @@ class CsfTensor {
   explicit CsfTensor(const CooTensor& coo);
   /// Layout-selecting constructor; same coalesced-input contract.
   CsfTensor(const CooTensor& coo, const CsfOptions& options);
+  /// The block of `global` inside the box [lo[m], hi[m]) of every mode m,
+  /// re-indexed to start at `lo`, with extents `shape` (each at least
+  /// hi[m] - lo[m]; the rest is padding, which holds no entries). A box
+  /// that is empty on any mode (hi[m] <= lo[m]) gives an empty block. Each
+  /// tree is cut from the global tree with the same mode order, so no entry
+  /// is re-sorted: the block keeps `global`'s layout and equals the
+  /// CsfTensor built from the box's coalesced entries, bit for bit. Reads
+  /// `global` only, so concurrent cuts of one tensor are safe.
+  CsfTensor(const CsfTensor& global, const std::vector<index_t>& lo,
+            const std::vector<index_t>& hi, std::vector<index_t> shape);
 
   [[nodiscard]] int order() const { return static_cast<int>(shape_.size()); }
   [[nodiscard]] const std::vector<index_t>& shape() const { return shape_; }
@@ -109,13 +120,6 @@ class CsfTensor {
   /// Index/pointer words across all trees' fptr+fids arrays — the pattern
   /// memory the kHalf layout halves. Diagnostic for tests and benches.
   [[nodiscard]] index_t pattern_words() const;
-
-  /// Reconstructs the coalesced COO entry list (mode-0 tree walk; entries
-  /// come out lexicographically sorted). The inverse of construction — used
-  /// to re-partition an already-compressed tensor, e.g. for the
-  /// dist::SparseBlockDist grid decomposition. Valid under both layouts:
-  /// tree 0's mode order is the identity in each.
-  [[nodiscard]] CooTensor to_coo() const;
 
   /// The fiber tree *rooted* at `root_mode`. Under kHalf only modes
   /// [0, tree_count()) have a root tree — use walk_for() for the general

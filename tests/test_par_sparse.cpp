@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "parpp/data/sparse_synthetic.hpp"
@@ -25,42 +26,55 @@ solver::SolverSpec sparse_spec(solver::Method method, index_t rank,
   return spec;
 }
 
+constexpr tensor::CsfLayout kLayouts[] = {tensor::CsfLayout::kAllModes,
+                                          tensor::CsfLayout::kHalf};
+
 TEST(ParSparse, AlsMatchesSequentialFitnessAtEveryRankCount) {
   const auto gen = data::make_sparse_lowrank({18, 16, 17}, 4, 0.06, 31);
-  const tensor::CsfTensor csf(gen.tensor);
 
-  // Fixed sweep budget (tol 0) keeps all runs on the same trajectory, so
-  // only collective summation order separates the fitness values.
-  solver::SolverSpec spec = sparse_spec(solver::Method::kAls, 4, 12, 0.0);
-  const auto seq = parpp::solve(csf, spec);
+  // Blocks keep the caller's layout, so each layout's parallel runs are
+  // held to its own 1-rank solve.
+  for (tensor::CsfLayout layout : kLayouts) {
+    const tensor::CsfTensor csf(gen.tensor, {layout});
+    // Fixed sweep budget (tol 0) keeps all runs on the same trajectory, so
+    // only collective summation order separates the fitness values.
+    solver::SolverSpec spec = sparse_spec(solver::Method::kAls, 4, 12, 0.0);
+    const auto seq = parpp::solve(csf, spec);
 
-  for (int nprocs : {2, 4, 8}) {
-    spec.execution = solver::Execution::simulated_parallel(nprocs);
-    const auto par = parpp::solve(csf, spec);
-    EXPECT_EQ(par.sweeps, seq.sweeps) << nprocs << " ranks";
-    EXPECT_NEAR(par.fitness, seq.fitness, 1e-10) << nprocs << " ranks";
-    // Assembled factors reconstruct the same model.
-    ASSERT_EQ(par.factors.size(), seq.factors.size());
-    for (std::size_t m = 0; m < par.factors.size(); ++m) {
-      ASSERT_EQ(par.factors[m].rows(), seq.factors[m].rows());
-      ASSERT_EQ(par.factors[m].cols(), seq.factors[m].cols());
+    for (int nprocs : {2, 4, 8}) {
+      spec.execution = solver::Execution::simulated_parallel(nprocs);
+      const auto par = parpp::solve(csf, spec);
+      const std::string where = std::to_string(nprocs) + " ranks, " +
+                                std::string(solver::to_string(layout));
+      EXPECT_EQ(par.sweeps, seq.sweeps) << where;
+      EXPECT_NEAR(par.fitness, seq.fitness, 1e-10) << where;
+      // Assembled factors reconstruct the same model.
+      ASSERT_EQ(par.factors.size(), seq.factors.size());
+      for (std::size_t m = 0; m < par.factors.size(); ++m) {
+        ASSERT_EQ(par.factors[m].rows(), seq.factors[m].rows());
+        ASSERT_EQ(par.factors[m].cols(), seq.factors[m].cols());
+      }
     }
   }
 }
 
 TEST(ParSparse, NncpMatchesSequentialFitness) {
   const auto gen = data::make_sparse_lowrank({14, 15, 13}, 3, 0.08, 13);
-  const tensor::CsfTensor csf(gen.tensor);
 
-  // 6 sweeps stays inside the regime where the trajectories are identical;
-  // past that the HALS projection boundary chaotically amplifies summation
-  // round-off (the same reason the dense parity tests cap their budgets).
-  solver::SolverSpec spec = sparse_spec(solver::Method::kNncpHals, 3, 6, 0.0);
-  const auto seq = parpp::solve(csf, spec);
-  for (int nprocs : {2, 4, 8}) {
-    spec.execution = solver::Execution::simulated_parallel(nprocs);
-    const auto par = parpp::solve(csf, spec);
-    EXPECT_NEAR(par.fitness, seq.fitness, 1e-10) << nprocs << " ranks";
+  for (tensor::CsfLayout layout : kLayouts) {
+    const tensor::CsfTensor csf(gen.tensor, {layout});
+    // 6 sweeps stays inside the regime where the trajectories are
+    // identical; past that the HALS projection boundary chaotically
+    // amplifies summation round-off (the same reason the dense parity tests
+    // cap their budgets).
+    solver::SolverSpec spec = sparse_spec(solver::Method::kNncpHals, 3, 6, 0.0);
+    const auto seq = parpp::solve(csf, spec);
+    for (int nprocs : {2, 4, 8}) {
+      spec.execution = solver::Execution::simulated_parallel(nprocs);
+      const auto par = parpp::solve(csf, spec);
+      EXPECT_NEAR(par.fitness, seq.fitness, 1e-10)
+          << nprocs << " ranks, " << solver::to_string(layout);
+    }
   }
 }
 

@@ -5,7 +5,10 @@
 
 #include "parpp/core/pp_als.hpp"
 #include "parpp/data/collinearity.hpp"
+#include "parpp/data/sparse_synthetic.hpp"
 #include "parpp/solver/solve.hpp"
+#include "parpp/solver/strings.hpp"
+#include "parpp/tensor/csf_tensor.hpp"
 #include "test_util.hpp"
 
 namespace parpp::core {
@@ -112,6 +115,10 @@ TEST(PpAls, SecondOrderSwitchHoldsOnEveryRankCount) {
 TEST(PpAls, InputChecksHoldOnEveryRankCount) {
   const auto order3 = test::random_tensor({4, 4, 4}, 607);
   const auto order2 = test::random_tensor({6, 5}, 609);
+  // The pair operators walk a root tree per mode, which a kHalf CSF tensor
+  // lacks; its blocks keep the layout, so every rank count must reject it.
+  const tensor::CsfTensor half(data::make_sparse_random({8, 8, 8}, 0.2, 610),
+                               {tensor::CsfLayout::kHalf});
   for (int procs : {1, 4}) {
     solver::SolverSpec spec = pp_spec(2, 10, 1e-5);
     if (procs > 1)
@@ -120,6 +127,12 @@ TEST(PpAls, InputChecksHoldOnEveryRankCount) {
     EXPECT_THROW((void)parpp::solve(order3, spec), error) << procs;
     spec.pp.pp_tol = 0.1;
     EXPECT_THROW((void)parpp::solve(order2, spec), error) << procs;
+    for (solver::Method method :
+         {solver::Method::kPp, solver::Method::kPpNncp}) {
+      spec.method = method;
+      EXPECT_THROW((void)parpp::solve(half, spec), error)
+          << procs << " ranks, " << solver::to_string(method);
+    }
   }
 }
 

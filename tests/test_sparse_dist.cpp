@@ -1,13 +1,19 @@
 // dist::SparseBlockDist / dist::BalancedSparseDist and the storage-agnostic
-// LocalProblem layer: COO partition correctness (uniform and nnz-balanced
-// boundaries), chains-on-chains optimality, O(nnz) bucketing setup, CSF
-// round-trip, dense-path equivalence, and balanced-vs-uniform solve parity.
+// LocalProblem layer: blocks cut from the caller's CSF trees equal the CSF
+// tensor of their entries (orders 2-6, both layouts, uniform and
+// nnz-balanced boundaries, all-padding slabs, empty blocks, the whole-tensor
+// box), partition correctness, chains-on-chains optimality, dense-path
+// equivalence, and balanced-vs-uniform solve parity.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "parpp/data/sparse_synthetic.hpp"
@@ -37,25 +43,10 @@ void for_each_rank(int nprocs, const std::vector<int>& dims,
   });
 }
 
-TEST(CsfToCoo, RoundTripsEntryList) {
-  const tensor::CooTensor coo =
-      data::make_sparse_random({9, 7, 8, 5}, 0.05, 17);
-  const tensor::CsfTensor csf(coo);
-  const tensor::CooTensor back = csf.to_coo();
-
-  ASSERT_EQ(back.shape(), coo.shape());
-  ASSERT_EQ(back.nnz(), coo.nnz());
-  EXPECT_TRUE(back.coalesced());
-  for (index_t e = 0; e < coo.nnz(); ++e) {
-    for (int m = 0; m < coo.order(); ++m)
-      EXPECT_EQ(back.index(e, m), coo.index(e, m)) << "entry " << e;
-    EXPECT_DOUBLE_EQ(back.value(e), coo.value(e)) << "entry " << e;
-  }
-}
-
 TEST(SparseBlockDist, BlocksPartitionEveryNonzeroExactlyOnce) {
   const tensor::CooTensor coo = data::make_sparse_random({10, 9, 8}, 0.1, 3);
-  const dist::SparseBlockDist problem(coo);
+  const tensor::CsfTensor csf(coo);
+  const dist::SparseBlockDist problem(csf);
   ASSERT_EQ(problem.global_shape(), coo.shape());
 
   index_t total_nnz = 0;
@@ -94,7 +85,8 @@ TEST(SparseBlockDist, EmptyBlocksYieldValidLocalProblems) {
   const std::vector<index_t> idx1{1, 0, 1};
   coo.push(idx1, -2.0);
   coo.coalesce();
-  const dist::SparseBlockDist problem(coo);
+  const tensor::CsfTensor csf(coo);
+  const dist::SparseBlockDist problem(csf);
 
   int empty_blocks = 0;
   for_each_rank(8, {2, 2, 2}, coo.shape(),
@@ -114,21 +106,6 @@ TEST(SparseBlockDist, EmptyBlocksYieldValidLocalProblems) {
                   EXPECT_EQ(m0.cols(), 4);
                 });
   EXPECT_GE(empty_blocks, 6);
-}
-
-TEST(SparseBlockDist, CsfConstructorMatchesCooConstructor) {
-  const tensor::CooTensor coo = data::make_sparse_random({8, 9, 7}, 0.08, 11);
-  const tensor::CsfTensor csf(coo);
-  const dist::SparseBlockDist from_coo(coo);
-  const dist::SparseBlockDist from_csf(csf);
-
-  for_each_rank(4, {2, 2, 1}, coo.shape(),
-                [&](const dist::BlockDist& bd, const std::vector<int>& c) {
-                  auto a = from_coo.make_local(bd, c);
-                  auto b = from_csf.make_local(bd, c);
-                  EXPECT_EQ(a->shape(), b->shape());
-                  EXPECT_DOUBLE_EQ(a->squared_norm(), b->squared_norm());
-                });
 }
 
 /// Like for_each_rank, but the BlockDist geometry comes from the problem
@@ -196,7 +173,8 @@ TEST(ChainsOnChains, MinimizesBottleneckAndCoversEverySlice) {
 TEST(BalancedSparseDist, EveryNonzeroOwnedByExactlyOneBlock) {
   const auto gen = data::make_sparse_powerlaw({24, 20, 16}, 0.08, 1.4, 5, 0);
   const tensor::CooTensor& coo = gen.tensor;
-  const dist::BalancedSparseDist problem(coo);
+  const tensor::CsfTensor csf(coo);
+  const dist::BalancedSparseDist problem(csf);
   ASSERT_EQ(problem.global_shape(), coo.shape());
 
   index_t total_nnz = 0;
@@ -238,8 +216,9 @@ TEST(BalancedSparseDist, EveryNonzeroOwnedByExactlyOneBlock) {
 
 TEST(BalancedSparseDist, FlattensPowerlawImbalance) {
   const auto gen = data::make_sparse_powerlaw({32, 32, 32}, 0.05, 1.8, 3, 0);
-  const dist::SparseBlockDist uniform(gen.tensor);
-  const dist::BalancedSparseDist balanced(gen.tensor);
+  const tensor::CsfTensor csf(gen.tensor);
+  const dist::SparseBlockDist uniform(csf);
+  const dist::BalancedSparseDist balanced(csf);
 
   auto max_block_nnz = [&](const dist::DistProblem& p) {
     index_t worst = 0;
@@ -256,31 +235,12 @@ TEST(BalancedSparseDist, FlattensPowerlawImbalance) {
   EXPECT_LT(2 * b, u) << "uniform worst " << u << ", balanced worst " << b;
 }
 
-TEST(SparseBlockDist, SetupIsASingleBucketingPass) {
-  const tensor::CooTensor coo = data::make_sparse_random({12, 10, 8}, 0.1, 7);
-  const dist::SparseBlockDist uniform(coo);
-  const dist::BalancedSparseDist balanced(coo);
-  for (const dist::SparseBlockDist* p : {&uniform,
-                                         static_cast<const dist::SparseBlockDist*>(
-                                             &balanced)}) {
-    EXPECT_EQ(p->partition_passes(), 0u);
-    for_each_rank_of(*p, 8, {2, 2, 2},
-                     [&](const dist::BlockDist& bd, const std::vector<int>& c) {
-                       (void)p->make_local(bd, c);
-                     });
-    // Eight ranks, one shared scan of the entry list (the old geometry
-    // re-scanned per rank: O(nprocs * nnz)).
-    EXPECT_EQ(p->partition_passes(), 1u);
-  }
-}
-
 TEST(SparseBlockDist, RefetchingBucketsNeverReturnsEmptyBlocks) {
-  // Buckets are moved out of the shared cache (each coordinate fetches
-  // once per run); both a full second cycle and an out-of-contract
-  // mid-cycle double fetch must rebuild rather than hand back a
-  // moved-from empty tensor.
+  // make_local keeps no state between calls: a full second cycle and a
+  // mid-cycle double fetch of one coordinate both get the whole block.
   const tensor::CooTensor coo = data::make_sparse_random({10, 9, 8}, 0.1, 3);
-  const dist::SparseBlockDist problem(coo);
+  const tensor::CsfTensor csf(coo);
+  const dist::SparseBlockDist problem(csf);
   for (int cycle = 0; cycle < 2; ++cycle) {
     index_t total = 0;
     for_each_rank(8, {2, 2, 2}, coo.shape(),
@@ -326,6 +286,151 @@ TEST(BalancedSparseDist, SolvesAgreeWithUniformAtEveryRankCount) {
     EXPECT_LE(bal.nnz_imbalance, uni.nnz_imbalance + 1e-12);
     EXPECT_GE(bal.nnz_imbalance, 1.0);
   }
+}
+
+/// The CsfTensor of the coalesced entries of `coo` inside the box [lo, hi),
+/// re-indexed to start at `lo`, with extents `shape`: what a cut must equal.
+tensor::CsfTensor box_reference(const tensor::CooTensor& coo,
+                                const std::vector<index_t>& lo,
+                                const std::vector<index_t>& hi,
+                                const std::vector<index_t>& shape,
+                                tensor::CsfLayout layout) {
+  const auto n = static_cast<std::size_t>(coo.order());
+  tensor::CooTensor ref(shape);
+  std::vector<index_t> idx(n);
+  for (index_t e = 0; e < coo.nnz(); ++e) {
+    bool inside = true;
+    for (std::size_t m = 0; m < n; ++m) {
+      const index_t i = coo.index(e, static_cast<int>(m));
+      inside = inside && i >= lo[m] && i < hi[m];
+      idx[m] = i - lo[m];
+    }
+    if (inside) ref.push(idx, coo.value(e));
+  }
+  ref.coalesce();
+  return tensor::CsfTensor(ref, {layout});
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+std::vector<std::uint64_t> bits(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  out.reserve(v.size());
+  for (double x : v) out.push_back(bits(x));
+  return out;
+}
+
+void expect_same_csf(const tensor::CsfTensor& got,
+                     const tensor::CsfTensor& want, const std::string& where) {
+  ASSERT_EQ(got.shape(), want.shape()) << where;
+  EXPECT_EQ(got.layout(), want.layout()) << where;
+  EXPECT_EQ(got.nnz(), want.nnz()) << where;
+  EXPECT_EQ(bits(got.squared_norm()), bits(want.squared_norm())) << where;
+  EXPECT_EQ(got.density(), want.density()) << where;
+  ASSERT_EQ(got.tree_count(), want.tree_count()) << where;
+  for (int t = 0; t < got.tree_count(); ++t) {
+    const tensor::CsfTensor::Tree& a = got.tree(t);
+    const tensor::CsfTensor::Tree& b = want.tree(t);
+    const std::string tree = where + ", tree " + std::to_string(t);
+    EXPECT_EQ(a.mode_order, b.mode_order) << tree;
+    EXPECT_EQ(a.fptr, b.fptr) << tree;
+    EXPECT_EQ(a.fids, b.fids) << tree;
+    EXPECT_EQ(bits(a.vals), bits(b.vals)) << tree;
+    EXPECT_EQ(a.tile_ptr, b.tile_ptr) << tree;
+    EXPECT_EQ(a.tile_root, b.tile_root) << tree;
+    EXPECT_EQ(a.tile_root_end, b.tile_root_end) << tree;
+    EXPECT_EQ(a.internal_nodes, b.internal_nodes) << tree;
+  }
+}
+
+/// Checks every block that `problem` cuts over the grid `dims` against
+/// box_reference. All ranks cut at once, with no lock: make_local holds no
+/// shared state. Returns the number of empty blocks.
+int expect_cuts_match(const tensor::CooTensor& coo, tensor::CsfLayout layout,
+                      const dist::SparseBlockDist& problem,
+                      const std::vector<int>& dims, const std::string& tag) {
+  int nprocs = 1;
+  for (int d : dims) nprocs *= d;
+  std::atomic<int> empty_blocks{0};
+  mpsim::run(nprocs, [&](mpsim::Comm& comm) {
+    const mpsim::ProcessorGrid grid(comm, dims);
+    const dist::BlockDist bd = problem.make_block_dist(grid);
+    const std::vector<int>& c = grid.coords();
+    std::vector<index_t> lo, hi;
+    for (int m = 0; m < bd.order(); ++m) {
+      lo.push_back(bd.slab_offset(m, c[static_cast<std::size_t>(m)]));
+      hi.push_back(bd.slab_end(m, c[static_cast<std::size_t>(m)]));
+    }
+    const std::string where = tag + ", rank " + std::to_string(comm.rank());
+    const tensor::CsfTensor want =
+        box_reference(coo, lo, hi, bd.local_shape(), layout);
+    expect_same_csf(problem.block(bd, c), want, where);
+    const auto local = problem.make_local(bd, c);
+    EXPECT_EQ(local->shape(), want.shape()) << where;
+    EXPECT_EQ(local->nnz(), want.nnz()) << where;
+    EXPECT_EQ(bits(local->squared_norm()), bits(want.squared_norm())) << where;
+    if (want.nnz() == 0) ++empty_blocks;
+  });
+  return empty_blocks.load();
+}
+
+/// The whole-tensor box and every uniform and balanced block of `coo` over
+/// the grid `dims`, in both layouts. Returns the number of empty blocks.
+int expect_all_cuts_match(const tensor::CooTensor& coo,
+                          const std::vector<int>& dims,
+                          const std::string& tag) {
+  int empty = 0;
+  for (tensor::CsfLayout layout :
+       {tensor::CsfLayout::kAllModes, tensor::CsfLayout::kHalf}) {
+    const tensor::CsfTensor csf(coo, {layout});
+    const std::string where =
+        tag + " " + std::string(solver::to_string(layout));
+    // The whole-tensor box cuts the tensor itself.
+    const std::vector<index_t> zeros(coo.shape().size(), 0);
+    expect_same_csf(tensor::CsfTensor(csf, zeros, coo.shape(), coo.shape()),
+                    csf, where + ", whole box");
+    empty += expect_cuts_match(coo, layout, dist::SparseBlockDist(csf), dims,
+                               where + ", uniform");
+    empty += expect_cuts_match(coo, layout, dist::BalancedSparseDist(csf),
+                               dims, where + ", balanced");
+  }
+  return empty;
+}
+
+TEST(SparseDist, CutBlocksEqualCsfOfTheirEntries) {
+  struct Case {
+    std::vector<index_t> shape;
+    double density;
+    std::vector<int> dims;  ///< grid; nprocs is the product
+  };
+  const std::vector<Case> cases = {
+      {{13, 11}, 0.3, {2, 2}},
+      // An extent-1 mode.
+      {{9, 1}, 0.6, {4, 1}},
+      {{24, 20, 16}, 0.15, {2, 2, 2}},
+      // More blocks than mode 0 has slices: all-padding slabs.
+      {{3, 10, 9}, 0.2, {4, 1, 2}},
+      {{7, 1, 6, 5}, 0.2, {2, 1, 2, 1}},
+      {{5, 4, 6, 3, 4}, 0.1, {2, 1, 2, 1, 2}},
+      {{4, 3, 5, 3, 2, 4}, 0.1, {2, 1, 1, 2, 1, 1}},
+      // Blocks of more than one tile.
+      {{32, 28, 24}, 0.2, {2, 1, 1}},
+      // One block: the whole tensor.
+      {{40, 30, 20}, 0.25, {1, 1, 1}},
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    expect_all_cuts_match(data::make_sparse_random(c.shape, c.density, 41 + i),
+                          c.dims, "case " + std::to_string(i));
+  }
+
+  // All nonzeros in one corner: most blocks of a 2x2x2 grid are empty, 7
+  // uniform and 6 balanced ones in each layout.
+  tensor::CooTensor corner({12, 12, 12});
+  corner.push(std::vector<index_t>{0, 1, 2}, 3.0);
+  corner.push(std::vector<index_t>{1, 0, 1}, -2.0);
+  corner.coalesce();
+  EXPECT_EQ(expect_all_cuts_match(corner, {2, 2, 2}, "corner"), 2 * (7 + 6));
 }
 
 TEST(DenseBlockProblem, MatchesExtractLocalBlockBitForBit) {

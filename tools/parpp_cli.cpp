@@ -333,13 +333,6 @@ int run(const Cli& cli) {
                  "FILE.tns or --density D\n");
     return 2;
   }
-  if (*csf_layout == tensor::CsfLayout::kHalf &&
-      (method == solver::Method::kPp || method == solver::Method::kPpNncp)) {
-    std::fprintf(stderr,
-                 "--csf-layout half cannot serve the PP pair operators "
-                 "(they need a root tree per mode); use all-modes\n");
-    return 2;
-  }
   if (cli.procs < 1 || cli.threads_per_rank < 1) {
     std::fprintf(stderr, "--ranks and --threads-per-rank must be >= 1\n");
     return 2;
