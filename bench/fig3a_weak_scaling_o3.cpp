@@ -49,7 +49,6 @@ int main(int argc, char** argv) {
     const double planc =
         parpp::solve(t, bench::planc_preset(spec)).mean_sweep_seconds;
     spec.engine = core::EngineKind::kMsdt;
-    spec.engine_options.use_transposed_copy = core::TransposedCopy::kOn;
     const double msdt = parpp::solve(t, spec).mean_sweep_seconds;
 
     const par::PpKernelTimings pp = par::time_pp_kernels(

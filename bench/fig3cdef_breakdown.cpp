@@ -66,7 +66,6 @@ void run_case(const char* label, const std::vector<int>& grid, index_t slocal,
   print_profile_row("DT", mean_sweep_profile(dt.sweep_profiles));
 
   spec.engine = core::EngineKind::kMsdt;
-  spec.engine_options.use_transposed_copy = core::TransposedCopy::kOn;
   const auto msdt = parpp::solve(t, spec);
   print_profile_row("MSDT", mean_sweep_profile(msdt.sweep_profiles));
 

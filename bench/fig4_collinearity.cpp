@@ -31,7 +31,6 @@ RunStat time_solver(const tensor::DenseTensor& t, index_t rank, double tol,
   spec.engine = use_pp ? core::EngineKind::kMsdt : engine;
   spec.stopping.max_sweeps = max_sweeps;
   spec.stopping.fitness_tol = tol;
-  spec.engine_options.use_transposed_copy = core::TransposedCopy::kOn;
   spec.pp.pp_tol = pp_tol;
   WallTimer timer;
   const solver::SolveReport r = parpp::solve(t, spec);

@@ -5,7 +5,6 @@
 #include "parpp/core/msdt.hpp"
 #include "parpp/tensor/mttkrp_fused.hpp"
 #include "parpp/tensor/mttv.hpp"
-#include "parpp/tensor/transpose.hpp"
 #include "parpp/tensor/ttm.hpp"
 
 namespace parpp::core {
@@ -22,36 +21,18 @@ const char* engine_kind_name(EngineKind kind) {
 
 TreeEngineBase::TreeEngineBase(const tensor::DenseTensor& t,
                                const std::vector<la::Matrix>& factors,
-                               Profile* profile, const EngineOptions& options,
-                               bool copy_default)
+                               Profile* profile, const EngineOptions& options)
     : t_(&t),
       factors_(&factors),
       profile_(profile),
       n_(t.order()),
       max_cached_modes_(options.max_cached_modes),
-      versions_(static_cast<std::size_t>(t.order()), 0),
-      use_transposed_copy_(
-          options.use_transposed_copy == TransposedCopy::kAuto
-              ? copy_default
-              : options.use_transposed_copy == TransposedCopy::kOn) {
+      versions_(static_cast<std::size_t>(t.order()), 0) {
   PARPP_CHECK(static_cast<int>(factors.size()) == n_,
               "engine: factor count mismatch");
   for (int m = 0; m < n_; ++m) {
     PARPP_CHECK(factors[static_cast<std::size_t>(m)].rows() == t.extent(m),
                 "engine: factor ", m, " rows mismatch");
-  }
-  identity_order_.resize(static_cast<std::size_t>(n_));
-  for (int m = 0; m < n_; ++m) identity_order_[static_cast<std::size_t>(m)] = m;
-
-  if (use_transposed_copy_ && n_ >= 3) {
-    // Rotation by h = ceil(N/2): copy modes (h, h+1, ..., N-1, 0, ..., h-1).
-    // Together with the original this places modes {0, N-1, h, h-1} at a
-    // boundary position of some copy — all N modes for N in {3, 4}.
-    const int h = (n_ + 1) / 2;
-    rotated_order_.reserve(static_cast<std::size_t>(n_));
-    for (int m = 0; m < n_; ++m) rotated_order_.push_back((h + m) % n_);
-    rotated_ = std::make_unique<tensor::DenseTensor>(
-        tensor::transpose(t, rotated_order_));
   }
 }
 
@@ -120,20 +101,6 @@ std::vector<int> TreeEngineBase::range_modes(const RangeKey& key) const {
   return modes;
 }
 
-std::pair<const tensor::DenseTensor*, const std::vector<int>*>
-TreeEngineBase::pick_copy(int ttm_mode) const {
-  if (rotated_) {
-    // Position of ttm_mode in the rotated order.
-    const auto it =
-        std::find(rotated_order_.begin(), rotated_order_.end(), ttm_mode);
-    const int rpos = static_cast<int>(it - rotated_order_.begin());
-    const bool orig_boundary = ttm_mode == 0 || ttm_mode == n_ - 1;
-    const bool rot_boundary = rpos == 0 || rpos == n_ - 1;
-    if (!orig_boundary && rot_boundary) return {rotated_.get(), &rotated_order_};
-  }
-  return {t_, &identity_order_};
-}
-
 detail::NodePtr TreeEngineBase::build_from_raw(const RangeKey& key) {
   auto modes_keep = range_modes(key);
   std::vector<bool> keep(static_cast<std::size_t>(n_), false);
@@ -144,30 +111,25 @@ detail::NodePtr TreeEngineBase::build_from_raw(const RangeKey& key) {
     if (!keep[static_cast<std::size_t>(m)]) contract.push_back(m);
   PARPP_ASSERT(!contract.empty(), "build_from_raw: nothing to contract");
 
-  // Choose the TTM mode: prefer boundary modes of the raw layout (single
-  // large GEMM); otherwise any copy that puts the mode on a boundary.
+  // Choose the TTM mode: prefer the last mode, then the first (one large
+  // GEMM each); an interior mode runs as one GEMM per leading index, with
+  // the transposed operand packed into k-major panels (la::gemm_raw).
   int ttm_mode = contract.back();
   if (std::find(contract.begin(), contract.end(), n_ - 1) != contract.end())
     ttm_mode = n_ - 1;
   else if (std::find(contract.begin(), contract.end(), 0) != contract.end())
     ttm_mode = 0;
 
-  const auto [src, order] = pick_copy(ttm_mode);
-  const auto uorder = *order;
-  const int pos =
-      static_cast<int>(std::find(uorder.begin(), uorder.end(), ttm_mode) -
-                       uorder.begin());
-
   auto node = std::make_shared<detail::TreeNode>();
   // Node storage is workspace-backed: buffers of invalidated nodes cycle
   // back through ws_, so repeated sweeps rebuild allocation-free.
   tensor::DenseTensor cur(ws_), tmp(ws_);
-  tensor::ttm_first_into(*src, pos,
+  tensor::ttm_first_into(*t_, ttm_mode,
                          (*factors_)[static_cast<std::size_t>(ttm_mode)], cur,
                          &profile());
   ++ttm_count_;
-  node->modes = uorder;
-  node->modes.erase(node->modes.begin() + pos);
+  for (int m = 0; m < n_; ++m)
+    if (m != ttm_mode) node->modes.push_back(m);
   node->deps.emplace_back(ttm_mode, version(ttm_mode));
 
   // Remaining contractions by mTTV, largest mode index first (determinism;

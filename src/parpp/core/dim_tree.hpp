@@ -40,11 +40,9 @@ using NodePtr = std::shared_ptr<const TreeNode>;
 /// TTM + mTTVs, and from a parent node via mTTVs).
 class TreeEngineBase : public MttkrpEngine {
  public:
-  /// `copy_default` is the engine's kAuto resolution for the stored
-  /// transposed copy (true for MSDT, false for DT).
   TreeEngineBase(const tensor::DenseTensor& t,
                  const std::vector<la::Matrix>& factors, Profile* profile,
-                 const EngineOptions& options, bool copy_default = false);
+                 const EngineOptions& options);
 
   void notify_update(int mode) override;
 
@@ -89,8 +87,8 @@ class TreeEngineBase : public MttkrpEngine {
   void cache_store(const RangeKey& key, detail::NodePtr node);
 
   /// Builds the node covering cyclic range `key` directly from the raw
-  /// tensor: one first-level TTM on a chosen mode of the complement, then
-  /// mTTVs for the rest.
+  /// tensor: one first-level TTM on a chosen mode of the complement, read
+  /// in place whatever its position, then mTTVs for the rest.
   [[nodiscard]] detail::NodePtr build_from_raw(const RangeKey& key);
 
   /// Builds a child covering `key` from `parent` by contracting every
@@ -132,17 +130,6 @@ class TreeEngineBase : public MttkrpEngine {
   std::map<RangeKey, detail::NodePtr> cache_;
   long ttm_count_ = 0;
   long mttv_count_ = 0;
-
-  // Optional rotated copy of T (modes rotated by ceil(N/2)) so first-level
-  // TTMs on mid modes hit a boundary position of some copy.
-  bool use_transposed_copy_;
-  std::unique_ptr<tensor::DenseTensor> rotated_;
-  std::vector<int> rotated_order_;
-
-  /// Picks the (tensor, mode order) copy to contract `ttm_mode` on.
-  [[nodiscard]] std::pair<const tensor::DenseTensor*, const std::vector<int>*>
-  pick_copy(int ttm_mode) const;
-  std::vector<int> identity_order_;
 };
 
 /// Standard binary dimension tree engine: every leaf is reached by the

@@ -5,7 +5,7 @@ namespace parpp::core {
 MsdtEngine::MsdtEngine(const tensor::DenseTensor& t,
                        const std::vector<la::Matrix>& factors,
                        Profile* profile, const EngineOptions& options)
-    : TreeEngineBase(t, factors, profile, options, /*copy_default=*/true),
+    : TreeEngineBase(t, factors, profile, options),
       current_c_(t.order() - 1),
       leaves_served_(0) {
   PARPP_CHECK(t.order() >= 2, "MSDT requires an order >= 2 tensor");

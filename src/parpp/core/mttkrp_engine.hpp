@@ -51,18 +51,7 @@ enum class EngineKind {
 /// be added to both switches (-Wswitch flags the omission).
 [[nodiscard]] const char* engine_kind_name(EngineKind kind);
 
-enum class TransposedCopy {
-  kAuto,  ///< on for MSDT (the paper's configuration), off for DT
-  kOn,
-  kOff,
-};
-
 struct EngineOptions {
-  /// Keep a rotated copy of the input tensor so every first-level TTM hits
-  /// a boundary mode of some copy (Sec. IV, transpose avoidance). Only
-  /// MSDT rotates its first-level contractions through interior modes, so
-  /// kAuto enables the copy there and skips it for DT.
-  TransposedCopy use_transposed_copy = TransposedCopy::kAuto;
   /// Level-combining ablation: intermediates covering more than this many
   /// tensor modes are recomputed instead of cached (<=0 means cache all).
   /// Trades flops for auxiliary memory as analyzed in Sec. IV.

@@ -1,6 +1,7 @@
 #include "parpp/dist/dist_tensor.hpp"
 
 #include <algorithm>
+#include <span>
 
 namespace parpp::dist {
 
@@ -87,34 +88,40 @@ tensor::DenseTensor extract_local_block(const tensor::DenseTensor& global,
   const int n = dist.order();
   PARPP_CHECK(static_cast<int>(coords.size()) == n,
               "extract_local_block: coordinate order mismatch");
+  PARPP_CHECK(global.shape() == dist.global_shape(),
+              "extract_local_block: tensor shape differs from the "
+              "distribution's");
+  // Zero-filled, so padding needs no writes.
   tensor::DenseTensor local(dist.local_shape());
   if (local.size() == 0) return local;
 
-  std::vector<index_t> offset(static_cast<std::size_t>(n));
-  std::vector<index_t> end(static_cast<std::size_t>(n));
+  // Owned rows of each mode: [slab_offset, slab_end), clipped to the padded
+  // extent. Rows past slab_end are padding, even when the padded slab
+  // overlaps the next coordinate's rows (non-uniform boundaries).
+  std::vector<index_t> own(static_cast<std::size_t>(n));
+  index_t src_off = 0;
   for (int m = 0; m < n; ++m) {
-    const int c = coords[static_cast<std::size_t>(m)];
-    offset[static_cast<std::size_t>(m)] = dist.slab_offset(m, c);
-    end[static_cast<std::size_t>(m)] = dist.slab_end(m, c);
+    const auto um = static_cast<std::size_t>(m);
+    const int c = coords[um];
+    const index_t lo = dist.slab_offset(m, c);
+    own[um] = std::clamp<index_t>(dist.slab_end(m, c) - lo, 0,
+                                  dist.local_extent(m));
+    if (own[um] == 0) return local;  // an all-padding slab
+    src_off += lo * global.strides()[um];
   }
 
-  std::vector<index_t> lidx(static_cast<std::size_t>(n), 0);
-  std::vector<index_t> gidx(static_cast<std::size_t>(n), 0);
-  index_t lin = 0;
+  // Copy one contiguous run of owned last-mode entries per owned index of
+  // the leading modes.
+  const std::span<const index_t> leading(own.data(), own.size() - 1);
+  std::vector<index_t> idx(own.size(), 0);
   do {
-    bool inside = true;
-    for (int m = 0; m < n; ++m) {
-      const auto um = static_cast<std::size_t>(m);
-      gidx[um] = offset[um] + lidx[um];
-      // Rows past the owned range are padding, even when the padded slab
-      // overlaps the next coordinate's rows (non-uniform boundaries).
-      if (gidx[um] >= end[um]) {
-        inside = false;
-        break;
-      }
+    index_t from = src_off, to = 0;
+    for (std::size_t m = 0; m < leading.size(); ++m) {
+      from += idx[m] * global.strides()[m];
+      to += idx[m] * local.strides()[m];
     }
-    local[lin++] = inside ? global.at(gidx) : 0.0;
-  } while (tensor::next_index(local.shape(), lidx));
+    std::copy_n(global.data() + from, own.back(), local.data() + to);
+  } while (tensor::next_index(leading, idx));
   return local;
 }
 

@@ -96,7 +96,9 @@ class BlockDist {
 };
 
 /// Extracts the local block owned by grid coordinates `coords`, zero-padding
-/// indices past the slab's owned range.
+/// indices past the slab's owned range. `global` must have the
+/// distribution's global shape; owned entries are copied as contiguous runs
+/// along the last mode.
 [[nodiscard]] tensor::DenseTensor extract_local_block(
     const tensor::DenseTensor& global, const BlockDist& dist,
     const std::vector<int>& coords);

@@ -47,6 +47,15 @@ constexpr index_t kTileM = 4;
 constexpr index_t kTileN = 16;
 constexpr index_t kTileNNarrow = 8;
 
+// Where a register tile reads A's element (ti, l). In place (kPanel false),
+// the tile's TM rows sit lda elements apart. A transposed A arrives as a
+// k-major panel from pack_at (kPanel true): the TM values of step l are
+// contiguous, so the tile reads its panel front to back.
+template <index_t TM, bool kPanel, typename SA>
+inline double tile_a(const SA* a, index_t lda, index_t ti, index_t l) {
+  return static_cast<double>(kPanel ? a[l * TM + ti] : a[ti * lda + l]);
+}
+
 #if defined(PARPP_GEMM_GNU_VEC)
 // kVecW-wide double vectors with unaligned (8-byte) loads; the compiler
 // lowers these to the widest FMA the target has, or scalar pairs without
@@ -100,21 +109,23 @@ using vff = float __attribute__((vector_size(kVecW * 8), aligned(4)));
 // fp64, so SA can differ from SB); conversion happens at the load — a
 // lane-wide convert for B, a scalar widen under the broadcast for A.
 //
-// The rotating software prefetch on the A rows is what lets large-operand
-// GEMMs actually reach stream bandwidth: a narrow-n tile walks TM rows that
-// sit lda elements apart, and with a block row set wider than the hardware
-// prefetcher's stream table the k loop otherwise stalls on every line. One
-// prefetch per k step, rotated across the tile's rows, keeps each row a few
-// lines ahead for the cost of a single spare load slot.
-template <index_t TM, index_t TN, typename SA, typename SB>
+// The rotating software prefetch on in-place A rows is what lets
+// large-operand GEMMs actually reach stream bandwidth: a narrow-n tile walks
+// TM rows that sit lda elements apart, and with a block row set wider than
+// the hardware prefetcher's stream table the k loop otherwise stalls on
+// every line. One prefetch per k step, rotated across the tile's rows, keeps
+// each row a few lines ahead for the cost of a single spare load slot. A
+// packed panel is one sequential stream and needs none.
+template <index_t TM, index_t TN, bool kPanel, typename SA, typename SB>
 inline void micro_tile(index_t kb, double alpha, const SA* a, index_t lda,
                        const SB* b, index_t ldb, double* c, index_t ldc) {
   constexpr index_t NV = TN / kVecW;
   static_assert(NV * kVecW == TN, "tile width must be lane-multiple");
   vdf acc[TM][NV] = {};
   for (index_t l = 0; l < kb; ++l) {
-    __builtin_prefetch(
-        reinterpret_cast<const char*>(a + (l % TM) * lda + l) + 512);
+    if constexpr (!kPanel)
+      __builtin_prefetch(
+          reinterpret_cast<const char*>(a + (l % TM) * lda + l) + 512);
     const SB* brow = b + l * ldb;
     vdf bv[NV];
     for (index_t tv = 0; tv < NV; ++tv) {
@@ -124,7 +135,7 @@ inline void micro_tile(index_t kb, double alpha, const SA* a, index_t lda,
         bv[tv] = *reinterpret_cast<const vdf*>(brow + kVecW * tv);
     }
     for (index_t ti = 0; ti < TM; ++ti) {
-      const double s = static_cast<double>(a[ti * lda + l]);
+      const double s = tile_a<TM, kPanel>(a, lda, ti, l);
       const vdf av = PARPP_VBROADCAST(s);
       for (index_t tv = 0; tv < NV; ++tv) acc[ti][tv] += av * bv[tv];
     }
@@ -206,14 +217,14 @@ inline void micro_tile_f32(index_t kb, double alpha, const float* a,
   }
 }
 #else
-template <index_t TM, index_t TN, typename SA, typename SB>
+template <index_t TM, index_t TN, bool kPanel, typename SA, typename SB>
 inline void micro_tile(index_t kb, double alpha, const SA* a, index_t lda,
                        const SB* b, index_t ldb, double* c, index_t ldc) {
   double acc[TM][TN] = {};
   for (index_t l = 0; l < kb; ++l) {
     const SB* brow = b + l * ldb;
     for (index_t ti = 0; ti < TM; ++ti) {
-      const double av = static_cast<double>(a[ti * lda + l]);
+      const double av = tile_a<TM, kPanel>(a, lda, ti, l);
       for (index_t tj = 0; tj < TN; ++tj)
         acc[ti][tj] += av * static_cast<double>(brow[tj]);
     }
@@ -230,21 +241,22 @@ template <index_t TM, index_t TN>
 inline void micro_tile_f32(index_t kb, double alpha, const float* a,
                            index_t lda, const float* b, index_t ldb,
                            double* c, index_t ldc) {
-  micro_tile<TM, TN, float, float>(kb, alpha, a, lda, b, ldb, c, ldc);
+  micro_tile<TM, TN, false, float, float>(kb, alpha, a, lda, b, ldb, c, ldc);
 }
 #endif
 
 // Generic edge kernel: C[i,:] += alpha * A[i,l] * B[l,:] with the j-loop
-// vectorizable.
+// vectorizable. A's element (i, l) sits at a[i * a_row + l * a_step]:
+// (lda, 1) in place, (1, panel rows) in a k-major panel.
 template <typename SA, typename SB>
 inline void edge_kernel(index_t mb, index_t nb, index_t kb, double alpha,
-                        const SA* a, index_t lda, const SB* b, index_t ldb,
-                        double* c, index_t ldc) {
+                        const SA* a, index_t a_row, index_t a_step,
+                        const SB* b, index_t ldb, double* c, index_t ldc) {
   for (index_t i = 0; i < mb; ++i) {
     double* PARPP_RESTRICT crow = c + i * ldc;
-    const SA* arow = a + i * lda;
+    const SA* arow = a + i * a_row;
     for (index_t l = 0; l < kb; ++l) {
-      const double av = alpha * static_cast<double>(arow[l]);
+      const double av = alpha * static_cast<double>(arow[l * a_step]);
       if (av == 0.0) continue;
       const SB* PARPP_RESTRICT brow = b + l * ldb;
 #pragma omp simd
@@ -254,10 +266,14 @@ inline void edge_kernel(index_t mb, index_t nb, index_t kb, double alpha,
   }
 }
 
-// Inner kernel on one (mb x nb x kb) block with both operands row-major
-// (A mb x kb, B kb x nb): full register tiles take the fast path, ragged
-// edges fall back to the generic kernel.
-template <typename SA, typename SB>
+// Inner kernel on one (mb x nb x kb) block, B row-major (kb x nb): full
+// register tiles take the fast path, ragged edges fall back to the generic
+// kernel. A is either in place, row-major with leading dimension lda, or
+// (kPanel) pack_at's k-major panels, passed with lda == kb so that the panel
+// of rows [i, i + kTileM) starts at a + i * lda in both layouts. The layout
+// changes only where A's values are read from, never which kernel computes
+// which C element, so the two give the same bits.
+template <bool kPanel, typename SA, typename SB>
 inline void block_kernel(index_t mb, index_t nb, index_t kb, double alpha,
                          const SA* a, index_t lda, const SB* b, index_t ldb,
                          double* c, index_t ldc) {
@@ -268,14 +284,20 @@ inline void block_kernel(index_t mb, index_t nb, index_t kb, double alpha,
   const index_t nt8 = nt + (nb - nt) / kTileNNarrow * kTileNNarrow;
   constexpr bool kAllF32 =
       std::is_same_v<SA, float> && std::is_same_v<SB, float>;
+  static_assert(!(kAllF32 && kPanel), "panels are packed to fp64");
+  // Edge-kernel strides (row, k step) of a full tile's rows and of the
+  // ragged tail rows [mt, mb).
+  const index_t tile_row = kPanel ? 1 : lda;
+  const index_t tile_step = kPanel ? kTileM : 1;
+  const index_t tail_step = kPanel ? mb - mt : 1;
   for (index_t i = 0; i < mt; i += kTileM) {
     for (index_t j = 0; j < nt; j += kTileN) {
       if constexpr (kAllF32)
         micro_tile_f32<kTileM, kTileN>(kb, alpha, a + i * lda, lda, b + j,
                                        ldb, c + i * ldc + j, ldc);
       else
-        micro_tile<kTileM, kTileN>(kb, alpha, a + i * lda, lda, b + j, ldb,
-                                   c + i * ldc + j, ldc);
+        micro_tile<kTileM, kTileN, kPanel>(kb, alpha, a + i * lda, lda, b + j,
+                                           ldb, c + i * ldc + j, ldc);
     }
     if (nt8 > nt) {
       if constexpr (kAllF32)
@@ -283,46 +305,53 @@ inline void block_kernel(index_t mb, index_t nb, index_t kb, double alpha,
                                              b + nt, ldb, c + i * ldc + nt,
                                              ldc);
       else
-        micro_tile<kTileM, kTileNNarrow>(kb, alpha, a + i * lda, lda, b + nt,
-                                         ldb, c + i * ldc + nt, ldc);
+        micro_tile<kTileM, kTileNNarrow, kPanel>(kb, alpha, a + i * lda, lda,
+                                                 b + nt, ldb,
+                                                 c + i * ldc + nt, ldc);
     }
     if (nt8 < nb)
-      edge_kernel(kTileM, nb - nt8, kb, alpha, a + i * lda, lda, b + nt8, ldb,
-                  c + i * ldc + nt8, ldc);
+      edge_kernel(kTileM, nb - nt8, kb, alpha, a + i * lda, tile_row,
+                  tile_step, b + nt8, ldb, c + i * ldc + nt8, ldc);
   }
   if (mt < mb)
-    edge_kernel(mb - mt, nb, kb, alpha, a + mt * lda, lda, b, ldb,
-                c + mt * ldc, ldc);
+    edge_kernel(mb - mt, nb, kb, alpha, a + mt * lda, tile_row, tail_step, b,
+                ldb, c + mt * ldc, ldc);
 }
 
-// Packs the (mb x kb) block of op(A) starting at logical (i0, l0) into
-// contiguous row-major fp64 scratch — used only for transposed A, where it
-// turns the strided column walk into a streaming store once per block
-// instead of once per inner-loop pass (and widens fp32 inputs as it goes,
-// so the mixed-type micro_tile sees plain doubles on the broadcast side).
+// Packs the (mb x kb) block of a transposed A at logical (i0, l0) into
+// fp64 k-major panels (Goto & van de Geijn's packed A): the panel of rows
+// [i, i + w), w = min(kTileM, mb - i), fills dst[i * kb, (i + w) * kb) with
+// the w values of step l at dst + i * kb + l * w. Op(A)'s column l0 + l is
+// the contiguous source row l, so the pack reads each row's mb-element
+// segment once, front to back, prefetching a few rows ahead. A walk down
+// op(A)'s columns instead strides lda elements per load; when lda is a large
+// power of two (the mode-0 TTM of a 256^3 tensor has lda = 65536 doubles)
+// all of a column's lines fall into one cache set, and each line is fetched
+// from L3 once per element used. fp32 inputs are widened here, so the
+// mixed-type micro_tile sees plain doubles on the broadcast side.
 template <typename S>
-inline void pack_a(index_t mb, index_t kb, const S* a, index_t lda, Trans ta,
-                   index_t i0, index_t l0, double* dst) {
-  if (ta == Trans::kNo) {
-    const S* src = a + i0 * lda + l0;
-    for (index_t i = 0; i < mb; ++i) {
-      const S* PARPP_RESTRICT srow = src + i * lda;
-      double* PARPP_RESTRICT drow = dst + i * kb;
-      // Keep the short per-row runs ahead of the stream: the hardware
-      // prefetcher restarts its ramp at every row jump. One touch per line,
-      // outside the copy loop so the copy itself stays vectorized.
-      constexpr index_t kLine = 64 / static_cast<index_t>(sizeof(S));
-      for (index_t l = 0; l < kb; l += kLine)
-        __builtin_prefetch(srow + l + 2 * kLine);
-#pragma omp simd
-      for (index_t l = 0; l < kb; ++l)
-        drow[l] = static_cast<double>(srow[l]);
+inline void pack_at(index_t mb, index_t kb, const S* a, index_t lda,
+                    index_t i0, index_t l0, double* dst) {
+  constexpr index_t kLine = 64 / static_cast<index_t>(sizeof(S));
+  constexpr index_t kAhead = 8;  // source rows in flight ahead of the copy
+  const index_t mt = mb / kTileM * kTileM;
+  const index_t tail = mb - mt;  // rows of the ragged last panel
+  const S* src = a + l0 * lda + i0;  // physical (kb x mb)
+  for (index_t l = 0; l < kb; ++l) {
+    const S* PARPP_RESTRICT srow = src + l * lda;
+    if (l + kAhead < kb)
+      for (index_t i = 0; i < mb; i += kLine)
+        __builtin_prefetch(srow + kAhead * lda + i);
+    // Full panels copy kTileM values each, a fixed trip count that
+    // vectorizes; the ragged panel is at most kTileM - 1 values.
+    for (index_t i = 0; i < mt; i += kTileM) {
+      double* PARPP_RESTRICT d = dst + i * kb + l * kTileM;
+      for (index_t ti = 0; ti < kTileM; ++ti)
+        d[ti] = static_cast<double>(srow[i + ti]);
     }
-  } else {
-    const S* src = a + l0 * lda + i0;  // physical (kb x mb)
-    for (index_t i = 0; i < mb; ++i)
-      for (index_t l = 0; l < kb; ++l)
-        dst[i * kb + l] = static_cast<double>(src[l * lda + i]);
+    double* PARPP_RESTRICT d = dst + mt * kb + l * tail;
+    for (index_t ti = 0; ti < tail; ++ti)
+      d[ti] = static_cast<double>(srow[mt + ti]);
   }
 }
 
@@ -416,13 +445,12 @@ void gemm_raw_impl(Trans trans_a, Trans trans_b, index_t m, index_t n,
           bblk_ld = ldb;
         }
         if (trans_a == Trans::kYes) {
-          if (j0 == 0)
-            pack_a(mb, kb, a, lda, trans_a, i0, l0, a_scratch.data());
-          block_kernel(mb, nb, kb, alpha, a_scratch.data(), kb, bblk, bblk_ld,
-                       c + i0 * ldc + j0, ldc);
+          if (j0 == 0) pack_at(mb, kb, a, lda, i0, l0, a_scratch.data());
+          block_kernel<true>(mb, nb, kb, alpha, a_scratch.data(), kb, bblk,
+                             bblk_ld, c + i0 * ldc + j0, ldc);
         } else {
-          block_kernel(mb, nb, kb, alpha, a + i0 * lda + l0, lda, bblk,
-                       bblk_ld, c + i0 * ldc + j0, ldc);
+          block_kernel<false>(mb, nb, kb, alpha, a + i0 * lda + l0, lda, bblk,
+                              bblk_ld, c + i0 * ldc + j0, ldc);
         }
       }
     }

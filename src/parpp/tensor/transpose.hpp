@@ -12,8 +12,8 @@ namespace parpp::tensor {
 /// out.shape[m] == in.shape[perm[m]].
 ///
 /// Implementation walks the input linearly and scatters with precomputed
-/// output strides; the common "rotate one mode to the front" case used by
-/// MSDT's stored-transpose optimization hits a contiguous inner loop.
+/// output strides; a permutation that keeps the last mode last hits a
+/// contiguous inner loop.
 [[nodiscard]] DenseTensor transpose(const DenseTensor& in,
                                     const std::vector<int>& perm);
 

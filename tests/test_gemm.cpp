@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <tuple>
+#include <vector>
 
 #include "parpp/la/gemm.hpp"
 #include "test_util.hpp"
@@ -30,6 +33,18 @@ Matrix ref_matmul(const Matrix& a, const Matrix& b, Trans ta, Trans tb) {
 
 using Shape = std::tuple<index_t, index_t, index_t>;  // m, n, k
 
+// GemmShapes' cases; the bitwise transposed-A test below reuses them.
+const std::vector<Shape> kGemmShapes = {
+    Shape{1, 1, 1},    Shape{3, 5, 7},     Shape{16, 16, 16},
+    Shape{65, 33, 17}, Shape{128, 70, 300}, Shape{1, 64, 64},
+    Shape{64, 1, 64},  Shape{64, 64, 1},    Shape{257, 129, 5}};
+
+std::uint64_t bits(double v) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
 class GemmShapes : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(GemmShapes, AllTransposeCombosMatchReference) {
@@ -48,11 +63,44 @@ TEST_P(GemmShapes, AllTransposeCombosMatchReference) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, GemmShapes,
-    ::testing::Values(Shape{1, 1, 1}, Shape{3, 5, 7}, Shape{16, 16, 16},
-                      Shape{65, 33, 17}, Shape{128, 70, 300}, Shape{1, 64, 64},
-                      Shape{64, 1, 64}, Shape{64, 64, 1}, Shape{257, 129, 5}));
+INSTANTIATE_TEST_SUITE_P(Shapes, GemmShapes,
+                         ::testing::ValuesIn(kGemmShapes));
+
+/// A transposed A is packed before the register tiles read it, a plain A is
+/// read in place. Both calls share m, n and k, so the same kernel computes
+/// each C element over the same k chunks in the same order: the packed path
+/// must give the in-place path's bits. The shapes straddle the register
+/// tile (m around 4 and 8, n around 8 and 16), the row block (m around 64)
+/// and the k chunk (k around 256).
+TEST(Gemm, TransposedAMatchesExplicitTransposeBitwise) {
+  std::vector<Shape> shapes = kGemmShapes;
+  for (index_t m : {1, 7, 8, 9, 63, 64, 65, 200})
+    for (index_t n : {1, 8, 15, 16, 17, 130})
+      for (index_t k : {1, 255, 256, 257, 600}) shapes.emplace_back(m, n, k);
+  for (const auto& [m, n, k] : shapes) {
+    const Matrix at = test::random_matrix(k, m, 31);  // stored A^T
+    Matrix a(m, k);
+    for (index_t i = 0; i < m; ++i)
+      for (index_t l = 0; l < k; ++l) a(i, l) = at(l, i);
+    const Matrix b = test::random_matrix(k, n, 32);
+    const Matrix c0 = test::random_matrix(m, n, 33);
+    for (double alpha : {1.0, -0.5}) {
+      for (double beta : {0.0, 1.0}) {
+        SCOPED_TRACE(::testing::Message() << "m " << m << " n " << n << " k "
+                                          << k << " alpha " << alpha
+                                          << " beta " << beta);
+        Matrix packed = c0, in_place = c0;
+        gemm_raw(Trans::kYes, Trans::kNo, m, n, k, alpha, at.data(), m,
+                 b.data(), n, beta, packed.data(), n);
+        gemm_raw(Trans::kNo, Trans::kNo, m, n, k, alpha, a.data(), k,
+                 b.data(), n, beta, in_place.data(), n);
+        for (index_t i = 0; i < m * n; ++i)
+          EXPECT_EQ(bits(packed.data()[i]), bits(in_place.data()[i]))
+              << "element " << i;
+      }
+    }
+  }
+}
 
 TEST(Gemm, BetaAccumulates) {
   const Matrix a = test::random_matrix(8, 4, 3);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <set>
+#include <sstream>
 
 #include "parpp/dist/dist_tensor.hpp"
 #include "parpp/dist/factor_dist.hpp"
@@ -103,6 +106,88 @@ TEST(BlockDist, BlockContentsMatchGlobal) {
       }
     }
   });
+}
+
+/// Element-by-element block extraction: one bounds test and one global
+/// lookup per local entry. extract_local_block copies contiguous last-mode
+/// runs instead and must give the same block.
+tensor::DenseTensor extract_elementwise(const tensor::DenseTensor& global,
+                                        const dist::BlockDist& dist,
+                                        const std::vector<int>& coords) {
+  const int n = dist.order();
+  tensor::DenseTensor local(dist.local_shape());
+  if (local.size() == 0) return local;
+  std::vector<index_t> lidx(static_cast<std::size_t>(n), 0);
+  std::vector<index_t> gidx(static_cast<std::size_t>(n), 0);
+  index_t lin = 0;
+  do {
+    bool inside = true;
+    for (int m = 0; m < n; ++m) {
+      const auto um = static_cast<std::size_t>(m);
+      gidx[um] = dist.slab_offset(m, coords[um]) + lidx[um];
+      if (gidx[um] >= dist.slab_end(m, coords[um])) {
+        inside = false;
+        break;
+      }
+    }
+    local[lin++] = inside ? global.at(gidx) : 0.0;
+  } while (tensor::next_index(local.shape(), lidx));
+  return local;
+}
+
+std::uint64_t bits(double v) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
+/// Every rank of a `dims` grid extracts its block with uniform bounds (empty
+/// `bounds`) or the given ones; each block must equal the element-wise
+/// oracle's in shape and in every entry's bits.
+void expect_runs_match_elementwise(
+    const std::vector<index_t>& shape, const std::vector<int>& dims,
+    const std::vector<std::vector<index_t>>& bounds = {}) {
+  const auto global = test::random_tensor(shape, 703);
+  int procs = 1;
+  for (int d : dims) procs *= d;
+  std::ostringstream what;
+  test::print_dims(shape, &what);
+  what << " on ";
+  test::print_dims(dims, &what);
+  what << (bounds.empty() ? " uniform" : " non-uniform");
+  mpsim::run(procs, [&](mpsim::Comm& comm) {
+    mpsim::ProcessorGrid grid(comm, dims);
+    const dist::BlockDist dist =
+        bounds.empty() ? dist::BlockDist(grid, shape)
+                       : dist::BlockDist(grid, shape, bounds);
+    const auto got = dist::extract_local_block(global, dist, grid.coords());
+    const auto want = extract_elementwise(global, dist, grid.coords());
+    ASSERT_EQ(got.shape(), want.shape()) << what.str();
+    for (index_t i = 0; i < want.size(); ++i)
+      EXPECT_EQ(bits(got[i]), bits(want[i]))
+          << what.str() << " rank " << comm.rank() << " entry " << i;
+  });
+}
+
+TEST(BlockDist, RunWiseExtractionMatchesElementwise) {
+  // Uniform bounds on orders 1-5, extents the grid does not divide.
+  expect_runs_match_elementwise({10}, {3});
+  expect_runs_match_elementwise({7, 5}, {2, 3});
+  expect_runs_match_elementwise({5, 6, 7, 3}, {2, 1, 2, 1});
+  expect_runs_match_elementwise({3, 4, 2, 5, 6}, {1, 2, 1, 2, 1});
+  // Extent-1 modes: split two ways, the second slab is all padding.
+  expect_runs_match_elementwise({9, 1, 10}, {2, 2, 1});
+  expect_runs_match_elementwise({4, 5, 1}, {1, 2, 2});
+  // More blocks than the middle mode's two rows.
+  expect_runs_match_elementwise({9, 2, 10}, {1, 4, 1});
+  // Non-uniform: mode 0's first slab is zero-width; mode 0's second and
+  // mode 1's first padded slabs overlap the next coordinate's rows.
+  expect_runs_match_elementwise({10, 8, 9}, {3, 2, 1},
+                                {{0, 0, 7, 10}, {0, 5, 8}, {0, 9}});
+  // Non-uniform order 4 with bounds past the extent: mode 2's last two
+  // slabs start beyond it and own nothing.
+  expect_runs_match_elementwise({6, 5, 10, 4}, {2, 1, 3, 1},
+                                {{0, 4, 6}, {0, 5}, {0, 11, 11, 12}, {0, 4}});
 }
 
 TEST(FactorDist, QRowsPartitionGlobalRows) {

@@ -13,14 +13,12 @@ namespace {
 struct MsdtCase {
   std::vector<index_t> shape;
   index_t rank;
-  bool transposed_copy;
 };
 
 void PrintTo(const MsdtCase& c, std::ostream* os) {
   *os << "shape ";
   test::print_dims(c.shape, os);
-  *os << " rank " << c.rank << " transposed copy "
-      << (c.transposed_copy ? "on" : "off");
+  *os << " rank " << c.rank;
 }
 
 class MsdtShapes : public ::testing::TestWithParam<MsdtCase> {};
@@ -36,10 +34,7 @@ TEST_P(MsdtShapes, BitwiseAgreesWithDtUnderAls) {
   auto run = [&](EngineKind kind) {
     auto factors = test::random_factors(param.shape, param.rank, 202);
     auto grams = all_grams(factors);
-    EngineOptions opts;
-    opts.use_transposed_copy =
-        param.transposed_copy ? TransposedCopy::kOn : TransposedCopy::kOff;
-    auto engine = make_engine(kind, t, factors, nullptr, opts);
+    auto engine = make_engine(kind, t, factors);
     for (int sweep = 0; sweep < 4; ++sweep) {
       for (int i = 0; i < n; ++i) {
         const la::Matrix gamma = gamma_chain(grams, i);
@@ -69,12 +64,8 @@ TEST_P(MsdtShapes, BitwiseAgreesWithDtUnderAls) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, MsdtShapes,
-    ::testing::Values(MsdtCase{{6, 7, 8}, 4, false},
-                      MsdtCase{{6, 7, 8}, 4, true},
-                      MsdtCase{{4, 5, 6, 3}, 3, false},
-                      MsdtCase{{4, 5, 6, 3}, 3, true},
-                      MsdtCase{{3, 4, 3, 4, 3}, 2, false},
-                      MsdtCase{{7, 6}, 3, false}));
+    ::testing::Values(MsdtCase{{6, 7, 8}, 4}, MsdtCase{{4, 5, 6, 3}, 3},
+                      MsdtCase{{3, 4, 3, 4, 3}, 2}, MsdtCase{{7, 6}, 3}));
 
 /// Every MTTKRP MSDT produces matches the unamortized reference at the
 /// current factor values (per-call exactness, not just end-to-end).
@@ -121,26 +112,6 @@ TEST(MsdtEngine, TtmCountMatchesTheory) {
     for (int s = 0; s < n - 1; ++s) run_sweep();
     EXPECT_EQ(engine.ttm_count() - before, n)
         << "order " << n << ": N TTMs per N-1 sweeps";
-  }
-}
-
-TEST(MsdtEngine, TransposedCopyDoesNotChangeResults) {
-  const std::vector<index_t> shape{5, 4, 6, 3};
-  const auto t = test::random_tensor(shape, 208);
-  auto factors = test::random_factors(shape, 3, 209);
-  EngineOptions plain, copy;
-  copy.use_transposed_copy = TransposedCopy::kOn;
-  MsdtEngine a(t, factors, nullptr, plain), b(t, factors, nullptr, copy);
-  for (int sweep = 0; sweep < 3; ++sweep) {
-    for (int i = 0; i < 4; ++i) {
-      const la::Matrix ma = a.mttkrp(i);
-      const la::Matrix mb = b.mttkrp(i);
-      ASSERT_LE(ma.max_abs_diff(mb), 1e-10 * (ma.frobenius_norm() + 1.0));
-      Rng rng(210 + sweep * 4 + i);
-      factors[static_cast<std::size_t>(i)].fill_uniform(rng);
-      a.notify_update(i);
-      b.notify_update(i);
-    }
   }
 }
 

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
+#include <cstdint>
+#include <sstream>
 
 #include "parpp/tensor/mttv.hpp"
 #include "parpp/tensor/ttm.hpp"
@@ -70,6 +74,34 @@ TEST(Ttm, MatchesReferenceOrder4AllModes) {
     const la::Matrix a = test::random_matrix(t.extent(mode), 3, 14 + mode);
     test::expect_tensor_near(ttm_first(t, mode, a), ref_ttm_first(t, mode, a),
                              1e-12, "ttm order 4");
+  }
+}
+
+/// Register-tile sizes: R of 8, 16 and 20 fills the narrow, full and
+/// full-plus-edge column tiles, and the extents sit on both sides of the
+/// 4- and 8-row tiles and the 64-row block, so every interior and leading
+/// mode packs full and ragged transposed panels (k of 300 also crosses the
+/// 256-step k chunk).
+TEST(Ttm, MatchesReferenceAtRegisterTileSizes) {
+  const std::vector<std::vector<index_t>> shapes = {
+      {9, 17, 70}, {5, 300, 9}, {8, 8, 66, 3}, {3, 9, 5, 4, 7}};
+  std::uint64_t seed = 40;
+  for (const auto& shape : shapes) {
+    const DenseTensor t = test::random_tensor(shape, ++seed);
+    for (index_t r : {8, 16, 20}) {
+      for (int mode = 0; mode < t.order(); ++mode) {
+        const la::Matrix a = test::random_matrix(t.extent(mode), r, ++seed);
+        const DenseTensor want = ref_ttm_first(t, mode, a);
+        double scale = 0.0;
+        for (index_t i = 0; i < want.size(); ++i)
+          scale = std::max(scale, std::abs(want[i]));
+        std::ostringstream what;
+        test::print_dims(shape, &what);
+        what << " R " << r << " mode " << mode;
+        test::expect_tensor_near(ttm_first(t, mode, a), want, 1e-12 * scale,
+                                 what.str().c_str());
+      }
+    }
   }
 }
 
