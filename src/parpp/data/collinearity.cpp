@@ -1,5 +1,6 @@
 #include "parpp/data/collinearity.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "parpp/la/eig_jacobi.hpp"
@@ -68,11 +69,39 @@ CollinearTensor make_collinear_tensor(const std::vector<index_t>& shape,
   if (noise > 0.0) {
     const double scale = noise * out.tensor.frobenius_norm() /
                          std::sqrt(static_cast<double>(out.tensor.size()));
-    Rng nrng = root.split(4242);
-    for (index_t i = 0; i < out.tensor.size(); ++i)
-      out.tensor[i] += scale * nrng.normal();
+    const auto size = static_cast<std::size_t>(out.tensor.size());
+    add_normal_noise({out.tensor.data(), size}, scale, root.split(4242));
   }
   return out;
+}
+
+void add_normal_noise(std::span<double> x, double scale, Rng rng) {
+  if (!x.empty() && rng.has_spare_normal()) {
+    x.front() += scale * rng.normal();
+    x = x.subspan(1);
+  }
+  // rng now sits at a pair boundary. The skip draws what normal() draws
+  // per pair: u1 until uniform() is nonzero (its top 53 bits), then u2.
+  const auto n = static_cast<index_t>(x.size());
+  const index_t chunks = (n + kNoiseChunk - 1) / kNoiseChunk;
+  std::vector<Rng> start;
+  start.reserve(static_cast<std::size_t>(chunks));
+  for (index_t c = 0; c < chunks; ++c) {
+    start.push_back(rng);
+    if (c + 1 == chunks) break;
+    for (index_t pair = 0; pair < kNoiseChunk / 2; ++pair) {
+      std::uint64_t u1 = 0;
+      while (u1 == 0) u1 = rng.next_u64() >> 11;
+      (void)rng.next_u64();
+    }
+  }
+#pragma omp parallel for schedule(static) if (chunks > 1)
+  for (index_t c = 0; c < chunks; ++c) {
+    Rng r = start[static_cast<std::size_t>(c)];
+    const index_t end = std::min(n, (c + 1) * kNoiseChunk);
+    for (index_t i = c * kNoiseChunk; i < end; ++i)
+      x[static_cast<std::size_t>(i)] += scale * r.normal();
+  }
 }
 
 }  // namespace parpp::data

@@ -70,13 +70,22 @@ std::vector<index_t> zipf_sample_distinct(const std::vector<double>& cdf,
 }
 
 /// Emits each rank-one term of `factors` on its support cross-product
-/// (odometer walk); the caller's coalesce() then sums overlapping terms,
-/// which is exactly [[A]] there.
+/// (odometer walk) into storage reserved at the exact entry count; the
+/// caller's coalesce() then sums overlapping terms, which is exactly [[A]]
+/// there.
 void emit_rank_one_terms(
     const std::vector<std::vector<std::vector<index_t>>>& supports,
     const std::vector<la::Matrix>& factors, index_t rank,
     tensor::CooTensor& t) {
   const int n = static_cast<int>(supports.size());
+  index_t entries = 0;
+  for (index_t r = 0; r < rank; ++r) {
+    index_t term = 1;
+    for (const auto& mode : supports)
+      term *= static_cast<index_t>(mode[static_cast<std::size_t>(r)].size());
+    entries += term;
+  }
+  t.reserve(entries);
   std::vector<index_t> tuple(static_cast<std::size_t>(n));
   std::vector<index_t> pos(static_cast<std::size_t>(n));
   for (index_t r = 0; r < rank; ++r) {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <utility>
 
 namespace parpp::tensor {
 
@@ -67,15 +67,17 @@ void CooTensor::coalesce() {
       return;
     }
   }
+  // Least significant mode first: each stable pass keeps the order the
+  // later modes set, so the result sorts lexicographically with duplicates
+  // in push order.
   std::vector<index_t> perm(static_cast<std::size_t>(count));
-  std::iota(perm.begin(), perm.end(), index_t{0});
-  // stable_sort keeps duplicates in push order, so their merged sum is
-  // deterministic regardless of the sort implementation.
-  std::stable_sort(perm.begin(), perm.end(), [&](index_t a, index_t b) {
-    const index_t* pa = idx_.data() + a * n;
-    const index_t* pb = idx_.data() + b * n;
-    return std::lexicographical_compare(pa, pa + n, pb, pb + n);
-  });
+  {
+    std::vector<index_t> prev(static_cast<std::size_t>(count));
+    for (int m = n; m-- > 0;) {
+      std::swap(perm, prev);
+      sort_pass(m, m == n - 1 ? nullptr : prev.data(), perm.data());
+    }
+  }
 
   std::vector<index_t> new_idx;
   std::vector<double> new_vals;
@@ -100,6 +102,44 @@ void CooTensor::coalesce() {
   idx_ = std::move(new_idx);
   vals_ = std::move(new_vals);
   coalesced_ = true;
+}
+
+void CooTensor::sort_pass(int mode, const index_t* src, index_t* dst) const {
+  PARPP_CHECK(mode >= 0 && mode < order(), "sort_pass: bad mode ", mode);
+  const index_t count = nnz();
+  if (count == 0) return;
+  const int n = order();
+  const index_t keys = extent(mode);
+  // Blocks of at least kMinBlock entries, and few enough that the table,
+  // blocks * keys words, stays within max(nnz, keys).
+  constexpr index_t kMinBlock = index_t{1} << 14;
+  const index_t blocks = std::max<index_t>(
+      1, std::min((count + kMinBlock - 1) / kMinBlock, count / keys));
+  const index_t block = (count + blocks - 1) / blocks;
+  std::vector<index_t> offset(static_cast<std::size_t>(blocks * keys), 0);
+  const index_t* coords = idx_.data() + mode;
+  const auto entry = [src](index_t p) { return src ? src[p] : p; };
+  const bool team = count >= kParallelSortMin;
+
+#pragma omp parallel for schedule(static) if (team)
+  for (index_t b = 0; b < blocks; ++b) {
+    index_t* row = offset.data() + b * keys;
+    for (index_t p = b * block; p < std::min(count, (b + 1) * block); ++p)
+      ++row[coords[entry(p) * n]];
+  }
+  index_t start = 0;
+  for (index_t k = 0; k < keys; ++k)
+    for (index_t b = 0; b < blocks; ++b)
+      start += std::exchange(offset[static_cast<std::size_t>(b * keys + k)],
+                             start);
+#pragma omp parallel for schedule(static) if (team)
+  for (index_t b = 0; b < blocks; ++b) {
+    index_t* row = offset.data() + b * keys;
+    for (index_t p = b * block; p < std::min(count, (b + 1) * block); ++p) {
+      const index_t e = entry(p);
+      dst[row[coords[e * n]]++] = e;
+    }
+  }
 }
 
 double CooTensor::squared_norm() const {

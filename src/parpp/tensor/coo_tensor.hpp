@@ -49,9 +49,23 @@ class CooTensor {
   }
 
   /// Sorts entries lexicographically, merges duplicate coordinates (values
-  /// sum) and drops exact zeros. Idempotent; stable with respect to the
-  /// push order of duplicates, so merged sums are deterministic.
+  /// sum, in push order) and drops exact zeros. Idempotent. The sort is one
+  /// sort_pass per mode, last mode first: O(N·(nnz + extent)) and the same
+  /// permutation as a stable comparator sort, so merged sums are
+  /// deterministic and independent of the thread count.
   void coalesce();
+
+  /// One stable counting-sort pass: writes to dst[0, nnz) the entries
+  /// src[0, nnz) (nullptr: 0, 1, ..., nnz-1), ordered by their coordinate
+  /// in `mode`, ties kept in src order. The entries are cut into fixed
+  /// blocks; each block counts its keys, offsets are prefixed key by key
+  /// and within a key block by block, and each block scatters in order. A
+  /// stable sort's output is unique, so the blocks only decide who does the
+  /// work: they run on the OpenMP team from kParallelSortMin entries. The
+  /// count table takes at most nnz + extent(mode) words.
+  void sort_pass(int mode, const index_t* src, index_t* dst) const;
+  /// Entries from which sort_pass runs its blocks on the team.
+  static constexpr index_t kParallelSortMin = index_t{1} << 16;
   /// True when the entry list is sorted and duplicate-free (the invariant
   /// CsfTensor construction and squared_norm() require). Trivially true for
   /// an empty tensor; push() clears it.

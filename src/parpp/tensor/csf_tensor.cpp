@@ -11,32 +11,16 @@ namespace {
 
 void build_tiles(CsfTensor::Tree& tree, int n);
 
-/// Stable counting sort of the entries `src` (nullptr: 0..nnz-1 in COO
-/// order) by their coordinate in `mode`, written to `dst`. The bucket
-/// offsets take one word per index of the mode.
-void counting_pass(const CooTensor& coo, int mode, const index_t* src,
-                   index_t* dst) {
-  const index_t nnz = coo.nnz();
-  const auto entry = [&](index_t p) { return src ? src[p] : p; };
-  std::vector<index_t> offset(static_cast<std::size_t>(coo.extent(mode)), 0);
-  for (index_t p = 0; p < nnz; ++p)
-    ++offset[static_cast<std::size_t>(coo.index(entry(p), mode))];
-  index_t start = 0;
-  for (index_t& o : offset) start += std::exchange(o, start);
-  for (index_t p = 0; p < nnz; ++p) {
-    const index_t e = entry(p);
-    dst[offset[static_cast<std::size_t>(coo.index(e, mode))]++] = e;
-  }
-}
-
 /// Builds one fiber tree in three linear passes: order the entries, find
 /// where each opens new nodes (sizing every level), then fill exact-size
 /// arrays. A coalesced entry set has exactly one tree per mode order, so
-/// the result does not depend on how the entries were ordered.
+/// the result does not depend on how the entries were ordered. The count
+/// and fill passes run by blocks of kBuildBlock entries: a prefix over the
+/// blocks' level counts hands each block the node slots the serial fill
+/// would give its entries, so the arrays do not depend on the team either.
 CsfTensor::Tree build_tree(const CooTensor& coo, std::vector<int> mode_order) {
   const auto n = static_cast<std::size_t>(coo.order());
   const index_t nnz = coo.nnz();
-  PARPP_CHECK(n <= 255, "CsfTensor: tensor order must be <= 255, got ", n);
 
   CsfTensor::Tree tree;
   tree.mode_order = std::move(mode_order);
@@ -54,8 +38,7 @@ CsfTensor::Tree build_tree(const CooTensor& coo, std::vector<int> mode_order) {
   for (std::size_t l = sorted_from; l-- > 0;) {
     std::swap(perm, prev);
     perm.resize(static_cast<std::size_t>(nnz));
-    counting_pass(coo, mo[l], prev.empty() ? nullptr : prev.data(),
-                  perm.data());
+    coo.sort_pass(mo[l], prev.empty() ? nullptr : prev.data(), perm.data());
   }
   prev = {};
   const auto entry = [&](index_t p) {
@@ -64,19 +47,34 @@ CsfTensor::Tree build_tree(const CooTensor& coo, std::vector<int> mode_order) {
 
   // 2. Count: an entry opens fresh nodes from the first level whose
   // coordinate differs from the previous entry's down to the leaf, so
-  // level l holds one node per entry opening at or above it.
+  // level l holds one node per entry opening at or above it. Row b of
+  // `next` first counts block b's nodes per level, then becomes the
+  // block's first slot on each level.
+  constexpr index_t kBlock = CsfTensor::kBuildBlock;
+  const index_t blocks = (nnz + kBlock - 1) / kBlock;
+  const bool team = nnz >= CsfTensor::kParallelBuildMin;
   std::vector<std::uint8_t> opens(static_cast<std::size_t>(nnz));
-  std::vector<index_t> nodes(n, 0);
-  for (index_t p = 0; p < nnz; ++p) {
-    std::size_t l = 0;
-    if (p > 0) {
-      const index_t e = entry(p), before = entry(p - 1);
-      while (l + 1 < n && coo.index(e, mo[l]) == coo.index(before, mo[l])) ++l;
+  std::vector<index_t> next(static_cast<std::size_t>(blocks) * n, 0);
+#pragma omp parallel for schedule(static) if (team)
+  for (index_t b = 0; b < blocks; ++b) {
+    index_t* count = next.data() + static_cast<std::size_t>(b) * n;
+    for (index_t p = b * kBlock; p < std::min(nnz, (b + 1) * kBlock); ++p) {
+      std::size_t l = 0;
+      if (p > 0) {
+        const index_t e = entry(p), before = entry(p - 1);
+        while (l + 1 < n && coo.index(e, mo[l]) == coo.index(before, mo[l]))
+          ++l;
+      }
+      opens[static_cast<std::size_t>(p)] = static_cast<std::uint8_t>(l);
+      ++count[l];
     }
-    opens[static_cast<std::size_t>(p)] = static_cast<std::uint8_t>(l);
-    ++nodes[l];
+    for (std::size_t l = 1; l < n; ++l) count[l] += count[l - 1];
   }
-  for (std::size_t l = 1; l < n; ++l) nodes[l] += nodes[l - 1];
+  std::vector<index_t> nodes(n, 0);
+  for (index_t b = 0; b < blocks; ++b)
+    for (std::size_t l = 0; l < n; ++l)
+      nodes[l] += std::exchange(next[static_cast<std::size_t>(b) * n + l],
+                                nodes[l]);
 
   // 3. Fill: a new node's children start where level l+1 currently ends.
   tree.fids.resize(n);
@@ -86,15 +84,18 @@ CsfTensor::Tree build_tree(const CooTensor& coo, std::vector<int> mode_order) {
     if (l + 1 < n) tree.fptr[l].resize(static_cast<std::size_t>(nodes[l]) + 1);
   }
   tree.vals.resize(static_cast<std::size_t>(nnz));
-  std::vector<index_t> filled(n, 0);
-  for (index_t p = 0; p < nnz; ++p) {
-    const index_t e = entry(p);
-    for (std::size_t l = opens[static_cast<std::size_t>(p)]; l < n; ++l) {
-      const auto j = static_cast<std::size_t>(filled[l]++);
-      if (l + 1 < n) tree.fptr[l][j] = filled[l + 1];
-      tree.fids[l][j] = coo.index(e, mo[l]);
+#pragma omp parallel for schedule(static) if (team)
+  for (index_t b = 0; b < blocks; ++b) {
+    index_t* filled = next.data() + static_cast<std::size_t>(b) * n;
+    for (index_t p = b * kBlock; p < std::min(nnz, (b + 1) * kBlock); ++p) {
+      const index_t e = entry(p);
+      for (std::size_t l = opens[static_cast<std::size_t>(p)]; l < n; ++l) {
+        const auto j = static_cast<std::size_t>(filled[l]++);
+        if (l + 1 < n) tree.fptr[l][j] = filled[l + 1];
+        tree.fids[l][j] = coo.index(e, mo[l]);
+      }
+      tree.vals[static_cast<std::size_t>(p)] = coo.value(e);
     }
-    tree.vals[static_cast<std::size_t>(p)] = coo.value(e);
   }
   for (std::size_t l = 0; l + 1 < n; ++l) tree.fptr[l].back() = nodes[l + 1];
   for (std::size_t l = 1; l + 1 < n; ++l) tree.internal_nodes += nodes[l];
@@ -252,6 +253,9 @@ CsfTensor::CsfTensor(const CooTensor& coo, const CsfOptions& options)
       dense_size_(coo.dense_size()),
       layout_(options.layout) {
   PARPP_CHECK(order() >= 2, "CsfTensor: tensor order must be >= 2");
+  // Construction keeps each entry's first new level in one byte.
+  PARPP_CHECK(order() <= 255, "CsfTensor: tensor order must be <= 255, got ",
+              order());
   PARPP_CHECK(coo.coalesced(),
               "CsfTensor: COO input must be coalesced (sorted, no duplicate "
               "coordinates) — call CooTensor::coalesce() first");

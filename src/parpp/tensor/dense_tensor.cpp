@@ -36,8 +36,15 @@ void DenseTensor::set_shape(std::vector<index_t> shape) {
 
 DenseTensor::DenseTensor(std::vector<index_t> shape) {
   set_shape(std::move(shape));
-  owned_.assign(static_cast<std::size_t>(size_), 0.0);
+  owned_.resize(static_cast<std::size_t>(size_));  // allocates, writes nothing
   data_ptr_ = owned_.data();
+  constexpr index_t kBlock = index_t{1} << 15;
+  const index_t blocks = (size_ + kBlock - 1) / kBlock;
+#pragma omp parallel for schedule(static) if (size_ >= kParallelZeroMin)
+  for (index_t b = 0; b < blocks; ++b) {
+    std::fill(data_ptr_ + b * kBlock,
+              data_ptr_ + std::min(size_, (b + 1) * kBlock), 0.0);
+  }
 }
 
 DenseTensor::DenseTensor(std::vector<index_t> shape, util::KernelWorkspace& ws)

@@ -1,6 +1,8 @@
 // Dense order-N tensor with row-major (last-mode-fastest) layout.
 #pragma once
 
+#include <memory>
+#include <new>
 #include <optional>
 #include <span>
 #include <vector>
@@ -12,6 +14,25 @@
 
 namespace parpp::tensor {
 
+namespace detail {
+/// std::allocator whose value-less construct() default-initializes, so a
+/// vector<double> can grow without writing its elements first. Construction
+/// with arguments falls through to std::construct_at.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>& /*other*/) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept { ::new (static_cast<void*>(p)) U; }
+};
+}  // namespace detail
+
 /// Dense tensor of doubles. Storage is row-major: the last mode varies
 /// fastest, matching the layout assumptions of the TTM/mTTV kernels
 /// (dimension-tree intermediates carry their rank mode last so corrections
@@ -19,12 +40,18 @@ namespace parpp::tensor {
 ///
 /// Storage is either owned (zero-initialized, the default) or leased from a
 /// KernelWorkspace (uninitialized — the engines overwrite every element via
-/// the *_into kernels). reshape() re-targets the same storage when capacity
-/// allows, which is what makes steady-state tree sweeps allocation-free.
-/// Copying always deep-copies into owned storage; moving transfers the
-/// lease.
+/// the *_into kernels). Owned storage is allocated without value
+/// initialization and zeroed in fixed blocks, on the OpenMP team from
+/// kParallelZeroMin entries, so a large tensor's pages are first touched
+/// by every thread rather than by one. reshape() re-targets the same
+/// storage when capacity allows, which is what makes steady-state tree
+/// sweeps allocation-free. Copying always deep-copies into owned storage;
+/// moving transfers the lease.
 class DenseTensor {
  public:
+  /// Entries from which DenseTensor(shape) zeroes on the team.
+  static constexpr index_t kParallelZeroMin = index_t{1} << 18;
+
   DenseTensor() = default;
   explicit DenseTensor(std::vector<index_t> shape);
   /// Workspace-backed tensor; contents are UNINITIALIZED.
@@ -99,7 +126,7 @@ class DenseTensor {
   // is disengaged). ws_ holds a *copy* of the workspace handle — a cheap
   // shared-pool reference — so reshape() growth stays valid even if the
   // tensor is moved beyond the lifetime of the original handle.
-  std::vector<double> owned_;
+  std::vector<double, detail::DefaultInitAllocator<double>> owned_;
   util::KernelWorkspace::Lease lease_;
   std::optional<util::KernelWorkspace> ws_;
   double* data_ptr_ = nullptr;

@@ -30,6 +30,8 @@ class Rng {
   /// Standard normal variate (Box–Muller; stateless between calls except for
   /// the cached spare value).
   double normal();
+  /// True when the next normal() returns the cached spare without drawing.
+  [[nodiscard]] bool has_spare_normal() const { return has_spare_; }
 
   /// Uniform integer in [0, n). Requires n > 0.
   index_t uniform_index(index_t n);

@@ -3,7 +3,6 @@
 // on short root modes), allocation-free steady state, and team-sized
 // workspace slabs.
 #include <gtest/gtest.h>
-#include <omp.h>
 
 #include <vector>
 
@@ -16,15 +15,6 @@
 
 namespace parpp {
 namespace {
-
-/// Runs `body` with the OpenMP thread count forced to `threads`.
-template <typename Body>
-void with_threads(int threads, Body&& body) {
-  const int ambient = omp_get_max_threads();
-  omp_set_num_threads(threads);
-  body();
-  omp_set_num_threads(ambient);
-}
 
 void expect_valid_tiling(const tensor::CsfTensor& t) {
   for (int mode = 0; mode < t.order(); ++mode) {
@@ -89,7 +79,7 @@ void expect_tiled_matches(const tensor::CooTensor& coo, index_t rank,
   const tensor::DenseTensor dense = coo.densify();
   const auto factors = test::random_factors(coo.shape(), rank, seed);
   for (int threads : {1, 4}) {
-    with_threads(threads, [&] {
+    test::with_threads(threads, [&] {
       for (int mode = 0; mode < coo.order(); ++mode) {
         const la::Matrix ref = tensor::mttkrp_fused(dense, factors, mode);
         test::expect_matrix_near(
@@ -133,7 +123,7 @@ TEST(CsfTiling, TiledSteadyStateIsAllocationFree) {
   const auto gen = data::make_sparse_powerlaw({4, 48, 48}, 0.3, 1.0, 21, 0);
   const tensor::CsfTensor csf(gen.tensor);
   const auto factors = test::random_factors(csf.shape(), 8, 42);
-  with_threads(4, [&] {
+  test::with_threads(4, [&] {
     util::KernelWorkspace ws;
     la::Matrix out;
     for (int mode = 0; mode < 3; ++mode)
@@ -161,7 +151,7 @@ TEST(CsfTiling, WorkspaceSlabsAreTeamSized) {
   const auto factors = test::random_factors(coo.shape(), 128, 42);
   auto arena_bytes = [&](int threads) {
     std::size_t bytes = 0;
-    with_threads(threads, [&] {
+    test::with_threads(threads, [&] {
       util::KernelWorkspace ws;
       la::Matrix out;
       tensor::mttkrp_csf_into(csf, factors, 0, out, nullptr, &ws,
@@ -179,7 +169,7 @@ TEST(CsfTiling, EngineHonorsWalkOption) {
   auto factors = test::random_factors(csf.shape(), 6, 17);
   core::EngineOptions tiled_opt;
   tiled_opt.csf_walk = tensor::CsfWalk::kTiled;
-  with_threads(4, [&] {
+  test::with_threads(4, [&] {
     const auto tiled =
         core::make_engine(core::EngineKind::kSparse, csf, factors, nullptr,
                           tiled_opt);

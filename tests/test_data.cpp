@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "parpp/data/chemistry.hpp"
@@ -56,6 +58,46 @@ TEST(Collinearity, DeterministicInSeed) {
   const auto a = make_collinear_tensor({6, 6, 6}, 2, 0.2, 0.4, 7);
   const auto b = make_collinear_tensor({6, 6, 6}, 2, 0.2, 0.4, 7);
   EXPECT_DOUBLE_EQ(a.tensor.max_abs_diff(b.tensor), 0.0);
+}
+
+/// add_normal_noise against the loop it replaces, kept as its oracle, at
+/// sizes around and across the chunk boundary (the largest runs on the
+/// team) and at team sizes 1-4.
+void expect_noise_matches_serial_loop(const std::string& name, Rng rng) {
+  const index_t c = kNoiseChunk;
+  const std::vector<index_t> sizes{1, 2, 3, c - 1, c, c + 1, 3 * c + 1};
+  for (const index_t n : sizes) {
+    std::vector<double> want(static_cast<std::size_t>(n));
+    for (std::size_t i = 0; i < want.size(); ++i)
+      want[i] = 0.5 * static_cast<double>(i % 7) - 1.0;
+    const std::vector<double> base = want;
+    Rng serial = rng;
+    for (double& v : want) v += 0.25 * serial.normal();
+    for (int threads = 1; threads <= 4; ++threads) {
+      std::vector<double> got = base;
+      test::with_threads(threads, [&] { add_normal_noise(got, 0.25, rng); });
+      const std::size_t bytes = got.size() * sizeof(double);
+      ASSERT_EQ(std::memcmp(got.data(), want.data(), bytes), 0)
+          << name << ", " << n << " entries, " << threads << " threads";
+    }
+  }
+}
+
+TEST(Collinearity, NoiseEqualsTheSerialStreamBitForBit) {
+  expect_noise_matches_serial_loop("split", Rng(1102).split(4242));
+  // With s[1] == 0 the first output is 0, so normal()'s first u1 is
+  // rejected and its pair takes three draws: every chunk after the first
+  // starts one draw later than a replay that ignored the rejection.
+  Rng crafted;
+  crafted.set_state({0x0123456789ABCDEFull, 0, 0x5DEECE66Dull, 42});
+  Rng first = crafted;
+  ASSERT_EQ(first.next_u64(), 0u);
+  expect_noise_matches_serial_loop("crafted", crafted);
+  // Mid-pair: the first entry takes the cached spare.
+  Rng spare(77);
+  (void)spare.normal();
+  ASSERT_TRUE(spare.has_spare_normal());
+  expect_noise_matches_serial_loop("spare", spare);
 }
 
 TEST(Chemistry, ShapeAndSymmetry) {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 #include <omp.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "parpp/tensor/dense_tensor.hpp"
 #include "test_util.hpp"
@@ -62,6 +65,57 @@ TEST(DenseTensor, SquaredNormIsIndependentOfThreadCount) {
   for (int call = 0; call < 50; ++call)
     ASSERT_EQ(t.squared_norm(), serial) << "call " << call;
   omp_set_num_threads(saved);
+}
+
+/// True when every entry of `t` is +0.0, bit for bit.
+bool all_positive_zero(const DenseTensor& t) {
+  return std::all_of(t.data(), t.data() + t.size(), [](double v) {
+    return v == 0.0 && !std::signbit(v);
+  });
+}
+
+TEST(DenseTensor, OwnedStorageStartsZeroAtEveryTeamSize) {
+  // Below kParallelZeroMin one thread zeroes the blocks, from it the team.
+  const index_t t = DenseTensor::kParallelZeroMin;
+  for (const index_t n : {index_t{1}, index_t{1000}, t - 1, t, t + 1, 5 * t}) {
+    for (int threads = 1; threads <= 4; ++threads) {
+      {
+        // Dirty the heap so a recycled block that skipped zeroing shows.
+        std::vector<double> junk(static_cast<std::size_t>(n), -3.5);
+      }
+      test::with_threads(threads, [&] {
+        const DenseTensor z({n});
+        ASSERT_EQ(z.size(), n);
+        EXPECT_TRUE(all_positive_zero(z))
+            << n << " entries, " << threads << " threads";
+      });
+    }
+  }
+}
+
+TEST(DenseTensor, ReshapeGrowthAndCopiesKeepTheirValues) {
+  const index_t big = 2 * DenseTensor::kParallelZeroMin;
+  const auto bytes = static_cast<std::size_t>(big) * sizeof(double);
+  DenseTensor a({3, 4});
+  a.fill(2.5);
+  a.reshape({big});  // growth keeps the old prefix and zeroes the rest
+  for (index_t i = 0; i < big; ++i)
+    ASSERT_EQ(a[i], i < 12 ? 2.5 : 0.0) << "entry " << i;
+
+  for (index_t i = 0; i < big; ++i) a[i] = static_cast<double>(i) - 0.5;
+  const DenseTensor copy(a);
+  ASSERT_EQ(copy.shape(), a.shape());
+  EXPECT_EQ(std::memcmp(copy.data(), a.data(), bytes), 0);
+  DenseTensor smaller({5});
+  smaller.fill(9.0);
+  smaller = a;  // copy-assignment that grows
+  EXPECT_EQ(std::memcmp(smaller.data(), a.data(), bytes), 0);
+  DenseTensor larger({big + 10});
+  larger.fill(9.0);
+  const DenseTensor zeros({2, 2});
+  larger = zeros;  // copy-assignment that shrinks
+  EXPECT_EQ(larger.size(), 4);
+  EXPECT_TRUE(all_positive_zero(larger));
 }
 
 TEST(DenseTensor, AxpyAndMaxAbsDiff) {

@@ -1,11 +1,14 @@
 // CooTensor / CsfTensor storage and FROSTT .tns round-trip tests.
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -41,6 +44,121 @@ TEST(CooTensor, PushCoalesceMergesDuplicatesAndDropsZeros) {
   EXPECT_DOUBLE_EQ(t.value(1), 1.75);
 
   EXPECT_DOUBLE_EQ(t.squared_norm(), 2.0 * 2.0 + 1.75 * 1.75);
+}
+
+/// coalesce() as a comparator sort, the way it was written before its
+/// counting passes, kept as the oracle: stable_sort a permutation, then
+/// sum each run of equal coordinates in push order and drop zero sums.
+std::pair<std::vector<index_t>, std::vector<double>> comparator_coalesce(
+    const tensor::CooTensor& t) {
+  std::vector<std::vector<index_t>> tuple(static_cast<std::size_t>(t.nnz()));
+  std::vector<index_t> perm(tuple.size());
+  for (std::size_t e = 0; e < tuple.size(); ++e) {
+    for (int m = 0; m < t.order(); ++m)
+      tuple[e].push_back(t.index(static_cast<index_t>(e), m));
+    perm[e] = static_cast<index_t>(e);
+  }
+  const auto key = [&](index_t e) -> const std::vector<index_t>& {
+    return tuple[static_cast<std::size_t>(e)];
+  };
+  std::stable_sort(perm.begin(), perm.end(),
+                   [&](index_t a, index_t b) { return key(a) < key(b); });
+  std::vector<index_t> idx;
+  std::vector<double> vals;
+  for (std::size_t p = 0; p < perm.size();) {
+    const std::vector<index_t>& k = key(perm[p]);
+    double v = t.value(perm[p]);
+    while (++p < perm.size() && key(perm[p]) == k) v += t.value(perm[p]);
+    if (v == 0.0) continue;
+    idx.insert(idx.end(), k.begin(), k.end());
+    vals.push_back(v);
+  }
+  return {idx, vals};
+}
+
+/// `entries` random pushes into `shape` (small extents, so coordinates
+/// collide) with values drawn from a set holding zeros, exact
+/// cancellations and sums whose bits depend on their order.
+tensor::CooTensor random_pushes(std::vector<index_t> shape, index_t entries,
+                                std::uint64_t seed) {
+  static constexpr double kValues[] = {1e16, 1.0, -1e16, 0.0, 0.1, 0.2, -0.2};
+  constexpr auto kCount = static_cast<index_t>(std::size(kValues));
+  tensor::CooTensor t(shape);
+  Rng rng(seed);
+  std::vector<index_t> idx(shape.size());
+  for (index_t e = 0; e < entries; ++e) {
+    for (std::size_t m = 0; m < shape.size(); ++m)
+      idx[m] = rng.uniform_index(shape[m]);
+    t.push(idx, kValues[rng.uniform_index(kCount)]);
+  }
+  return t;
+}
+
+void expect_coalesce_matches_comparator_sort(const tensor::CooTensor& input,
+                                             const std::string& label) {
+  const auto [want_idx, want_vals] = comparator_coalesce(input);
+  for (int threads = 1; threads <= 4; ++threads) {
+    tensor::CooTensor got = input;
+    test::with_threads(threads, [&] { got.coalesce(); });
+    const std::string where =
+        label + ", " + std::to_string(threads) + " threads";
+    ASSERT_TRUE(got.coalesced()) << where;
+    ASSERT_EQ(got.nnz(), static_cast<index_t>(want_vals.size())) << where;
+    for (index_t e = 0; e < got.nnz(); ++e) {
+      for (int m = 0; m < got.order(); ++m)
+        ASSERT_EQ(got.index(e, m),
+                  want_idx[static_cast<std::size_t>(e * got.order() + m)])
+            << where << ", entry " << e;
+      const double v = got.value(e);
+      const double w = want_vals[static_cast<std::size_t>(e)];
+      ASSERT_EQ(std::memcmp(&v, &w, sizeof v), 0) << where << ", entry " << e;
+    }
+  }
+}
+
+TEST(CooTensor, CoalesceEqualsTheStableComparatorSort) {
+  // Push order decides the sum: 1e16 + 1 rounds back to 1e16, so the
+  // first group sums to 0 (dropped) and the second to 1.
+  tensor::CooTensor order_matters({3, 2});
+  const std::vector<index_t> a{2, 1}, b{0, 1}, c{1, 0};
+  for (const double v : {1e16, 1.0, -1e16}) order_matters.push(a, v);
+  for (const double v : {1e16, -1e16, 1.0}) order_matters.push(b, v);
+  order_matters.push(c, 0.0);  // explicit zero
+  order_matters.push(c, 0.0);
+  expect_coalesce_matches_comparator_sort(order_matters, "push order");
+  {
+    tensor::CooTensor t = order_matters;
+    t.coalesce();
+    ASSERT_EQ(t.nnz(), 1);
+    EXPECT_EQ(t.value(0), 1.0);
+  }
+
+  // Orders 1-6, with extent-1 modes leading, inside and trailing.
+  const std::vector<std::vector<index_t>> shapes{{9},
+                                                 {1, 7},
+                                                 {5, 1, 6},
+                                                 {4, 3, 1, 5},
+                                                 {3, 1, 4, 2, 3},
+                                                 {2, 3, 2, 1, 3, 2}};
+  for (std::size_t s = 0; s < shapes.size(); ++s)
+    expect_coalesce_matches_comparator_sort(
+        random_pushes(shapes[s], 400, 70 + s),
+        "order " + std::to_string(shapes[s].size()));
+
+  // Already sorted and duplicate-free: the fast path keeps it as is.
+  tensor::CooTensor sorted({4, 5});
+  for (index_t i = 0; i < 4; ++i)
+    for (index_t j = 0; j < 5; j += 2)
+      sorted.push(std::vector<index_t>{i, j}, 1.0 + static_cast<double>(i * j));
+  expect_coalesce_matches_comparator_sort(sorted, "sorted");
+
+  // Above kParallelSortMin, with the count table capped by nnz on the long
+  // mode.
+  const index_t big = 3 * tensor::CooTensor::kParallelSortMin + 17;
+  expect_coalesce_matches_comparator_sort(random_pushes({40, 7, 30}, big, 78),
+                                          "parallel order 3");
+  expect_coalesce_matches_comparator_sort(
+      random_pushes({3, 200000, 2}, big, 79), "parallel, long mode");
 }
 
 TEST(CooTensor, DensifyAccumulatesDuplicates) {
@@ -189,29 +307,40 @@ std::vector<int> documented_mode_order(int n, int t, tensor::CsfLayout layout) {
   return order;
 }
 
+/// Builds both layouts of `coo` and compares every tree with
+/// reference_tree. `teams` lists the OpenMP team sizes to build at (0: the
+/// ambient one); each reference tree is built once.
 void expect_trees_match_reference(const tensor::CooTensor& coo,
-                                  const std::string& label) {
+                                  const std::string& label,
+                                  const std::vector<int>& teams = {0}) {
   ASSERT_TRUE(coo.coalesced()) << label;
   const int n = coo.order();
   for (const auto layout :
        {tensor::CsfLayout::kAllModes, tensor::CsfLayout::kHalf}) {
-    const tensor::CsfTensor csf(coo, tensor::CsfOptions{layout});
     const bool half = layout == tensor::CsfLayout::kHalf;
-    ASSERT_EQ(csf.tree_count(), half ? (n + 1) / 2 : n) << label;
-    for (int t = 0; t < csf.tree_count(); ++t) {
-      const std::string where = label + (half ? " half" : " all-modes") +
-                                " tree " + std::to_string(t);
-      const auto& got = csf.tree(t);
-      const auto want =
-          reference_tree(coo, documented_mode_order(n, t, layout));
-      EXPECT_EQ(got.mode_order, want.mode_order) << where;
-      EXPECT_EQ(got.fptr, want.fptr) << where;
-      EXPECT_EQ(got.fids, want.fids) << where;
-      EXPECT_EQ(got.vals, want.vals) << where;
-      EXPECT_EQ(got.internal_nodes, want.internal_nodes) << where;
-      EXPECT_EQ(got.tile_ptr, want.tile_ptr) << where;
-      EXPECT_EQ(got.tile_root, want.tile_root) << where;
-      EXPECT_EQ(got.tile_root_end, want.tile_root_end) << where;
+    std::vector<tensor::CsfTensor::Tree> want;
+    for (int t = 0; t < (half ? (n + 1) / 2 : n); ++t)
+      want.push_back(reference_tree(coo, documented_mode_order(n, t, layout)));
+    for (const int team : teams) {
+      std::optional<tensor::CsfTensor> csf;
+      test::with_threads(team > 0 ? team : omp_get_max_threads(),
+                         [&] { csf.emplace(coo, tensor::CsfOptions{layout}); });
+      ASSERT_EQ(csf->tree_count(), static_cast<int>(want.size())) << label;
+      for (std::size_t t = 0; t < want.size(); ++t) {
+        const std::string where =
+            label + (half ? " half" : " all-modes") + " tree " +
+            std::to_string(t) +
+            (team > 0 ? ", team " + std::to_string(team) : std::string());
+        const auto& got = csf->tree(static_cast<int>(t));
+        EXPECT_EQ(got.mode_order, want[t].mode_order) << where;
+        EXPECT_EQ(got.fptr, want[t].fptr) << where;
+        EXPECT_EQ(got.fids, want[t].fids) << where;
+        EXPECT_EQ(got.vals, want[t].vals) << where;
+        EXPECT_EQ(got.internal_nodes, want[t].internal_nodes) << where;
+        EXPECT_EQ(got.tile_ptr, want[t].tile_ptr) << where;
+        EXPECT_EQ(got.tile_root, want[t].tile_root) << where;
+        EXPECT_EQ(got.tile_root_end, want[t].tile_root_end) << where;
+      }
     }
   }
 }
@@ -276,6 +405,33 @@ TEST(CsfTensor, TreesEqualReferenceOnPowerlawSkew) {
   EXPECT_GT(tensor::CsfTensor(gen3.tensor).tree(2).tile_count(), 2);
   const auto gen4 = data::make_sparse_powerlaw({20, 18, 16, 14}, 0.05, 1.0, 8);
   expect_trees_match_reference(gen4.tensor, "powerlaw order 4");
+}
+
+TEST(CsfTensor, TreesOnTheParallelPathEqualReference) {
+  // Above kParallelBuildMin nonzeros the sort passes, the level count and
+  // the fill run by blocks on the team; the trees must not change with it.
+  const std::vector<int> teams{1, 2, 3, 4};
+  const auto random3 = data::make_sparse_random({80, 70, 60}, 0.3, 61);
+  ASSERT_GT(random3.nnz(), tensor::CsfTensor::kParallelBuildMin);
+  expect_trees_match_reference(random3, "random order 3", teams);
+
+  // Order 4: half tree 1 is [1,0,3,2] and takes three sort passes.
+  const auto random4 = data::make_sparse_random({26, 24, 22, 20}, 0.4, 62);
+  ASSERT_GT(random4.nnz(), tensor::CsfTensor::kParallelBuildMin);
+  const tensor::CsfTensor half(random4,
+                               tensor::CsfOptions{tensor::CsfLayout::kHalf});
+  ASSERT_EQ(half.tree(1).mode_order, (std::vector<int>{1, 0, 3, 2}));
+  expect_trees_match_reference(random4, "random order 4", teams);
+
+  // Power law: the head root fiber's leaves run past the first block, so
+  // its nodes are filled by two blocks.
+  const auto skew = data::make_sparse_powerlaw({6, 800, 800}, 0.03, 0.8, 63);
+  ASSERT_GT(skew.tensor.nnz(), tensor::CsfTensor::kParallelBuildMin);
+  const tensor::CsfTensor skew_csf(skew.tensor);
+  const auto& tree0 = skew_csf.tree(0);
+  ASSERT_GT(tree0.fptr[1][static_cast<std::size_t>(tree0.fptr[0][1])],
+            tensor::CsfTensor::kBuildBlock);
+  expect_trees_match_reference(skew.tensor, "powerlaw order 3", teams);
 }
 
 TEST(CsfTensor, RejectsOrderAbove255) {

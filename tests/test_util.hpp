@@ -2,6 +2,7 @@
 #pragma once
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <algorithm>
 #include <ostream>
@@ -126,6 +127,15 @@ inline std::vector<la::Matrix> reference_sweeps(const tensor::DenseTensor& t,
     }
   }
   return f;
+}
+
+/// Runs `body` with the OpenMP thread count forced to `threads`.
+template <typename Body>
+void with_threads(int threads, Body&& body) {
+  const int ambient = omp_get_max_threads();
+  omp_set_num_threads(threads);
+  body();
+  omp_set_num_threads(ambient);
 }
 
 /// Writes `dims` as "6x7x8". Value-parameterized cases print through this
