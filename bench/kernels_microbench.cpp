@@ -17,7 +17,6 @@
 #include "parpp/core/gram.hpp"
 #include "parpp/data/sparse_synthetic.hpp"
 #include "parpp/la/gemm.hpp"
-#include "parpp/la/scalar.hpp"
 #include "parpp/la/spd_solve.hpp"
 #include "parpp/tensor/csf_tensor.hpp"
 #include "parpp/tensor/mttkrp_fused.hpp"
@@ -259,49 +258,12 @@ void BM_MttkrpOrder4Fused(benchmark::State& state) {
 BENCHMARK(BM_MttkrpOrder4Fused);
 
 // ---------------------------------------------------------------------------
-// The scalar-type axis (fp32 storage, fp64 accumulation). Two regimes:
-//
-//   * compute-bound (s=128, R=32 — the default fused config above): fp32
-//     mostly measures the conversion overhead, speedup ~1x.
-//   * bandwidth-bound (R=8, s=320 — arithmetic intensity R/4 = 2 flop/byte
-//     over a 327 MB tensor): the tensor stream has to come from DRAM, which
-//     a single core drains far slower than the register-blocked kernel
-//     computes, so halving the streamed bytes is the whole game; fp32
-//     storage must be >= 1.5x (acceptance bar). The size matters: at
-//     ~64 MB the tensor is served out of the (large, shared) L3 on the
-//     reference host and the same config reads as compute-bound.
-
-std::vector<float> to_f32(const double* src, index_t n) {
-  std::vector<float> out(static_cast<std::size_t>(n));
-  for (index_t i = 0; i < n; ++i)
-    out[static_cast<std::size_t>(i)] = static_cast<float>(src[i]);
-  return out;
-}
-
-double mttkrp_bytes_f32(const tensor::DenseTensor& t, index_t r, int modes) {
-  return (static_cast<double>(t.size()) +
-          static_cast<double>(t.extent(0)) * r) *
-         4.0 * modes;
-}
-
-void BM_MttkrpFusedF32(benchmark::State& state) {
-  const int mode = static_cast<int>(state.range(0));
-  const auto t = rand_tensor({kMttkrpS, kMttkrpS, kMttkrpS}, 13);
-  const auto f = rand_factors(t.shape(), kMttkrpR, 14);
-  const std::vector<float> t32 = to_f32(t.data(), t.size());
-  std::vector<la::MatrixF32> mirrors;
-  la::sync_mirrors(f, mirrors);
-  util::KernelWorkspace ws;
-  la::Matrix out;
-  for (auto _ : state) {
-    tensor::mttkrp_into_f32(t32.data(), t.shape(), mirrors, mode, out,
-                            nullptr, &ws);
-    benchmark::DoNotOptimize(out.data());
-  }
-  set_rates(state, mttkrp_flops(t, kMttkrpR, 1),
-            mttkrp_bytes_f32(t, kMttkrpR, 1));
-}
-BENCHMARK(BM_MttkrpFusedF32)->Arg(0)->Arg(1)->Arg(2);
+// Bandwidth-bound fused MTTKRP (R=8, s=320 — arithmetic intensity R/4 = 2
+// flop/byte over a 262 MB tensor): the tensor stream has to come from DRAM,
+// which a single core drains far slower than the register-blocked kernel
+// computes. The size matters: at ~64 MB the tensor is served out of the
+// (large, shared) L3 on the reference host and the same config reads as
+// compute-bound.
 
 constexpr index_t kBwS = 320;
 constexpr index_t kBwR = 8;
@@ -320,30 +282,11 @@ void BM_MttkrpFusedBandwidth(benchmark::State& state) {
 }
 BENCHMARK(BM_MttkrpFusedBandwidth)->Arg(0)->Arg(1);
 
-void BM_MttkrpFusedBandwidthF32(benchmark::State& state) {
-  const int mode = static_cast<int>(state.range(0));
-  const auto t = rand_tensor({kBwS, kBwS, kBwS}, 17);
-  const auto f = rand_factors(t.shape(), kBwR, 18);
-  const std::vector<float> t32 = to_f32(t.data(), t.size());
-  std::vector<la::MatrixF32> mirrors;
-  la::sync_mirrors(f, mirrors);
-  util::KernelWorkspace ws;
-  la::Matrix out;
-  for (auto _ : state) {
-    tensor::mttkrp_into_f32(t32.data(), t.shape(), mirrors, mode, out,
-                            nullptr, &ws);
-    benchmark::DoNotOptimize(out.data());
-  }
-  set_rates(state, mttkrp_flops(t, kBwR, 1), mttkrp_bytes_f32(t, kBwR, 1));
-}
-BENCHMARK(BM_MttkrpFusedBandwidthF32)->Arg(0)->Arg(1);
-
 // ---------------------------------------------------------------------------
 // CSF walk at large extents: every nonzero gathers a random factor row
 // (256 B = 4 cache lines at R=32 fp64), so the walk is a bandwidth/latency
-// gather over ~190 MB of factors — the sparse bandwidth-bound regime. fp32
-// storage halves both the gathered lines per row and the streamed values.
-// As with the fused bandwidth config, the factors must overflow the shared
+// gather over ~190 MB of factors — the sparse bandwidth-bound regime. As
+// with the fused bandwidth config, the factors must overflow the shared
 // L3 of the reference host for the gather stream to actually hit DRAM —
 // at extent 2^16 (16 MB per factor) the same walk reads as cache-resident.
 
@@ -363,15 +306,13 @@ double csf_flops(const tensor::CsfTensor& t, int mode, index_t r) {
 }
 
 // Bytes-moved model of the root walk: values + one gathered leaf row per
-// nonzero + one row per interior node (all at the storage width), plus the
-// fp64 output scatter.
-double csf_bytes(const tensor::CsfTensor& t, int mode, index_t r,
-                 double storage_bytes) {
-  return static_cast<double>(t.nnz()) * (1.0 + static_cast<double>(r)) *
-             storage_bytes +
-         static_cast<double>(t.tree(mode).internal_nodes) *
-             static_cast<double>(r) * storage_bytes +
-         static_cast<double>(t.extent(mode)) * static_cast<double>(r) * 8.0;
+// nonzero + one row per interior node, plus the output scatter.
+double csf_bytes(const tensor::CsfTensor& t, int mode, index_t r) {
+  return (static_cast<double>(t.nnz()) * (1.0 + static_cast<double>(r)) +
+          static_cast<double>(t.tree(mode).internal_nodes) *
+              static_cast<double>(r) +
+          static_cast<double>(t.extent(mode)) * static_cast<double>(r)) *
+         8.0;
 }
 
 void BM_CsfWalkBandwidth(benchmark::State& state) {
@@ -384,30 +325,9 @@ void BM_CsfWalkBandwidth(benchmark::State& state) {
     tensor::mttkrp_csf_into(csf, f, mode, out, nullptr, &ws);
     benchmark::DoNotOptimize(out.data());
   }
-  set_rates(state, csf_flops(csf, mode, kCsfR),
-            csf_bytes(csf, mode, kCsfR, 8.0));
+  set_rates(state, csf_flops(csf, mode, kCsfR), csf_bytes(csf, mode, kCsfR));
 }
 BENCHMARK(BM_CsfWalkBandwidth)->Arg(0)->Arg(1);
-
-void BM_CsfWalkBandwidthF32(benchmark::State& state) {
-  const int mode = static_cast<int>(state.range(0));
-  const tensor::CsfTensor& csf = big_csf();
-  const auto f = rand_factors(csf.shape(), kCsfR, 22);
-  std::vector<la::MatrixF32> mirrors;
-  la::sync_mirrors(f, mirrors);
-  tensor::CsfValsF32 vals32;
-  vals32.sync(csf);
-  util::KernelWorkspace ws;
-  la::Matrix out;
-  for (auto _ : state) {
-    tensor::mttkrp_csf_into_f32(csf, mirrors, mode, vals32, out, nullptr,
-                                &ws);
-    benchmark::DoNotOptimize(out.data());
-  }
-  set_rates(state, csf_flops(csf, mode, kCsfR),
-            csf_bytes(csf, mode, kCsfR, 4.0));
-}
-BENCHMARK(BM_CsfWalkBandwidthF32)->Arg(0)->Arg(1);
 
 }  // namespace
 

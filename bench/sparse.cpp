@@ -10,7 +10,6 @@
 
 #include "bench_util.hpp"
 #include "parpp/data/sparse_synthetic.hpp"
-#include "parpp/la/scalar.hpp"
 #include "parpp/solver/solver.hpp"
 #include "parpp/tensor/csf_tensor.hpp"
 #include "parpp/tensor/mttkrp_fused.hpp"
@@ -29,8 +28,6 @@ struct Row {
   double csf_mttkrp_ms = 0.0;    ///< all modes, per rep
   double csf_gflops = 0.0;       ///< useful sparse flops 2R(nnz+interior)
   double csf_gbs = 0.0;          ///< bytes-moved model (values + rows + out)
-  double csf32_mttkrp_ms = 0.0;  ///< fp32-storage walk, all modes
-  double csf32_gbs = 0.0;
   double dense_mttkrp_ms = 0.0;  ///< densified fused path, all modes
   double dense_gflops = 0.0;     ///< dense flops 2|T|R per mode
   double dense_gbs = 0.0;
@@ -39,16 +36,13 @@ struct Row {
 };
 
 /// Bytes the root walk of `mode` streams: one value + one gathered leaf
-/// row per nonzero and one row per interior node at the storage width,
-/// plus the fp64 output.
-double csf_walk_bytes(const tensor::CsfTensor& t, int mode, index_t rank,
-                      double storage_bytes) {
-  return static_cast<double>(t.nnz()) *
-             (1.0 + static_cast<double>(rank)) * storage_bytes +
-         static_cast<double>(t.tree(mode).internal_nodes) *
-             static_cast<double>(rank) * storage_bytes +
-         static_cast<double>(t.extent(mode)) *
-             static_cast<double>(rank) * 8.0;
+/// row per nonzero and one row per interior node, plus the output.
+double csf_walk_bytes(const tensor::CsfTensor& t, int mode, index_t rank) {
+  return (static_cast<double>(t.nnz()) * (1.0 + static_cast<double>(rank)) +
+          static_cast<double>(t.tree(mode).internal_nodes) *
+              static_cast<double>(rank) +
+          static_cast<double>(t.extent(mode)) * static_cast<double>(rank)) *
+         8.0;
 }
 
 double run_sweeps_per_sec(const solver::TensorSource& t, int rank,
@@ -86,10 +80,9 @@ int main(int argc, char** argv) {
 
   const std::vector<index_t> shape{size, size, size};
   std::vector<Row> rows;
-  std::printf("%10s %9s %12s %9s %9s %12s %9s %12s %9s %11s %11s\n",
-              "density", "nnz", "csf-mtt(ms)", "csf-GF/s", "csf-GB/s",
-              "f32-mtt(ms)", "f32-GB/s", "dns-mtt(ms)", "dns-GF/s",
-              "sp-swp/s", "dn-swp/s");
+  std::printf("%10s %9s %12s %9s %9s %12s %9s %11s %11s\n", "density",
+              "nnz", "csf-mtt(ms)", "csf-GF/s", "csf-GB/s", "dns-mtt(ms)",
+              "dns-GF/s", "sp-swp/s", "dn-swp/s");
   for (double density : densities) {
     const tensor::CooTensor coo = data::make_sparse_random(shape, density, 7);
     const tensor::CsfTensor csf(coo);
@@ -126,30 +119,9 @@ int main(int argc, char** argv) {
         tensor::mttkrp_csf_into(csf, factors, m, out, nullptr, &ws);
     row.csf_mttkrp_ms = timer.seconds() / reps * 1e3;
     row.csf_gflops = sparse_flops / (timer.seconds() / reps) * 1e-9;
-    double csf_bytes64 = 0.0;
-    double csf_bytes32 = 0.0;
-    for (int m = 0; m < order; ++m) {
-      csf_bytes64 += csf_walk_bytes(csf, m, rank, 8.0);
-      csf_bytes32 += csf_walk_bytes(csf, m, rank, 4.0);
-    }
-    row.csf_gbs = csf_bytes64 / (timer.seconds() / reps) / (1 << 30);
-
-    // fp32-storage walk: fp32 factor mirrors + value mirrors, fp64
-    // accumulation (the --scalar fp32 engine path).
-    std::vector<la::MatrixF32> mirrors;
-    la::sync_mirrors(factors, mirrors);
-    tensor::CsfValsF32 vals32;
-    vals32.sync(csf);
-    for (int m = 0; m < order; ++m)
-      tensor::mttkrp_csf_into_f32(csf, mirrors, m, vals32, out, nullptr,
-                                  &ws);
-    timer.reset();
-    for (int rep = 0; rep < reps; ++rep)
-      for (int m = 0; m < order; ++m)
-        tensor::mttkrp_csf_into_f32(csf, mirrors, m, vals32, out, nullptr,
-                                    &ws);
-    row.csf32_mttkrp_ms = timer.seconds() / reps * 1e3;
-    row.csf32_gbs = csf_bytes32 / (timer.seconds() / reps) / (1 << 30);
+    double csf_bytes = 0.0;
+    for (int m = 0; m < order; ++m) csf_bytes += csf_walk_bytes(csf, m, rank);
+    row.csf_gbs = csf_bytes / (timer.seconds() / reps) / (1 << 30);
 
     const double dense_flops = static_cast<double>(order) * 2.0 *
                                static_cast<double>(dense.size()) *
@@ -176,12 +148,10 @@ int main(int argc, char** argv) {
 
     rows.push_back(row);
     std::printf(
-        "%10.1e %9lld %12.3f %9.2f %9.2f %12.3f %9.2f %12.3f %9.2f "
-        "%11.1f %11.1f\n",
+        "%10.1e %9lld %12.3f %9.2f %9.2f %12.3f %9.2f %11.1f %11.1f\n",
         row.density_requested, row.nnz, row.csf_mttkrp_ms, row.csf_gflops,
-        row.csf_gbs, row.csf32_mttkrp_ms, row.csf32_gbs, row.dense_mttkrp_ms,
-        row.dense_gflops, row.sparse_sweeps_per_sec,
-        row.densified_sweeps_per_sec);
+        row.csf_gbs, row.dense_mttkrp_ms, row.dense_gflops,
+        row.sparse_sweeps_per_sec, row.densified_sweeps_per_sec);
   }
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
@@ -201,14 +171,13 @@ int main(int argc, char** argv) {
         "    {\"density_requested\": %g, \"nnz\": %lld, \"density\": %g, "
         "\"csf_mttkrp_ms\": %.6f, \"csf_gflops\": %.4f, "
         "\"csf_gbs\": %.4f, "
-        "\"csf32_mttkrp_ms\": %.6f, \"csf32_gbs\": %.4f, "
         "\"dense_mttkrp_ms\": %.6f, \"dense_gflops\": %.4f, "
         "\"dense_gbs\": %.4f, "
         "\"sparse_sweeps_per_sec\": %.3f, "
         "\"densified_sweeps_per_sec\": %.3f}%s\n",
         r.density_requested, r.nnz, r.density, r.csf_mttkrp_ms, r.csf_gflops,
-        r.csf_gbs, r.csf32_mttkrp_ms, r.csf32_gbs, r.dense_mttkrp_ms,
-        r.dense_gflops, r.dense_gbs, r.sparse_sweeps_per_sec,
+        r.csf_gbs, r.dense_mttkrp_ms, r.dense_gflops, r.dense_gbs,
+        r.sparse_sweeps_per_sec,
         r.densified_sweeps_per_sec, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

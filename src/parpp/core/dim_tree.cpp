@@ -255,49 +255,19 @@ namespace {
 class NaiveEngine final : public MttkrpEngine {
  public:
   NaiveEngine(const tensor::DenseTensor& t,
-              const std::vector<la::Matrix>& factors, Profile* profile,
-              la::Scalar scalar = la::Scalar::kF64)
-      : t_(&t), factors_(&factors), profile_(profile), scalar_(scalar) {
-    if (scalar_ == la::Scalar::kF32) {
-      // One-time fp32 copy of the (immutable) tensor plus per-factor
-      // mirrors; mttkrp() re-syncs only the mirrors notify_update marked
-      // stale, so the steady-state sweep converts N rows-worth per mode,
-      // not the whole factor set.
-      t32_.resize(static_cast<std::size_t>(t.size()));
-      const double* src = t.data();
-      for (std::size_t i = 0; i < t32_.size(); ++i)
-        t32_[i] = static_cast<float>(src[i]);
-      mirrors_.resize(factors.size());
-      dirty_.assign(factors.size(), 1);
-    }
-  }
+              const std::vector<la::Matrix>& factors, Profile* profile)
+      : t_(&t), factors_(&factors), profile_(profile) {}
 
   [[nodiscard]] la::Matrix mttkrp(int mode) override {
-    if (scalar_ == la::Scalar::kF32) {
-      for (std::size_t m = 0; m < mirrors_.size(); ++m) {
-        if (dirty_[m] != 0) mirrors_[m].sync((*factors_)[m]);
-        dirty_[m] = 0;
-      }
-      la::Matrix out;
-      tensor::mttkrp_into_f32(t32_.data(), t_->shape(), mirrors_, mode, out,
-                              profile_, &ws_);
-      return out;
-    }
     return tensor::mttkrp_fused(*t_, *factors_, mode, profile_, &ws_);
   }
-  void notify_update(int mode) override {
-    if (!dirty_.empty()) dirty_[static_cast<std::size_t>(mode)] = 1;
-  }
+  void notify_update(int /*mode*/) override {}
   [[nodiscard]] std::string_view name() const override { return "naive"; }
 
  private:
   const tensor::DenseTensor* t_;
   const std::vector<la::Matrix>* factors_;
   Profile* profile_;
-  la::Scalar scalar_;
-  std::vector<float> t32_;
-  std::vector<la::MatrixF32> mirrors_;
-  std::vector<char> dirty_;
   util::KernelWorkspace ws_;
 };
 
@@ -310,19 +280,10 @@ std::unique_ptr<MttkrpEngine> make_engine(EngineKind kind,
                                           const EngineOptions& options) {
   switch (kind) {
     case EngineKind::kNaive:
-      return std::make_unique<NaiveEngine>(t, factors, profile,
-                                           options.scalar);
+      return std::make_unique<NaiveEngine>(t, factors, profile);
     case EngineKind::kDt:
+      return std::make_unique<DtEngine>(t, factors, profile, options);
     case EngineKind::kMsdt:
-      // The tree engines cache fp64 intermediates whose chains feed each
-      // other; an fp32 storage axis there would change what "cached exact"
-      // means mid-chain, so they stay fp64-only.
-      PARPP_CHECK(options.scalar == la::Scalar::kF64,
-                  "make_engine: fp32 storage is supported by the naive "
-                  "(fused) and sparse engines only — the dimension-tree "
-                  "engines are fp64-only");
-      if (kind == EngineKind::kDt)
-        return std::make_unique<DtEngine>(t, factors, profile, options);
       return std::make_unique<MsdtEngine>(t, factors, profile, options);
     case EngineKind::kSparse:
       PARPP_CHECK(false,

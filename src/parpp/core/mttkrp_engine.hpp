@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "parpp/la/matrix.hpp"
-#include "parpp/la/scalar.hpp"
 #include "parpp/tensor/dense_tensor.hpp"
 #include "parpp/tensor/mttkrp_sparse.hpp"
 #include "parpp/util/profile.hpp"
@@ -60,13 +59,6 @@ struct EngineOptions {
   /// dense engines). kAuto tiles only when the root mode is too short to
   /// feed the OpenMP team.
   tensor::CsfWalk csf_walk = tensor::CsfWalk::kAuto;
-  /// Storage scalar for the data the hot kernels *stream* (factor mirrors,
-  /// the dense tensor copy / CSF value mirrors, PP pair operators). kF32
-  /// halves the streamed bytes while every accumulator stays fp64 —
-  /// supported by the naive (fused) and sparse engines; the dimension-tree
-  /// engines (kDt/kMsdt) and the dense PP operator chains are fp64-only
-  /// and reject it. kF64 is bit-for-bit the historical behavior.
-  la::Scalar scalar = la::Scalar::kF64;
 };
 
 /// Creates an engine bound to `t` and `factors`; both must outlive the

@@ -49,17 +49,8 @@ la::Matrix PpApprox::mttkrp_approx(int n) const {
     PARPP_ASSERT(it != op.modes.end(), "pair op missing mode");
     const int pos = static_cast<int>(it - op.modes.begin());
     tensor::DenseTensor& u = u_scratch_;
-    // fp32-stored pair operators (sparse kF32 builds) stream half the
-    // bytes through the correction's mTTV; operators whose mirror went
-    // stale (post-processed via mutable_pair_op) fall back to fp64.
-    if (op.f32_valid) {
-      tensor::mttv_into_f32(op.data, op.data_f32.data(), pos,
-                            d_factors_[static_cast<std::size_t>(i)], u,
-                            &prof);
-    } else {
-      tensor::mttv_into(op.data, pos, d_factors_[static_cast<std::size_t>(i)],
-                        u, &prof);
-    }
+    tensor::mttv_into(op.data, pos, d_factors_[static_cast<std::size_t>(i)],
+                      u, &prof);
     PARPP_ASSERT(u.order() == 2 && u.extent(0) == m.rows(),
                  "U correction shape mismatch");
     const double* ud = u.data();

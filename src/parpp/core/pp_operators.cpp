@@ -20,12 +20,8 @@ PpOperators::PpOperators(const tensor::DenseTensor& t,
 
 PpOperators::PpOperators(const tensor::CsfTensor& t,
                          const std::vector<la::Matrix>& factors,
-                         Profile* profile, la::Scalar scalar)
-    : sparse_t_(&t),
-      factors_(&factors),
-      profile_(profile),
-      n_(t.order()),
-      scalar_(scalar) {
+                         Profile* profile)
+    : sparse_t_(&t), factors_(&factors), profile_(profile), n_(t.order()) {
   PARPP_CHECK(n_ >= 3, "pairwise perturbation requires order >= 3");
   PARPP_CHECK(static_cast<int>(factors.size()) == n_,
               "PpOperators: factor count mismatch");
@@ -113,19 +109,6 @@ void PpOperators::build_sparse() {
   last_build_ttms_ = 0;
   Profile& prof = profile_ ? *profile_ : Profile::thread_default();
 
-  const bool f32 = scalar_ == la::Scalar::kF32;
-  if (f32) {
-    // The build snapshots the current factor values, so the mirrors are
-    // re-synced here once per build; the tensor value mirror is one-time.
-    if (factor_mirrors_.size() != static_cast<std::size_t>(n_))
-      factor_mirrors_.resize(static_cast<std::size_t>(n_));
-    la::sync_mirrors(*factors_, factor_mirrors_);
-    if (!vals32_synced_) {
-      vals32_.sync(*sparse_t_);
-      vals32_synced_ = true;
-    }
-  }
-
   // Pair operators via the two-free-mode CSF walk. The map entries keep
   // workspace-backed storage across rebuilds (shapes are build-invariant),
   // so the periodic PP initializations never allocate after the first.
@@ -133,22 +116,8 @@ void PpOperators::build_sparse() {
     for (int j = i + 1; j < n_; ++j) {
       PairOp& op = pairs_[std::make_pair(i, j)];
       if (op.modes.empty()) op.data = tensor::DenseTensor(ws_);
-      if (f32) {
-        tensor::pair_mttkrp_csf_into_f32(*sparse_t_, factor_mirrors_, i, j,
-                                         vals32_, op.data, &prof, &ws_);
-        // fp32 copy for the fp32-streaming PpApprox corrections; the size
-        // is build-invariant, so steady-state rebuilds reuse the buffer.
-        op.data_f32.resize(static_cast<std::size_t>(op.data.size()));
-        const double* src = op.data.data();
-#pragma omp simd
-        for (index_t x = 0; x < op.data.size(); ++x)
-          op.data_f32[static_cast<std::size_t>(x)] =
-              static_cast<float>(src[x]);
-        op.f32_valid = true;
-      } else {
-        tensor::pair_mttkrp_csf_into(*sparse_t_, *factors_, i, j, op.data,
-                                     &prof, &ws_);
-      }
+      tensor::pair_mttkrp_csf_into(*sparse_t_, *factors_, i, j, op.data,
+                                   &prof, &ws_);
       op.modes = {i, j};
     }
   }
@@ -157,16 +126,9 @@ void PpOperators::build_sparse() {
   // Leaves M_p(n): the sparse engine's exact MTTKRP at the snapshot
   // factors (the CSF analogue of contracting the partner mode out of a
   // pair operator, with the same no-densification guarantee).
-  for (int m = 0; m < n_; ++m) {
-    if (f32) {
-      tensor::mttkrp_csf_into_f32(*sparse_t_, factor_mirrors_, m, vals32_,
-                                  mp_[static_cast<std::size_t>(m)], &prof,
-                                  &ws_);
-    } else {
-      tensor::mttkrp_csf_into(*sparse_t_, *factors_, m,
-                              mp_[static_cast<std::size_t>(m)], &prof, &ws_);
-    }
-  }
+  for (int m = 0; m < n_; ++m)
+    tensor::mttkrp_csf_into(*sparse_t_, *factors_, m,
+                            mp_[static_cast<std::size_t>(m)], &prof, &ws_);
 }
 
 void PpOperators::build(const TreeEngineBase* donor) {
@@ -225,9 +187,7 @@ const PpOperators::PairOp& PpOperators::pair_op(int i, int j) const {
 PpOperators::PairOp& PpOperators::mutable_pair_op(int i, int j) {
   PARPP_CHECK(built_, "mutable_pair_op: operators not built");
   PARPP_CHECK(i < j, "mutable_pair_op: require i < j");
-  PairOp& op = pairs_.at(std::make_pair(i, j));
-  op.f32_valid = false;  // caller may rewrite data; mirror goes stale
-  return op;
+  return pairs_.at(std::make_pair(i, j));
 }
 
 const la::Matrix& PpOperators::mttkrp_p(int n) const {

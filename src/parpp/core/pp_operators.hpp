@@ -19,7 +19,6 @@
 
 #include "parpp/core/dim_tree.hpp"
 #include "parpp/la/matrix.hpp"
-#include "parpp/la/scalar.hpp"
 #include "parpp/tensor/csf_tensor.hpp"
 #include "parpp/tensor/dense_tensor.hpp"
 #include "parpp/util/profile.hpp"
@@ -39,15 +38,10 @@ class PpOperators {
   /// (tensor::pair_mttkrp_csf_into) and the leaves M_p(n) are the sparse
   /// engine's exact MTTKRPs — nothing is densified, and the approximated
   /// sweeps downstream (PpApprox, the Algorithm 4 corrections) consume the
-  /// same dense pair operators either storage produces. Under
-  /// la::Scalar::kF32 the build streams fp32 factor/value mirrors through
-  /// the same walks (fp64 accumulation) and each PairOp additionally keeps
-  /// an fp32 copy of its data for the fp32-streaming corrections in
-  /// PpApprox. The dense constructor above is fp64-only.
+  /// same dense pair operators either storage produces.
   PpOperators(const tensor::CsfTensor& t,
               const std::vector<la::Matrix>& factors,
-              Profile* profile = nullptr,
-              la::Scalar scalar = la::Scalar::kF64);
+              Profile* profile = nullptr);
 
   /// (Re)builds all operators at the current factor values. `donor` may be
   /// the regular-sweep tree engine (or null; sparse builds have no tree
@@ -57,7 +51,6 @@ class PpOperators {
   [[nodiscard]] bool built() const { return built_; }
   [[nodiscard]] int order() const { return n_; }
   [[nodiscard]] bool sparse() const { return sparse_t_ != nullptr; }
-  [[nodiscard]] la::Scalar scalar() const { return scalar_; }
 
   /// Build-arena counters: steady-state rebuilds must hold both flat
   /// (tests assert the PP phase never allocates after the first build).
@@ -69,20 +62,14 @@ class PpOperators {
   }
 
   /// Pair operator for i < j; `modes` reports the storage order of its two
-  /// tensor modes (the rank mode is always last). Under kF32, `data_f32`
-  /// mirrors `data` (f32_valid true) so consumers can stream half the
-  /// bytes; `data` itself stays the fp64 accumulation result.
+  /// tensor modes (the rank mode is always last).
   struct PairOp {
     tensor::DenseTensor data;
     std::vector<int> modes;
-    std::vector<float> data_f32;
-    bool f32_valid = false;
   };
   [[nodiscard]] const PairOp& pair_op(int i, int j) const;
   /// Mutable access for drivers that post-process operators in place (the
-  /// reference PP implementation reduces them across ranks). Invalidates
-  /// the operator's fp32 mirror — post-processed operators are consumed
-  /// through the fp64 data.
+  /// reference PP implementation reduces them across ranks).
   [[nodiscard]] PairOp& mutable_pair_op(int i, int j);
 
   /// M_p(n): the exact MTTKRP at the snapshot factors.
@@ -117,13 +104,6 @@ class PpOperators {
   const std::vector<la::Matrix>* factors_;
   Profile* profile_;
   int n_;
-  la::Scalar scalar_ = la::Scalar::kF64;
-  /// fp32 build-state mirrors (kF32 sparse builds only): factor mirrors
-  /// re-synced at each build (the build snapshots the current factors) and
-  /// a one-time value mirror of the immutable tensor.
-  std::vector<la::MatrixF32> factor_mirrors_;
-  tensor::CsfValsF32 vals32_;
-  bool vals32_synced_ = false;
   bool built_ = false;
   long last_build_ttms_ = 0;
   /// Arena for build-chain intermediates: memo nodes release their buffers

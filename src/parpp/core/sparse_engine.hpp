@@ -18,19 +18,13 @@ namespace parpp::core {
 /// benches can reach workspace() for those assertions.
 class SparseEngine final : public MttkrpEngine {
  public:
-  /// `options.csf_walk` picks the parallel schedule; `options.scalar` the
-  /// storage scalar. Under kF32 the engine keeps fp32 factor mirrors
-  /// (re-synced lazily for the modes notify_update marked stale) plus a
-  /// one-time fp32 mirror of the tensor values, and every walk streams
-  /// those — accumulation stays fp64 (see mttkrp_sparse.hpp).
+  /// `options.csf_walk` picks the parallel schedule.
   SparseEngine(const tensor::CsfTensor& t,
                const std::vector<la::Matrix>& factors, Profile* profile,
                const EngineOptions& options = {});
 
   [[nodiscard]] la::Matrix mttkrp(int mode) override;
-  void notify_update(int mode) override {
-    if (!dirty_.empty()) dirty_[static_cast<std::size_t>(mode)] = 1;
-  }
+  void notify_update(int /*mode*/) override {}
   [[nodiscard]] std::string_view name() const override { return "sparse"; }
 
   /// Engine-owned scratch arena (per-thread interior-level accumulators).
@@ -41,10 +35,6 @@ class SparseEngine final : public MttkrpEngine {
   const std::vector<la::Matrix>* factors_;
   Profile* profile_;
   tensor::CsfWalk walk_;
-  la::Scalar scalar_;
-  std::vector<la::MatrixF32> mirrors_;
-  std::vector<char> dirty_;
-  tensor::CsfValsF32 vals32_;
   util::KernelWorkspace ws_;
 };
 

@@ -7,21 +7,6 @@ namespace parpp::dist {
 
 namespace {
 
-std::unique_ptr<core::PpOperators> pp_operators(
-    const tensor::DenseTensor& t, const std::vector<la::Matrix>& factors,
-    Profile* profile, const core::EngineOptions& options) {
-  PARPP_CHECK(options.scalar == la::Scalar::kF64,
-              "make_pp_operators: dense PP operator chains are fp64-only");
-  return std::make_unique<core::PpOperators>(t, factors, profile);
-}
-
-std::unique_ptr<core::PpOperators> pp_operators(
-    const tensor::CsfTensor& t, const std::vector<la::Matrix>& factors,
-    Profile* profile, const core::EngineOptions& options) {
-  return std::make_unique<core::PpOperators>(t, factors, profile,
-                                             options.scalar);
-}
-
 index_t stored_nnz(const tensor::DenseTensor& /*t*/) { return -1; }
 index_t stored_nnz(const tensor::CsfTensor& t) { return t.nnz(); }
 
@@ -47,9 +32,9 @@ class BlockProblem final : public LocalProblem {
   }
 
   [[nodiscard]] std::unique_ptr<core::PpOperators> make_pp_operators(
-      const std::vector<la::Matrix>& slice_factors, Profile* profile,
-      const core::EngineOptions& options) const override {
-    return pp_operators(*t_, slice_factors, profile, options);
+      const std::vector<la::Matrix>& slice_factors,
+      Profile* profile) const override {
+    return std::make_unique<core::PpOperators>(*t_, slice_factors, profile);
   }
 
  private:

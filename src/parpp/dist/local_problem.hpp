@@ -51,12 +51,10 @@ class LocalProblem {
       Profile* profile, const core::EngineOptions& options) const = 0;
 
   /// PP operators over the block storage (Algorithm 4 line 2); bound like
-  /// the engine. `options` carries the storage scalar (sparse blocks honor
-  /// kF32; dense blocks reject it). The LocalProblem must outlive the
-  /// returned operators.
+  /// the engine. The LocalProblem must outlive the returned operators.
   [[nodiscard]] virtual std::unique_ptr<core::PpOperators> make_pp_operators(
-      const std::vector<la::Matrix>& slice_factors, Profile* profile,
-      const core::EngineOptions& options) const = 0;
+      const std::vector<la::Matrix>& slice_factors,
+      Profile* profile) const = 0;
 
   /// Nonzeros stored in the block, or -1 when the storage has no meaningful
   /// sparsity (dense slabs). Feeds the per-rank load-imbalance report.

@@ -1,13 +1,9 @@
 #include "parpp/la/gemm.hpp"
 
 #include <omp.h>
-#if defined(__AVX512F__)
-#include <immintrin.h>
-#endif
 
 #include <algorithm>
 
-#include "parpp/la/scalar.hpp"
 #include "parpp/util/omp_sync.hpp"
 #include "parpp/util/workspace.hpp"
 
@@ -51,9 +47,9 @@ constexpr index_t kTileNNarrow = 8;
 // the tile's TM rows sit lda elements apart. A transposed A arrives as a
 // k-major panel from pack_at (kPanel true): the TM values of step l are
 // contiguous, so the tile reads its panel front to back.
-template <index_t TM, bool kPanel, typename SA>
-inline double tile_a(const SA* a, index_t lda, index_t ti, index_t l) {
-  return static_cast<double>(kPanel ? a[l * TM + ti] : a[ti * lda + l]);
+template <index_t TM, bool kPanel>
+inline double tile_a(const double* a, index_t lda, index_t ti, index_t l) {
+  return kPanel ? a[l * TM + ti] : a[ti * lda + l];
 }
 
 #if defined(PARPP_GEMM_GNU_VEC)
@@ -62,53 +58,20 @@ inline double tile_a(const SA* a, index_t lda, index_t ti, index_t l) {
 // SIMD. Explicit vectors matter here: with a runtime lda the autovectorizer
 // refuses to keep the accumulator tile in registers (measured >10x slower).
 using vdf = double __attribute__((vector_size(kVecW * 8), aligned(8)));
-// Half-width float shape (kVecW lanes): load shape for mixed-type tiles and
-// the conversion granule between float accumulators and vdf.
-using vsf = float __attribute__((vector_size(kVecW * 4), aligned(4)));
-// Full-width float shape (2*kVecW lanes, same register width as vdf): the
-// accumulator type of the all-fp32 micro-kernel below.
-using vff = float __attribute__((vector_size(kVecW * 8), aligned(4)));
 
 // Element-wise braces, not `vdf{} + s`: the zero-add idiom makes GCC emit a
 // real vaddsd in the broadcast dependency chain, which halved the measured
-// micro-kernel rate. These stay macros rather than vector-returning helper
-// functions so non-AVX baseline builds don't trip the -Wpsabi vector-ABI
-// warning. PARPP_VLOAD_WIDEN loads kVecW floats and widens: GCC lowers
-// __builtin_convertvector on 8-wide lanes to an extract/insert dance
-// (4 uops), so the AVX-512 shape uses the single-instruction vcvtps2pd.
+// micro-kernel rate. This stays a macro rather than a vector-returning
+// helper function so non-AVX baseline builds don't trip the -Wpsabi
+// vector-ABI warning.
 #if defined(__AVX512F__)
 #define PARPP_VBROADCAST(s) \
   vdf { (s), (s), (s), (s), (s), (s), (s), (s) }
-#define PARPP_VLOAD_WIDEN(p) \
-  static_cast<vdf>(_mm512_cvtps_pd(_mm256_loadu_ps(p)))
-#define PARPP_VSPLATF(s)                                                 \
-  vff {                                                                  \
-    (s), (s), (s), (s), (s), (s), (s), (s), (s), (s), (s), (s), (s),    \
-        (s), (s), (s)                                                    \
-  }
-#define PARPP_VSPLATH(s) \
-  vsf { (s), (s), (s), (s), (s), (s), (s), (s) }
-#define PARPP_VWIDEN(v) \
-  static_cast<vdf>(_mm512_cvtps_pd(static_cast<__m256>(v)))
-#pragma GCC diagnostic push
-// GCC 12 flags the unused pass-through operand inside avx512fintrin.h.
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #else
 #define PARPP_VBROADCAST(s) \
   vdf { (s), (s), (s), (s) }
-#define PARPP_VLOAD_WIDEN(p) \
-  __builtin_convertvector(*reinterpret_cast<const vsf*>(p), vdf)
-#define PARPP_VSPLATF(s) \
-  vff { (s), (s), (s), (s), (s), (s), (s), (s) }
-#define PARPP_VSPLATH(s) \
-  vsf { (s), (s), (s), (s) }
-#define PARPP_VWIDEN(v) __builtin_convertvector((v), vdf)
 #endif
 
-// A and B keep their own storage types (the transposed path packs A to
-// fp64, so SA can differ from SB); conversion happens at the load — a
-// lane-wide convert for B, a scalar widen under the broadcast for A.
-//
 // The rotating software prefetch on in-place A rows is what lets
 // large-operand GEMMs actually reach stream bandwidth: a narrow-n tile walks
 // TM rows that sit lda elements apart, and with a block row set wider than
@@ -116,9 +79,9 @@ using vff = float __attribute__((vector_size(kVecW * 8), aligned(4)));
 // every line. One prefetch per k step, rotated across the tile's rows, keeps
 // each row a few lines ahead for the cost of a single spare load slot. A
 // packed panel is one sequential stream and needs none.
-template <index_t TM, index_t TN, bool kPanel, typename SA, typename SB>
-inline void micro_tile(index_t kb, double alpha, const SA* a, index_t lda,
-                       const SB* b, index_t ldb, double* c, index_t ldc) {
+template <index_t TM, index_t TN, bool kPanel>
+inline void micro_tile(index_t kb, double alpha, const double* a, index_t lda,
+                       const double* b, index_t ldb, double* c, index_t ldc) {
   constexpr index_t NV = TN / kVecW;
   static_assert(NV * kVecW == TN, "tile width must be lane-multiple");
   vdf acc[TM][NV] = {};
@@ -126,14 +89,10 @@ inline void micro_tile(index_t kb, double alpha, const SA* a, index_t lda,
     if constexpr (!kPanel)
       __builtin_prefetch(
           reinterpret_cast<const char*>(a + (l % TM) * lda + l) + 512);
-    const SB* brow = b + l * ldb;
+    const double* brow = b + l * ldb;
     vdf bv[NV];
-    for (index_t tv = 0; tv < NV; ++tv) {
-      if constexpr (std::is_same_v<SB, float>)
-        bv[tv] = PARPP_VLOAD_WIDEN(brow + kVecW * tv);
-      else
-        bv[tv] = *reinterpret_cast<const vdf*>(brow + kVecW * tv);
-    }
+    for (index_t tv = 0; tv < NV; ++tv)
+      bv[tv] = *reinterpret_cast<const vdf*>(brow + kVecW * tv);
     for (index_t ti = 0; ti < TM; ++ti) {
       const double s = tile_a<TM, kPanel>(a, lda, ti, l);
       const vdf av = PARPP_VBROADCAST(s);
@@ -149,84 +108,16 @@ inline void micro_tile(index_t kb, double alpha, const SA* a, index_t lda,
     }
   }
 }
-
-// All-fp32 micro-kernel: both operands stored fp32 and the register tile
-// accumulates in fp32 *within one k chunk* (kb <= 512 terms, see kBK in
-// the driver), widened and added into the fp64 C tile once per chunk;
-// across chunks C still accumulates in fp64. The extra rounding is bounded
-// by the <= 512-term fp32 partial sums (~1e-6 relative), comfortably
-// inside the fp32 lane's ~1e-5 parity contract. This is what makes the lane actually
-// bandwidth-bound: A broadcasts stay single load uops (vbroadcastss) and
-// each FMA carries twice the lanes. The alternatives both lose — widening
-// under the broadcast makes the kernel convert-bound at half the fp64 rate,
-// and a separate widening pack pass serializes the DRAM stream against the
-// FMAs, so fp32 ran *slower* than fp64 despite half the bytes.
-template <index_t TM, index_t TN>
-inline void micro_tile_f32(index_t kb, double alpha, const float* a,
-                           index_t lda, const float* b, index_t ldb,
-                           double* c, index_t ldc) {
-  constexpr index_t kVecWf = 2 * kVecW;
-  if constexpr (TN % kVecWf == 0) {
-    constexpr index_t NV = TN / kVecWf;
-    vff acc[TM][NV] = {};
-    for (index_t l = 0; l < kb; ++l) {
-      __builtin_prefetch(
-          reinterpret_cast<const char*>(a + (l % TM) * lda + l) + 512);
-      const float* brow = b + l * ldb;
-      vff bv[NV];
-      for (index_t tv = 0; tv < NV; ++tv)
-        bv[tv] = *reinterpret_cast<const vff*>(brow + kVecWf * tv);
-      for (index_t ti = 0; ti < TM; ++ti) {
-        const float s = a[ti * lda + l];
-        const vff av = PARPP_VSPLATF(s);
-        for (index_t tv = 0; tv < NV; ++tv) acc[ti][tv] += av * bv[tv];
-      }
-    }
-    for (index_t ti = 0; ti < TM; ++ti) {
-      double* crow = c + ti * ldc;
-      for (index_t tv = 0; tv < NV; ++tv) {
-        vsf half[2];
-        __builtin_memcpy(half, &acc[ti][tv], sizeof(half));
-        for (index_t h = 0; h < 2; ++h) {
-          double* cpos = crow + kVecWf * tv + kVecW * h;
-          vdf cv = *reinterpret_cast<vdf*>(cpos);
-          cv += alpha * PARPP_VWIDEN(half[h]);
-          *reinterpret_cast<vdf*>(cpos) = cv;
-        }
-      }
-    }
-  } else {
-    // Narrow tile (an 8-column panel on AVX-512, i.e. rank-8 MTTKRP): one
-    // half-width float accumulator per row.
-    static_assert(TN == kVecW, "narrow fp32 tile is one half-width vector");
-    vsf acc[TM] = {};
-    for (index_t l = 0; l < kb; ++l) {
-      __builtin_prefetch(
-          reinterpret_cast<const char*>(a + (l % TM) * lda + l) + 512);
-      const vsf bv = *reinterpret_cast<const vsf*>(b + l * ldb);
-      for (index_t ti = 0; ti < TM; ++ti) {
-        const float s = a[ti * lda + l];
-        acc[ti] += PARPP_VSPLATH(s) * bv;
-      }
-    }
-    for (index_t ti = 0; ti < TM; ++ti) {
-      vdf cv = *reinterpret_cast<vdf*>(c + ti * ldc);
-      cv += alpha * PARPP_VWIDEN(acc[ti]);
-      *reinterpret_cast<vdf*>(c + ti * ldc) = cv;
-    }
-  }
-}
 #else
-template <index_t TM, index_t TN, bool kPanel, typename SA, typename SB>
-inline void micro_tile(index_t kb, double alpha, const SA* a, index_t lda,
-                       const SB* b, index_t ldb, double* c, index_t ldc) {
+template <index_t TM, index_t TN, bool kPanel>
+inline void micro_tile(index_t kb, double alpha, const double* a, index_t lda,
+                       const double* b, index_t ldb, double* c, index_t ldc) {
   double acc[TM][TN] = {};
   for (index_t l = 0; l < kb; ++l) {
-    const SB* brow = b + l * ldb;
+    const double* brow = b + l * ldb;
     for (index_t ti = 0; ti < TM; ++ti) {
       const double av = tile_a<TM, kPanel>(a, lda, ti, l);
-      for (index_t tj = 0; tj < TN; ++tj)
-        acc[ti][tj] += av * static_cast<double>(brow[tj]);
+      for (index_t tj = 0; tj < TN; ++tj) acc[ti][tj] += av * brow[tj];
     }
   }
   for (index_t ti = 0; ti < TM; ++ti) {
@@ -234,34 +125,23 @@ inline void micro_tile(index_t kb, double alpha, const SA* a, index_t lda,
     for (index_t tj = 0; tj < TN; ++tj) crow[tj] += alpha * acc[ti][tj];
   }
 }
-
-// Without GNU vectors the all-fp32 tile has no register-width story to
-// exploit; fall through to the generic fp64-accumulating tile.
-template <index_t TM, index_t TN>
-inline void micro_tile_f32(index_t kb, double alpha, const float* a,
-                           index_t lda, const float* b, index_t ldb,
-                           double* c, index_t ldc) {
-  micro_tile<TM, TN, false, float, float>(kb, alpha, a, lda, b, ldb, c, ldc);
-}
 #endif
 
 // Generic edge kernel: C[i,:] += alpha * A[i,l] * B[l,:] with the j-loop
 // vectorizable. A's element (i, l) sits at a[i * a_row + l * a_step]:
 // (lda, 1) in place, (1, panel rows) in a k-major panel.
-template <typename SA, typename SB>
 inline void edge_kernel(index_t mb, index_t nb, index_t kb, double alpha,
-                        const SA* a, index_t a_row, index_t a_step,
-                        const SB* b, index_t ldb, double* c, index_t ldc) {
+                        const double* a, index_t a_row, index_t a_step,
+                        const double* b, index_t ldb, double* c, index_t ldc) {
   for (index_t i = 0; i < mb; ++i) {
     double* PARPP_RESTRICT crow = c + i * ldc;
-    const SA* arow = a + i * a_row;
+    const double* arow = a + i * a_row;
     for (index_t l = 0; l < kb; ++l) {
-      const double av = alpha * static_cast<double>(arow[l * a_step]);
+      const double av = alpha * arow[l * a_step];
       if (av == 0.0) continue;
-      const SB* PARPP_RESTRICT brow = b + l * ldb;
+      const double* PARPP_RESTRICT brow = b + l * ldb;
 #pragma omp simd
-      for (index_t j = 0; j < nb; ++j)
-        crow[j] += av * static_cast<double>(brow[j]);
+      for (index_t j = 0; j < nb; ++j) crow[j] += av * brow[j];
     }
   }
 }
@@ -273,42 +153,28 @@ inline void edge_kernel(index_t mb, index_t nb, index_t kb, double alpha,
 // of rows [i, i + kTileM) starts at a + i * lda in both layouts. The layout
 // changes only where A's values are read from, never which kernel computes
 // which C element, so the two give the same bits.
-template <bool kPanel, typename SA, typename SB>
+template <bool kPanel>
 inline void block_kernel(index_t mb, index_t nb, index_t kb, double alpha,
-                         const SA* a, index_t lda, const SB* b, index_t ldb,
-                         double* c, index_t ldc) {
+                         const double* a, index_t lda, const double* b,
+                         index_t ldb, double* c, index_t ldc) {
   const index_t mt = mb / kTileM * kTileM;
   const index_t nt = nb / kTileN * kTileN;
   // At most one narrow register tile mops up columns [nt, nt8) so an 8-wide
   // panel (rank-8 MTTKRP) never reaches the memory-bound edge kernel.
   const index_t nt8 = nt + (nb - nt) / kTileNNarrow * kTileNNarrow;
-  constexpr bool kAllF32 =
-      std::is_same_v<SA, float> && std::is_same_v<SB, float>;
-  static_assert(!(kAllF32 && kPanel), "panels are packed to fp64");
   // Edge-kernel strides (row, k step) of a full tile's rows and of the
   // ragged tail rows [mt, mb).
   const index_t tile_row = kPanel ? 1 : lda;
   const index_t tile_step = kPanel ? kTileM : 1;
   const index_t tail_step = kPanel ? mb - mt : 1;
   for (index_t i = 0; i < mt; i += kTileM) {
-    for (index_t j = 0; j < nt; j += kTileN) {
-      if constexpr (kAllF32)
-        micro_tile_f32<kTileM, kTileN>(kb, alpha, a + i * lda, lda, b + j,
-                                       ldb, c + i * ldc + j, ldc);
-      else
-        micro_tile<kTileM, kTileN, kPanel>(kb, alpha, a + i * lda, lda, b + j,
-                                           ldb, c + i * ldc + j, ldc);
-    }
-    if (nt8 > nt) {
-      if constexpr (kAllF32)
-        micro_tile_f32<kTileM, kTileNNarrow>(kb, alpha, a + i * lda, lda,
-                                             b + nt, ldb, c + i * ldc + nt,
-                                             ldc);
-      else
-        micro_tile<kTileM, kTileNNarrow, kPanel>(kb, alpha, a + i * lda, lda,
-                                                 b + nt, ldb,
-                                                 c + i * ldc + nt, ldc);
-    }
+    for (index_t j = 0; j < nt; j += kTileN)
+      micro_tile<kTileM, kTileN, kPanel>(kb, alpha, a + i * lda, lda, b + j,
+                                         ldb, c + i * ldc + j, ldc);
+    if (nt8 > nt)
+      micro_tile<kTileM, kTileNNarrow, kPanel>(kb, alpha, a + i * lda, lda,
+                                               b + nt, ldb, c + i * ldc + nt,
+                                               ldc);
     if (nt8 < nb)
       edge_kernel(kTileM, nb - nt8, kb, alpha, a + i * lda, tile_row,
                   tile_step, b + nt8, ldb, c + i * ldc + nt8, ldc);
@@ -327,18 +193,16 @@ inline void block_kernel(index_t mb, index_t nb, index_t kb, double alpha,
 // op(A)'s columns instead strides lda elements per load; when lda is a large
 // power of two (the mode-0 TTM of a 256^3 tensor has lda = 65536 doubles)
 // all of a column's lines fall into one cache set, and each line is fetched
-// from L3 once per element used. fp32 inputs are widened here, so the
-// mixed-type micro_tile sees plain doubles on the broadcast side.
-template <typename S>
-inline void pack_at(index_t mb, index_t kb, const S* a, index_t lda,
+// from L3 once per element used.
+inline void pack_at(index_t mb, index_t kb, const double* a, index_t lda,
                     index_t i0, index_t l0, double* dst) {
-  constexpr index_t kLine = 64 / static_cast<index_t>(sizeof(S));
+  constexpr index_t kLine = 64 / static_cast<index_t>(sizeof(double));
   constexpr index_t kAhead = 8;  // source rows in flight ahead of the copy
   const index_t mt = mb / kTileM * kTileM;
   const index_t tail = mb - mt;  // rows of the ragged last panel
-  const S* src = a + l0 * lda + i0;  // physical (kb x mb)
+  const double* src = a + l0 * lda + i0;  // physical (kb x mb)
   for (index_t l = 0; l < kb; ++l) {
-    const S* PARPP_RESTRICT srow = src + l * lda;
+    const double* PARPP_RESTRICT srow = src + l * lda;
     if (l + kAhead < kb)
       for (index_t i = 0; i < mb; i += kLine)
         __builtin_prefetch(srow + kAhead * lda + i);
@@ -346,52 +210,31 @@ inline void pack_at(index_t mb, index_t kb, const S* a, index_t lda,
     // vectorizes; the ragged panel is at most kTileM - 1 values.
     for (index_t i = 0; i < mt; i += kTileM) {
       double* PARPP_RESTRICT d = dst + i * kb + l * kTileM;
-      for (index_t ti = 0; ti < kTileM; ++ti)
-        d[ti] = static_cast<double>(srow[i + ti]);
+      for (index_t ti = 0; ti < kTileM; ++ti) d[ti] = srow[i + ti];
     }
     double* PARPP_RESTRICT d = dst + mt * kb + l * tail;
-    for (index_t ti = 0; ti < tail; ++ti)
-      d[ti] = static_cast<double>(srow[mt + ti]);
+    for (index_t ti = 0; ti < tail; ++ti) d[ti] = srow[mt + ti];
   }
 }
 
-template <typename S>
-inline void pack_b(index_t kb, index_t nb, const S* b, index_t ldb, Trans tb,
-                   index_t l0, index_t j0, S* dst) {
+inline void pack_b(index_t kb, index_t nb, const double* b, index_t ldb,
+                   Trans tb, index_t l0, index_t j0, double* dst) {
   if (tb == Trans::kNo) {
-    const S* src = b + l0 * ldb + j0;
+    const double* src = b + l0 * ldb + j0;
     for (index_t l = 0; l < kb; ++l)
       std::copy(src + l * ldb, src + l * ldb + nb, dst + l * nb);
   } else {
-    const S* src = b + j0 * ldb + l0;  // physical (nb x kb)
+    const double* src = b + j0 * ldb + l0;  // physical (nb x kb)
     for (index_t l = 0; l < kb; ++l)
       for (index_t j = 0; j < nb; ++j) dst[l * nb + j] = src[j * ldb + l];
   }
 }
 
-// Lease a pack buffer of `n` elements of S from the calling thread's
-// workspace (the arena is double-granular; fp32 packs round up).
-template <typename S>
-struct PackScratch {
-  util::KernelWorkspace::Lease lease;
-  S* data = nullptr;
-  void acquire(index_t n) {
-    if constexpr (std::is_same_v<S, float>) {
-      lease = util::KernelWorkspace::thread_default().lease(
-          f32_lease_doubles(n));
-      data = as_f32(lease);
-    } else {
-      lease = util::KernelWorkspace::thread_default().lease(n);
-      data = lease.data();
-    }
-  }
-};
+}  // namespace
 
-template <typename S>
-void gemm_raw_impl(Trans trans_a, Trans trans_b, index_t m, index_t n,
-                   index_t k, double alpha, const S* a, index_t lda,
-                   const S* b, index_t ldb, double beta, double* c,
-                   index_t ldc) {
+void gemm_raw(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k,
+              double alpha, const double* a, index_t lda, const double* b,
+              index_t ldb, double beta, double* c, index_t ldc) {
   PARPP_CHECK(m >= 0 && n >= 0 && k >= 0, "gemm: negative dimension");
   if (m == 0 || n == 0) return;
 
@@ -409,36 +252,27 @@ void gemm_raw_impl(Trans trans_a, Trans trans_b, index_t m, index_t n,
   // Parallelize over M blocks; each thread owns disjoint C rows. Transposed
   // operands are repacked block-wise into each worker's thread-local
   // workspace (streaming loads in the kernel, zero steady-state
-  // allocations); non-transposed A blocks — fp64 or fp32 — are consumed in
-  // place, so the all-fp32 path is a single pass over the stored bytes
-  // (micro_tile_f32 above carries the precision story).
-  //
-  // fp32 operands take a double-length k chunk: same cache footprint in
-  // bytes, and the MTTKRP slice shapes (k a few hundred) then run as one
-  // chunk instead of a full chunk plus a short strided tail pass — the
-  // tail re-walk was the gap between the interior-mode fp32 lane and
-  // stream bandwidth. The fp64 chunk length is unchanged (fp64 summation
-  // stays bit-for-bit).
-  constexpr index_t kBK =
-      std::is_same_v<S, float> ? 2 * kBlockK : kBlockK;
+  // allocations); non-transposed A blocks are consumed in place.
 #pragma omp parallel for schedule(static) if (m * n * k > (index_t{1} << 16))
   for (index_t i0 = 0; i0 < m; i0 += kBlockM) {
     const index_t mb = std::min(kBlockM, m - i0);
     util::KernelWorkspace::Lease a_scratch;
     if (trans_a == Trans::kYes)
       a_scratch =
-          util::KernelWorkspace::thread_default().lease(kBlockM * kBK);
-    PackScratch<S> b_scratch;
-    if (trans_b == Trans::kYes) b_scratch.acquire(kBK * kBlockN);
-    for (index_t l0 = 0; l0 < k; l0 += kBK) {
-      const index_t kb = std::min(kBK, k - l0);
+          util::KernelWorkspace::thread_default().lease(kBlockM * kBlockK);
+    util::KernelWorkspace::Lease b_scratch;
+    if (trans_b == Trans::kYes)
+      b_scratch =
+          util::KernelWorkspace::thread_default().lease(kBlockK * kBlockN);
+    for (index_t l0 = 0; l0 < k; l0 += kBlockK) {
+      const index_t kb = std::min(kBlockK, k - l0);
       for (index_t j0 = 0; j0 < n; j0 += kBlockN) {
         const index_t nb = std::min(kBlockN, n - j0);
-        const S* bblk;
+        const double* bblk;
         index_t bblk_ld;
         if (trans_b == Trans::kYes) {
-          pack_b(kb, nb, b, ldb, trans_b, l0, j0, b_scratch.data);
-          bblk = b_scratch.data;
+          pack_b(kb, nb, b, ldb, trans_b, l0, j0, b_scratch.data());
+          bblk = b_scratch.data();
           bblk_ld = nb;
         } else {
           bblk = b + l0 * ldb + j0;
@@ -455,23 +289,6 @@ void gemm_raw_impl(Trans trans_a, Trans trans_b, index_t m, index_t n,
       }
     }
   }
-}
-
-}  // namespace
-
-void gemm_raw(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k,
-              double alpha, const double* a, index_t lda, const double* b,
-              index_t ldb, double beta, double* c, index_t ldc) {
-  gemm_raw_impl<double>(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb,
-                        beta, c, ldc);
-}
-
-void gemm_raw_f32(Trans trans_a, Trans trans_b, index_t m, index_t n,
-                  index_t k, double alpha, const float* a, index_t lda,
-                  const float* b, index_t ldb, double beta, double* c,
-                  index_t ldc) {
-  gemm_raw_impl<float>(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb,
-                       beta, c, ldc);
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b, Trans trans_a, Trans trans_b) {

@@ -20,16 +20,6 @@ void gemm_raw(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k,
               double alpha, const double* a, index_t lda, const double* b,
               index_t ldb, double beta, double* c, index_t ldc);
 
-/// Same contract with fp32 *storage* for A and B: C accumulates in fp64
-/// across k chunks while the register tile accumulates fp32 within one
-/// chunk (<= 512 terms, ~1e-6 relative roundoff — see the micro-kernel
-/// notes in gemm.cpp and la/scalar.hpp), so only the streamed bytes halve.
-/// Shares the blocked driver with the fp64 path by template instantiation.
-void gemm_raw_f32(Trans trans_a, Trans trans_b, index_t m, index_t n,
-                  index_t k, double alpha, const float* a, index_t lda,
-                  const float* b, index_t ldb, double beta, double* c,
-                  index_t ldc);
-
 /// C = op(A) * op(B) convenience wrapper on Matrix.
 [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b,
                             Trans trans_a = Trans::kNo,

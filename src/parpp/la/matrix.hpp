@@ -2,6 +2,7 @@
 #pragma once
 
 #include <initializer_list>
+#include <type_traits>
 #include <vector>
 
 #include "parpp/util/common.hpp"
@@ -84,5 +85,23 @@ class Matrix {
 
 /// Identity matrix of size n.
 [[nodiscard]] Matrix identity(index_t n);
+
+/// Dispatches a runtime CP rank to a compile-time register-block width.
+/// The blocked kernels instantiate R ∈ {8, 16, 32} with exact trip counts
+/// (the autovectorizer fully unrolls the rank loop into registers); every
+/// other rank takes the generic `0` instantiation with a runtime bound.
+template <typename Fn>
+decltype(auto) rank_dispatch(index_t r, Fn&& fn) {
+  switch (r) {
+    case 8:
+      return fn(std::integral_constant<int, 8>{});
+    case 16:
+      return fn(std::integral_constant<int, 16>{});
+    case 32:
+      return fn(std::integral_constant<int, 32>{});
+    default:
+      return fn(std::integral_constant<int, 0>{});
+  }
+}
 
 }  // namespace parpp::la

@@ -144,11 +144,6 @@ class ParCpContext {
   [[nodiscard]] dist::FactorDist& factor_dist() { return fd_; }
   [[nodiscard]] std::vector<la::Matrix>& grams() { return grams_; }
   [[nodiscard]] core::MttkrpEngine& engine() { return *engine_; }
-  /// Engine options of the run (storage scalar, CSF walk, ...) — what the
-  /// PP layers pass to make_pp_operators so operators and engine agree.
-  [[nodiscard]] const core::EngineOptions& engine_options() const {
-    return options_.base.engine_options;
-  }
   [[nodiscard]] double tensor_sq_norm() const { return t_sq_; }
   /// Per-rank nnz imbalance (max / mean) of the block distribution; 0.0
   /// when the storage reports no nnz. Computed collectively at setup.

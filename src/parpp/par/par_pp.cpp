@@ -25,7 +25,7 @@ class LocalPp {
   LocalPp(mpsim::Comm& comm, ParCpContext& ctx, bool second_order)
       : comm_(comm), ctx_(ctx), n_(ctx.order()), second_order_(second_order),
         ops_(ctx.local_problem().make_pp_operators(
-            ctx.factor_dist().slices(), nullptr, ctx.engine_options())) {}
+            ctx.factor_dist().slices(), nullptr)) {}
 
   /// Algorithm 4 line 2: local PP initialization. The donor is the local
   /// regular-sweep tree engine (footnote-1 amortization applies per rank;

@@ -20,7 +20,7 @@ class RefPp {
   RefPp(mpsim::Comm& comm, ParCpContext& ctx)
       : comm_(comm), ctx_(ctx), n_(ctx.order()),
         ops_(ctx.local_problem().make_pp_operators(
-            ctx.factor_dist().slices(), nullptr, ctx.engine_options())) {
+            ctx.factor_dist().slices(), nullptr)) {
     // Sub-communicators of ranks sharing both the i-slab and the j-slab:
     // the group over which the reference implementation reduces the
     // operator output. Built collectively, identical order on all ranks.

@@ -36,10 +36,6 @@ std::string_view to_string(core::EngineKind kind) {
   return "?";
 }
 
-std::string_view to_string(la::Scalar scalar) {
-  return la::scalar_name(scalar);
-}
-
 std::string_view to_string(tensor::CsfLayout layout) {
   switch (layout) {
     case tensor::CsfLayout::kAllModes: return "all-modes";
@@ -114,13 +110,6 @@ std::optional<core::EngineKind> engine_from_string(std::string_view s) {
   if (t == "dt") return core::EngineKind::kDt;
   if (t == "msdt") return core::EngineKind::kMsdt;
   if (t == "sparse") return core::EngineKind::kSparse;
-  return std::nullopt;
-}
-
-std::optional<la::Scalar> scalar_from_string(std::string_view s) {
-  const std::string t = lower(s);
-  if (t == "fp64" || t == "f64" || t == "double") return la::Scalar::kF64;
-  if (t == "fp32" || t == "f32" || t == "float") return la::Scalar::kF32;
   return std::nullopt;
 }
 

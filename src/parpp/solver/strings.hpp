@@ -14,8 +14,6 @@ namespace parpp::solver {
 /// "naive" | "dt" | "msdt" | "sparse" — the parse/emit tokens (CLI flags,
 /// bench JSON). core::engine_kind_name stays the human-facing display form.
 [[nodiscard]] std::string_view to_string(core::EngineKind kind);
-/// "fp64" | "fp32" — the storage-scalar axis (EngineOptions::scalar).
-[[nodiscard]] std::string_view to_string(la::Scalar scalar);
 /// "all-modes" | "half" — CSF layout (tensor::CsfOptions::layout).
 [[nodiscard]] std::string_view to_string(tensor::CsfLayout layout);
 /// "distributed-rows" | "replicated-sequential".
@@ -37,8 +35,6 @@ namespace parpp::solver {
 /// Case-insensitive parses of the tokens above; nullopt on unknown input.
 [[nodiscard]] std::optional<Method> method_from_string(std::string_view s);
 [[nodiscard]] std::optional<core::EngineKind> engine_from_string(
-    std::string_view s);
-[[nodiscard]] std::optional<la::Scalar> scalar_from_string(
     std::string_view s);
 [[nodiscard]] std::optional<tensor::CsfLayout> csf_layout_from_string(
     std::string_view s);

@@ -320,17 +320,6 @@ index_t CsfTensor::pattern_words() const {
   return words;
 }
 
-void CsfValsF32::sync(const CsfTensor& t) {
-  trees.resize(static_cast<std::size_t>(t.tree_count()));
-  for (int m = 0; m < t.tree_count(); ++m) {
-    const auto& vals = t.walk_for(m).tree->vals;
-    auto& dst = trees[static_cast<std::size_t>(m)];
-    dst.resize(vals.size());
-    for (std::size_t i = 0; i < vals.size(); ++i)
-      dst[i] = static_cast<float>(vals[i]);
-  }
-}
-
 double CsfTensor::frobenius_norm() const { return std::sqrt(squared_norm_); }
 
 double CsfTensor::density() const {

@@ -146,7 +146,7 @@ class CsfTensor {
   /// How the MTTKRP of `mode` traverses the tensor.
   struct Walk {
     const Tree* tree = nullptr;
-    int tree_index = 0;  ///< index into the tree array (vals mirrors key)
+    int tree_index = 0;  ///< index into the tree array
     /// false: `mode` is the tree's root — classic upward walk. true:
     /// `mode` is the tree's leaf level — downward product-carrying walk.
     bool leaf = false;
@@ -162,21 +162,6 @@ class CsfTensor {
   double squared_norm_ = 0.0;
   CsfLayout layout_ = CsfLayout::kAllModes;
   std::vector<Tree> trees_;  ///< one per root mode (kAllModes) or ceil(N/2)
-};
-
-/// fp32 mirrors of a CsfTensor's per-tree value arrays, indexed like the
-/// tensor's trees (CsfTensor::Walk::tree_index). Engines build one mirror
-/// bank per tensor and reuse it across sweeps — tensor values are
-/// immutable, so unlike factor mirrors it never re-syncs.
-struct CsfValsF32 {
-  std::vector<std::vector<float>> trees;
-  void sync(const CsfTensor& t);
-  [[nodiscard]] const float* tree_vals(int tree_index) const {
-    PARPP_ASSERT(tree_index >= 0 &&
-                     tree_index < static_cast<int>(trees.size()),
-                 "CsfValsF32: bad tree index ", tree_index);
-    return trees[static_cast<std::size_t>(tree_index)].data();
-  }
 };
 
 }  // namespace parpp::tensor

@@ -7,16 +7,14 @@
 #include <cstring>
 
 #include "parpp/la/gemm.hpp"
-#include "parpp/la/scalar.hpp"
 #include "parpp/util/omp_sync.hpp"
 
 namespace parpp::tensor {
 
 namespace {
 
-// Panel budget in scalars: one KRP panel (block x R) stays L1/L2 resident
-// next to the GEMM tiles it feeds. Counted in elements, not bytes, so the
-// fp32 path gets the same panel geometry with half the footprint.
+// Panel budget in doubles: one KRP panel (block x R) stays L1/L2 resident
+// next to the GEMM tiles it feeds.
 constexpr index_t kPanelDoubles = 8192;
 
 index_t panel_rows(index_t r) {
@@ -28,35 +26,15 @@ index_t panel_rows(index_t r) {
 // touch the heap.
 constexpr std::size_t kMaxOrder = 24;
 
-// Scalar-typed gemm_raw selection (fp64 / fp32 storage, fp64 accumulate).
-inline void gemm_raw_s(la::Trans ta, la::Trans tb, index_t m, index_t n,
-                       index_t k, double alpha, const double* a, index_t lda,
-                       const double* b, index_t ldb, double beta, double* c,
-                       index_t ldc) {
-  la::gemm_raw(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
-}
-inline void gemm_raw_s(la::Trans ta, la::Trans tb, index_t m, index_t n,
-                       index_t k, double alpha, const float* a, index_t lda,
-                       const float* b, index_t ldb, double beta, double* c,
-                       index_t ldc) {
-  la::gemm_raw_f32(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
-}
-
 // Writes rows [start, start + count) of the Khatri-Rao product of `mats`
 // (row-major linearization: the *last* matrix's index varies fastest) into
-// `out` (count x r, row-major, same scalar as the factor storage). `mats`
-// must be non-empty. fp64 factors keep the exact pre-scalar-axis
-// arithmetic; fp32 factors form the product in storage precision (the
-// panel feeds an fp32 GEMM stream, error covered by the 1e-5 parity
-// tests).
-template <typename MatT>
-void krp_panel(const std::vector<const MatT*>& mats, index_t start,
-               index_t count, index_t r, la::matrix_scalar_t<MatT>* out) {
-  using S = la::matrix_scalar_t<MatT>;
+// `out` (count x r, row-major). `mats` must be non-empty.
+void krp_panel(const std::vector<const la::Matrix*>& mats, index_t start,
+               index_t count, index_t r, double* out) {
   const std::size_t nm = mats.size();
   if (nm == 1) {
     std::memcpy(out, mats[0]->row(start),
-                static_cast<std::size_t>(count * r) * sizeof(S));
+                static_cast<std::size_t>(count * r) * sizeof(double));
     return;
   }
   // Odometer over the member indices, advanced once per row. Stack storage:
@@ -71,11 +49,11 @@ void krp_panel(const std::vector<const MatT*>& mats, index_t start,
     rem /= e;
   }
   for (index_t row = 0; row < count; ++row) {
-    S* PARPP_RESTRICT o = out + row * r;
+    double* PARPP_RESTRICT o = out + row * r;
     std::memcpy(o, mats[0]->row(idx[0]),
-                static_cast<std::size_t>(r) * sizeof(S));
+                static_cast<std::size_t>(r) * sizeof(double));
     for (std::size_t m = 1; m < nm; ++m) {
-      const S* PARPP_RESTRICT f = mats[m]->row(idx[m]);
+      const double* PARPP_RESTRICT f = mats[m]->row(idx[m]);
 #pragma omp simd
       for (index_t k = 0; k < r; ++k) o[k] *= f[k];
     }
@@ -87,9 +65,8 @@ void krp_panel(const std::vector<const MatT*>& mats, index_t start,
 }
 
 // One KRP row (product of one row from each matrix) for a linearized index.
-template <typename MatT>
-void krp_row(const std::vector<const MatT*>& mats, index_t lin, index_t r,
-             la::matrix_scalar_t<MatT>* out) {
+void krp_row(const std::vector<const la::Matrix*>& mats, index_t lin,
+             index_t r, double* out) {
   krp_panel(mats, lin, 1, r, out);
 }
 
@@ -97,35 +74,35 @@ void krp_row(const std::vector<const MatT*>& mats, index_t lin, index_t r,
 // path: Mlocal(i, :) += P(i, :) ∘ lrow. RB ∈ {8, 16, 32} instantiates the
 // rank loop with an exact trip count (fully held in vector registers);
 // RB = 0 is the generic runtime-bound tail. Element-wise over k, so the
-// fp64 summation order is identical to the pre-blocking kernel.
-template <int RB, typename S>
-void mac_rows(index_t sn, index_t r, const double* p, const S* lrow,
+// summation order is identical to the pre-blocking kernel.
+template <int RB>
+void mac_rows(index_t sn, index_t r, const double* p, const double* lrow,
               double* mlocal) {
   const index_t rr = RB != 0 ? RB : r;
   for (index_t i = 0; i < sn; ++i) {
     const double* PARPP_RESTRICT pi = p + i * r;
     double* PARPP_RESTRICT mi = mlocal + i * r;
-    const S* PARPP_RESTRICT lr = lrow;
+    const double* PARPP_RESTRICT lr = lrow;
 #pragma omp simd
-    for (index_t k = 0; k < rr; ++k)
-      mi[k] += pi[k] * static_cast<double>(lr[k]);
+    for (index_t k = 0; k < rr; ++k) mi[k] += pi[k] * lr[k];
   }
 }
 
-// Number of doubles a scratch run of `n` scalars occupies in the
-// (double-granular) workspace slab.
-template <typename S>
-constexpr index_t slots(index_t n) {
-  if constexpr (std::is_same_v<S, float>) return la::f32_lease_doubles(n);
-  return n;
+}  // namespace
+
+la::Matrix mttkrp_fused(const DenseTensor& t,
+                        const std::vector<la::Matrix>& factors, int n,
+                        Profile* profile, util::KernelWorkspace* ws) {
+  la::Matrix m;
+  mttkrp_into(t, factors, n, m, profile, ws);
+  return m;
 }
 
-template <typename MatT>
-void mttkrp_into_impl(const la::matrix_scalar_t<MatT>* src,
-                      const std::vector<index_t>& shape,
-                      const std::vector<MatT>& factors, int n, la::Matrix& out,
-                      Profile* profile, util::KernelWorkspace* ws) {
-  using S = la::matrix_scalar_t<MatT>;
+void mttkrp_into(const DenseTensor& t, const std::vector<la::Matrix>& factors,
+                 int n, la::Matrix& out, Profile* profile,
+                 util::KernelWorkspace* ws) {
+  const double* src = t.data();
+  const std::vector<index_t>& shape = t.shape();
   const int order = static_cast<int>(shape.size());
   PARPP_CHECK(static_cast<int>(factors.size()) == order,
               "mttkrp_fused: factor count mismatch");
@@ -150,7 +127,7 @@ void mttkrp_into_impl(const la::matrix_scalar_t<MatT>* src,
     // No partner factors: the KRP is an empty product (all-ones), so every
     // rank column is the tensor itself — matches mttkrp_elementwise.
     for (index_t i = 0; i < sn; ++i)
-      std::fill(out.row(i), out.row(i) + r, static_cast<double>(src[i]));
+      std::fill(out.row(i), out.row(i) + r, src[i]);
     return;
   }
 
@@ -162,7 +139,8 @@ void mttkrp_into_impl(const la::matrix_scalar_t<MatT>* src,
     right *= shape[static_cast<std::size_t>(m)];
 
   // O(order) pointer setup before the panel loops, not steady-state work.
-  std::vector<const MatT*> left_mats, right_mats;  // parpp-lint: allow(alloc)
+  // parpp-lint: allow(alloc)
+  std::vector<const la::Matrix*> left_mats, right_mats;
   for (int m = 0; m < n; ++m)
     // parpp-lint: allow(alloc)
     left_mats.push_back(&factors[static_cast<std::size_t>(m)]);
@@ -178,13 +156,13 @@ void mttkrp_into_impl(const la::matrix_scalar_t<MatT>* src,
     // unfolding is reached by a transposed GEMM, no copy. The left KRP is
     // produced panel-by-panel.
     const index_t pb = panel_rows(r);
-    auto panel = wsp.lease(slots<S>(pb * r));
-    S* pdata = reinterpret_cast<S*>(panel.data());
+    auto panel = wsp.lease(pb * r);
+    double* pdata = panel.data();
     for (index_t l0 = 0; l0 < left; l0 += pb) {
       const index_t lb = std::min(pb, left - l0);
       krp_panel(left_mats, l0, lb, r, pdata);
-      gemm_raw_s(la::Trans::kYes, la::Trans::kNo, sn, r, lb, 1.0,
-                 src + l0 * sn, sn, pdata, r, 1.0, out.data(), r);
+      la::gemm_raw(la::Trans::kYes, la::Trans::kNo, sn, r, lb, 1.0,
+                   src + l0 * sn, sn, pdata, r, 1.0, out.data(), r);
     }
     return;
   }
@@ -193,13 +171,13 @@ void mttkrp_into_impl(const la::matrix_scalar_t<MatT>* src,
     // First mode: M = U W with U = T viewed as (s_n x right) — already the
     // unfolding in place. The right KRP is produced panel-by-panel.
     const index_t pb = panel_rows(r);
-    auto panel = wsp.lease(slots<S>(pb * r));
-    S* pdata = reinterpret_cast<S*>(panel.data());
+    auto panel = wsp.lease(pb * r);
+    double* pdata = panel.data();
     for (index_t t0 = 0; t0 < right; t0 += pb) {
       const index_t tb = std::min(pb, right - t0);
       krp_panel(right_mats, t0, tb, r, pdata);
-      gemm_raw_s(la::Trans::kNo, la::Trans::kNo, sn, r, tb, 1.0, src + t0,
-                 right, pdata, r, 1.0, out.data(), r);
+      la::gemm_raw(la::Trans::kNo, la::Trans::kNo, sn, r, tb, 1.0, src + t0,
+                   right, pdata, r, 1.0, out.data(), r);
     }
     return;
   }
@@ -216,11 +194,9 @@ void mttkrp_into_impl(const la::matrix_scalar_t<MatT>* src,
   const index_t pb = panel_rows(r);
   const int maxt = omp_get_max_threads();
   const index_t msize = sn * r;
-  // Per-thread runs: Mlocal and the GEMM scratch P accumulate in fp64
-  // regardless of the storage scalar; only the lrow/panel KRP streams size
-  // by scalar type.
+  // Per-thread runs: Mlocal, the GEMM scratch P, lrow and the Rt panel.
   const index_t scratch_per_thread =
-      msize /*P*/ + slots<S>(r /*lrow*/ + pb * r /*Rt panel*/);
+      msize /*P*/ + r /*lrow*/ + pb * r /*Rt panel*/;
   const index_t per_thread = msize /*Mlocal*/ + scratch_per_thread;
   auto slab = wsp.lease(static_cast<index_t>(maxt) * per_thread);
   // Mlocal slots lead the slab so they can be zeroed (and later reduced) as
@@ -243,20 +219,20 @@ void mttkrp_into_impl(const la::matrix_scalar_t<MatT>* src,
     double* mlocal = mlocal0 + static_cast<index_t>(tid) * msize;
     double* scratch = scratch0 + static_cast<index_t>(tid) * scratch_per_thread;
     double* p = scratch;
-    S* lrow = reinterpret_cast<S*>(scratch + msize);
-    S* panel = lrow + r;
+    double* lrow = scratch + msize;
+    double* panel = lrow + r;
     if (hoist_panel) krp_panel(right_mats, 0, right, r, panel);
 
 #pragma omp for schedule(static)
     for (index_t l = 0; l < left; ++l) {
       krp_row(left_mats, l, r, lrow);
       std::fill(p, p + msize, 0.0);
-      const S* tl = src + l * sn * right;
+      const double* tl = src + l * sn * right;
       for (index_t t0 = 0; t0 < right; t0 += pb) {
         const index_t tb = std::min(pb, right - t0);
         if (!hoist_panel) krp_panel(right_mats, t0, tb, r, panel);
-        gemm_raw_s(la::Trans::kNo, la::Trans::kNo, sn, r, tb, 1.0, tl + t0,
-                   right, panel, r, 1.0, p, r);
+        la::gemm_raw(la::Trans::kNo, la::Trans::kNo, sn, r, tb, 1.0, tl + t0,
+                     right, panel, r, 1.0, p, r);
       }
       la::rank_dispatch(r, [&](auto rb) {
         mac_rows<decltype(rb)::value>(sn, r, p, lrow, mlocal);
@@ -272,29 +248,6 @@ void mttkrp_into_impl(const la::matrix_scalar_t<MatT>* src,
     const double* mlocal = mlocal0 + static_cast<index_t>(tid) * msize;
     for (index_t i = 0; i < msize; ++i) dst[i] += mlocal[i];
   }
-}
-
-}  // namespace
-
-la::Matrix mttkrp_fused(const DenseTensor& t,
-                        const std::vector<la::Matrix>& factors, int n,
-                        Profile* profile, util::KernelWorkspace* ws) {
-  la::Matrix m;
-  mttkrp_into(t, factors, n, m, profile, ws);
-  return m;
-}
-
-void mttkrp_into(const DenseTensor& t, const std::vector<la::Matrix>& factors,
-                 int n, la::Matrix& out, Profile* profile,
-                 util::KernelWorkspace* ws) {
-  mttkrp_into_impl(t.data(), t.shape(), factors, n, out, profile, ws);
-}
-
-void mttkrp_into_f32(const float* t32, const std::vector<index_t>& shape,
-                     const std::vector<la::MatrixF32>& factors, int n,
-                     la::Matrix& out, Profile* profile,
-                     util::KernelWorkspace* ws) {
-  mttkrp_into_impl(t32, shape, factors, n, out, profile, ws);
 }
 
 }  // namespace parpp::tensor

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "parpp/la/matrix.hpp"
-#include "parpp/la/scalar.hpp"
 #include "parpp/tensor/dense_tensor.hpp"
 #include "parpp/util/profile.hpp"
 #include "parpp/util/workspace.hpp"
@@ -34,16 +33,5 @@ namespace parpp::tensor {
 void mttkrp_into(const DenseTensor& t, const std::vector<la::Matrix>& factors,
                  int n, la::Matrix& out, Profile* profile = nullptr,
                  util::KernelWorkspace* ws = nullptr);
-
-/// fp32-storage variant: same fused walk over an fp32 copy of the tensor
-/// (`t32`, |T| elements in `shape`'s row-major order) against fp32 factor
-/// mirrors, accumulating in fp64 — `out` is a full-precision Matrix. KRP
-/// panels are built and streamed as fp32, so the kernel moves half the
-/// bytes of the fp64 path. Parity vs fp64 is ~1e-5 relative (fp32 storage
-/// roundoff), asserted in test_scalar_kernels.cpp.
-void mttkrp_into_f32(const float* t32, const std::vector<index_t>& shape,
-                     const std::vector<la::MatrixF32>& factors, int n,
-                     la::Matrix& out, Profile* profile = nullptr,
-                     util::KernelWorkspace* ws = nullptr);
 
 }  // namespace parpp::tensor

@@ -10,8 +10,9 @@ namespace parpp::tensor {
 
 namespace {
 
-template <typename Tensor, typename MatT>
-void check_factors(const Tensor& t, const std::vector<MatT>& factors, int n) {
+template <typename Tensor>
+void check_factors(const Tensor& t, const std::vector<la::Matrix>& factors,
+                   int n) {
   PARPP_CHECK(n >= 0 && n < t.order(), "mttkrp: bad mode ", n);
   PARPP_CHECK(static_cast<int>(factors.size()) == t.order(),
               "mttkrp: factor count mismatch");
@@ -58,14 +59,12 @@ int openmp_team_size() {
   return cached_team;
 }
 
-// All walks below are templated on the factor-matrix type (la::Matrix or
-// la::MatrixF32 — `vals` matches its storage scalar) and on a register
-// block RB ∈ {0, 8, 16, 32}: nonzero RB instantiates the rank loops with
-// exact compile-time trip counts the autovectorizer holds in registers,
-// RB = 0 is the runtime-bound generic. Loads widen to fp64 at the register
-// boundary; every accumulator (`acc` slabs, `dst` rows, partial rows) is
-// fp64 for both storage scalars, element-wise over the rank index, so the
-// fp64 instantiation reproduces the pre-blocking summation order exactly.
+// All walks below are templated on a register block RB ∈ {0, 8, 16, 32}:
+// nonzero RB instantiates the rank loops with exact compile-time trip
+// counts the autovectorizer holds in registers, RB = 0 is the runtime-bound
+// generic. Every accumulator (`acc` slabs, `dst` rows, partial rows) is
+// element-wise over the rank index, so each instantiation reproduces the
+// pre-blocking summation order exactly.
 
 // The gathered rows are the latency wall of every walk: the pattern stream
 // (fids / values / fptr) prefetches itself, but each nonzero's factor (or
@@ -73,23 +72,21 @@ int openmp_team_size() {
 // extents almost every one misses to DRAM. The leaf loops therefore stay
 // kGatherAhead nonzeros in front of the walk; interior loops prefetch one
 // node ahead (the recursion underneath is the latency window). Prefetching
-// changes no arithmetic — fp64 stays bit-for-bit.
+// changes no arithmetic — results stay bit-for-bit.
 constexpr index_t kGatherAhead = 16;
 
 /// Sums the contributions of the level-`lv` nodes [begin, end) into `dst`
 /// (length R). `acc` holds one R-vector per interior level (lv in
 /// [1, order-2]), indexed acc + (lv-1)*R.
-template <int RB, typename MatT>
-void accumulate_children(const CsfTensor::Tree& tree,
-                         const la::matrix_scalar_t<MatT>* vals,
-                         const std::vector<MatT>& factors, int lv,
+template <int RB>
+void accumulate_children(const CsfTensor::Tree& tree, const double* vals,
+                         const std::vector<la::Matrix>& factors, int lv,
                          index_t begin, index_t end, index_t r, double* acc,
                          double* dst) {
-  using S = la::matrix_scalar_t<MatT>;
   const index_t rr = RB != 0 ? RB : r;
   const int leaf = static_cast<int>(tree.mode_order.size()) - 1;
   const auto& fids = tree.fids[static_cast<std::size_t>(lv)];
-  const MatT& factor =
+  const la::Matrix& factor =
       factors[static_cast<std::size_t>(tree.mode_order[static_cast<std::size_t>(lv)])];
   if (lv == leaf) {
     double* PARPP_RESTRICT d = dst;
@@ -98,12 +95,12 @@ void accumulate_children(const CsfTensor::Tree& tree,
       const char* prow = reinterpret_cast<const char*>(
           factor.row(fids[static_cast<std::size_t>(pf)]));
       __builtin_prefetch(prow);
-      if (rr * static_cast<index_t>(sizeof(S)) > 64)
-        __builtin_prefetch(prow + 64);
-      const double v = static_cast<double>(vals[k]);
-      const S* PARPP_RESTRICT arow = factor.row(fids[static_cast<std::size_t>(k)]);
+      if (rr > 8) __builtin_prefetch(prow + 64);
+      const double v = vals[k];
+      const double* PARPP_RESTRICT arow =
+          factor.row(fids[static_cast<std::size_t>(k)]);
 #pragma omp simd
-      for (index_t j = 0; j < rr; ++j) d[j] += v * static_cast<double>(arow[j]);
+      for (index_t j = 0; j < rr; ++j) d[j] += v * arow[j];
     }
     return;
   }
@@ -117,11 +114,12 @@ void accumulate_children(const CsfTensor::Tree& tree,
                             fptr[static_cast<std::size_t>(k)],
                             fptr[static_cast<std::size_t>(k + 1)], r, acc,
                             mine);
-    const S* PARPP_RESTRICT arow = factor.row(fids[static_cast<std::size_t>(k)]);
+    const double* PARPP_RESTRICT arow =
+        factor.row(fids[static_cast<std::size_t>(k)]);
     const double* PARPP_RESTRICT m = mine;
     double* PARPP_RESTRICT d = dst;
 #pragma omp simd
-    for (index_t j = 0; j < rr; ++j) d[j] += m[j] * static_cast<double>(arow[j]);
+    for (index_t j = 0; j < rr; ++j) d[j] += m[j] * arow[j];
   }
 }
 
@@ -130,17 +128,15 @@ void accumulate_children(const CsfTensor::Tree& tree,
 /// the current coordinate of free mode j (valid once the walk passed
 /// j_level). `out_slab` points at out(x_i, 0, 0); per-level product slabs
 /// live at scratch + lv*r.
-template <int RB, typename MatT>
-void pair_walk(const CsfTensor::Tree& tree,
-               const la::matrix_scalar_t<MatT>* vals,
-               const std::vector<MatT>& factors, int j_level, int lv,
+template <int RB>
+void pair_walk(const CsfTensor::Tree& tree, const double* vals,
+               const std::vector<la::Matrix>& factors, int j_level, int lv,
                index_t begin, index_t end, const double* prod, index_t xj,
                index_t r, double* scratch, double* out_slab) {
-  using S = la::matrix_scalar_t<MatT>;
   const index_t rr = RB != 0 ? RB : r;
   const int leaf = static_cast<int>(tree.mode_order.size()) - 1;
   const auto& fids = tree.fids[static_cast<std::size_t>(lv)];
-  const MatT& factor = factors[static_cast<std::size_t>(
+  const la::Matrix& factor = factors[static_cast<std::size_t>(
       tree.mode_order[static_cast<std::size_t>(lv)])];
   if (lv == leaf) {
     if (lv == j_level) {
@@ -150,7 +146,7 @@ void pair_walk(const CsfTensor::Tree& tree,
             k + kGatherAhead < end ? k + kGatherAhead : end - 1;
         __builtin_prefetch(out_slab + fids[static_cast<std::size_t>(pf)] * r,
                            1);
-        const double v = static_cast<double>(vals[k]);
+        const double v = vals[k];
         double* PARPP_RESTRICT dst =
             out_slab + fids[static_cast<std::size_t>(k)] * r;
 #pragma omp simd
@@ -163,12 +159,11 @@ void pair_walk(const CsfTensor::Tree& tree,
         const index_t pf =
             k + kGatherAhead < end ? k + kGatherAhead : end - 1;
         __builtin_prefetch(factor.row(fids[static_cast<std::size_t>(pf)]));
-        const double v = static_cast<double>(vals[k]);
-        const S* PARPP_RESTRICT arow =
+        const double v = vals[k];
+        const double* PARPP_RESTRICT arow =
             factor.row(fids[static_cast<std::size_t>(k)]);
 #pragma omp simd
-        for (index_t q = 0; q < rr; ++q)
-          dst[q] += v * static_cast<double>(arow[q]) * p[q];
+        for (index_t q = 0; q < rr; ++q) dst[q] += v * arow[q] * p[q];
       }
     }
     return;
@@ -185,11 +180,12 @@ void pair_walk(const CsfTensor::Tree& tree,
   }
   double* mine = scratch + static_cast<index_t>(lv) * r;
   for (index_t k = begin; k < end; ++k) {
-    const S* PARPP_RESTRICT arow = factor.row(fids[static_cast<std::size_t>(k)]);
+    const double* PARPP_RESTRICT arow =
+        factor.row(fids[static_cast<std::size_t>(k)]);
     const double* PARPP_RESTRICT p = prod;
     double* PARPP_RESTRICT m = mine;
 #pragma omp simd
-    for (index_t q = 0; q < rr; ++q) m[q] = p[q] * static_cast<double>(arow[q]);
+    for (index_t q = 0; q < rr; ++q) m[q] = p[q] * arow[q];
     pair_walk<RB>(tree, vals, factors, j_level, lv + 1,
                   fptr[static_cast<std::size_t>(k)],
                   fptr[static_cast<std::size_t>(k + 1)], mine, xj, r, scratch,
@@ -197,23 +193,24 @@ void pair_walk(const CsfTensor::Tree& tree,
   }
 }
 
-template <typename MatT>
-void pair_mttkrp_csf_into_impl(const CsfTensor& t,
-                               const la::matrix_scalar_t<MatT>* vals,
-                               const std::vector<MatT>& factors, int i, int j,
-                               DenseTensor& out, Profile* profile,
-                               util::KernelWorkspace* ws) {
-  PARPP_CHECK(t.order() >= 3, "pair_mttkrp: order must be >= 3");
-  PARPP_CHECK(i != j, "pair_mttkrp: free modes must differ");
+}  // namespace
+
+void pair_mttkrp_csf_into(const CsfTensor& t,
+                          const std::vector<la::Matrix>& factors, int i,
+                          int j, DenseTensor& out, Profile* profile,
+                          util::KernelWorkspace* ws) {
   PARPP_CHECK(t.layout() == CsfLayout::kAllModes,
               "pair_mttkrp: pair operators need a root tree per mode — "
               "build the CsfTensor with CsfLayout::kAllModes (the kHalf "
               "layout serves plain MTTKRPs only)");
+  PARPP_CHECK(t.order() >= 3, "pair_mttkrp: order must be >= 3");
+  PARPP_CHECK(i != j, "pair_mttkrp: free modes must differ");
   check_factors(t, factors, i);
   PARPP_CHECK(j >= 0 && j < t.order(), "pair_mttkrp: bad mode ", j);
   const int order = t.order();
   const index_t r = factors.front().cols();
   const CsfTensor::Tree& tree = t.tree(i);
+  const double* vals = tree.vals.data();
   ScopedProfile sp(profile ? *profile : Profile::thread_default(),
                    Kernel::kTTM,
                    2.0 * static_cast<double>(r) *
@@ -231,8 +228,6 @@ void pair_mttkrp_csf_into_impl(const CsfTensor& t,
   // Per thread: one ones-vector (the root's incoming product) plus one
   // product slab per level, leased up front like the MTTKRP walk and sized
   // by the team that will actually run (not the global thread maximum).
-  // Products and accumulators are fp64 for both storage scalars, so the
-  // slab size never depends on the scalar axis.
   const index_t per_thread = static_cast<index_t>(order + 1) * r;
   auto slab = wsp.lease(static_cast<index_t>(team) * per_thread);
 
@@ -263,31 +258,6 @@ void pair_mttkrp_csf_into_impl(const CsfTensor& t,
     fence.leave();
   }
   fence.join();
-}
-
-}  // namespace
-
-void pair_mttkrp_csf_into(const CsfTensor& t,
-                          const std::vector<la::Matrix>& factors, int i,
-                          int j, DenseTensor& out, Profile* profile,
-                          util::KernelWorkspace* ws) {
-  PARPP_CHECK(t.layout() == CsfLayout::kAllModes,
-              "pair_mttkrp: pair operators need a root tree per mode — "
-              "build the CsfTensor with CsfLayout::kAllModes");
-  pair_mttkrp_csf_into_impl(t, t.tree(i).vals.data(), factors, i, j, out,
-                            profile, ws);
-}
-
-void pair_mttkrp_csf_into_f32(const CsfTensor& t,
-                              const std::vector<la::MatrixF32>& factors,
-                              int i, int j, const CsfValsF32& vals32,
-                              DenseTensor& out, Profile* profile,
-                              util::KernelWorkspace* ws) {
-  PARPP_CHECK(t.layout() == CsfLayout::kAllModes,
-              "pair_mttkrp: pair operators need a root tree per mode — "
-              "build the CsfTensor with CsfLayout::kAllModes");
-  pair_mttkrp_csf_into_impl(t, vals32.tree_vals(i), factors, i, j, out,
-                            profile, ws);
 }
 
 DenseTensor pair_mttkrp_coo(const CooTensor& t,
@@ -347,15 +317,13 @@ la::Matrix mttkrp_coo(const CooTensor& t, const std::vector<la::Matrix>& factors
 namespace {
 
 /// Classic schedule: one root fiber per task.
-template <int RB, typename MatT>
-void csf_walk_fiber(const CsfTensor::Tree& tree,
-                    const la::matrix_scalar_t<MatT>* vals,
-                    const std::vector<MatT>& factors, index_t r,
+template <int RB>
+void csf_walk_fiber(const CsfTensor::Tree& tree, const double* vals,
+                    const std::vector<la::Matrix>& factors, index_t r,
                     index_t levels, int team, la::Matrix& out,
                     util::KernelWorkspace& wsp) {
   // One slab of interior-level accumulators per thread, leased up front so
-  // the parallel region never contends on the pool lock. Accumulators are
-  // fp64 regardless of the storage scalar.
+  // the parallel region never contends on the pool lock.
   auto slab = wsp.lease(static_cast<index_t>(team) * levels * r);
   const index_t roots = tree.root_count();
   const auto& root_fids = tree.fids.front();
@@ -387,17 +355,15 @@ void csf_walk_fiber(const CsfTensor::Tree& tree,
 /// directly); its first/last root may be shared with neighbor tiles, so
 /// those contributions go to tile-private partial rows merged in a serial
 /// O(tiles) fix-up after the parallel region.
-template <int RB, typename MatT>
-void csf_walk_tiled(const CsfTensor::Tree& tree,
-                    const la::matrix_scalar_t<MatT>* vals,
-                    const std::vector<MatT>& factors, index_t r,
+template <int RB>
+void csf_walk_tiled(const CsfTensor::Tree& tree, const double* vals,
+                    const std::vector<la::Matrix>& factors, index_t r,
                     index_t levels, int team, la::Matrix& out,
                     util::KernelWorkspace& wsp) {
   const index_t tiles = tree.tile_count();
   const auto& root_fids = tree.fids.front();
   const auto& root_fptr = tree.fptr.front();
-  // Per-thread accumulator slabs, then two partial rows per tile — all
-  // fp64; the scalar axis never changes accumulator sizing.
+  // Per-thread accumulator slabs, then two partial rows per tile.
   auto slab = wsp.lease(static_cast<index_t>(team) * levels * r +
                         tiles * 2 * r);
   double* const part_base = slab.data() + static_cast<index_t>(team) * levels * r;
@@ -471,13 +437,11 @@ void csf_walk_tiled(const CsfTensor::Tree& tree,
 /// product of the factor rows of every level above `lv`; leaves add
 /// val * prod into their output row. Interior product slabs live at
 /// scratch + lv*r.
-template <int RB, typename MatT>
-void leaf_scatter(const CsfTensor::Tree& tree,
-                  const la::matrix_scalar_t<MatT>* vals,
-                  const std::vector<MatT>& factors, int lv, index_t begin,
-                  index_t end, const double* prod, index_t r, double* scratch,
-                  double* out0) {
-  using S = la::matrix_scalar_t<MatT>;
+template <int RB>
+void leaf_scatter(const CsfTensor::Tree& tree, const double* vals,
+                  const std::vector<la::Matrix>& factors, int lv,
+                  index_t begin, index_t end, const double* prod, index_t r,
+                  double* scratch, double* out0) {
   const index_t rr = RB != 0 ? RB : r;
   const int leaf = static_cast<int>(tree.mode_order.size()) - 1;
   const auto& fids = tree.fids[static_cast<std::size_t>(lv)];
@@ -489,25 +453,26 @@ void leaf_scatter(const CsfTensor::Tree& tree,
           out0 + fids[static_cast<std::size_t>(pf)] * r);
       __builtin_prefetch(prow, 1);
       if (rr > 8) __builtin_prefetch(prow + 64, 1);
-      const double v = static_cast<double>(vals[k]);
+      const double v = vals[k];
       double* PARPP_RESTRICT dst = out0 + fids[static_cast<std::size_t>(k)] * r;
 #pragma omp simd
       for (index_t q = 0; q < rr; ++q) dst[q] += v * p[q];
     }
     return;
   }
-  const MatT& factor = factors[static_cast<std::size_t>(
+  const la::Matrix& factor = factors[static_cast<std::size_t>(
       tree.mode_order[static_cast<std::size_t>(lv)])];
   const auto& fptr = tree.fptr[static_cast<std::size_t>(lv)];
   double* mine = scratch + static_cast<index_t>(lv) * r;
   for (index_t k = begin; k < end; ++k) {
     if (k + 1 < end)
       __builtin_prefetch(factor.row(fids[static_cast<std::size_t>(k + 1)]));
-    const S* PARPP_RESTRICT arow = factor.row(fids[static_cast<std::size_t>(k)]);
+    const double* PARPP_RESTRICT arow =
+        factor.row(fids[static_cast<std::size_t>(k)]);
     const double* PARPP_RESTRICT p = prod;
     double* PARPP_RESTRICT m = mine;
 #pragma omp simd
-    for (index_t q = 0; q < rr; ++q) m[q] = p[q] * static_cast<double>(arow[q]);
+    for (index_t q = 0; q < rr; ++q) m[q] = p[q] * arow[q];
     leaf_scatter<RB>(tree, vals, factors, lv + 1,
                      fptr[static_cast<std::size_t>(k)],
                      fptr[static_cast<std::size_t>(k + 1)], mine, r, scratch,
@@ -522,23 +487,20 @@ void leaf_scatter(const CsfTensor::Tree& tree,
 /// fiber walk's dynamic chunks), so every slab sums the same contributions
 /// in the same order on every run and the result is bitwise reproducible
 /// for a fixed team size.
-template <int RB, typename MatT>
-void csf_walk_leaf(const CsfTensor::Tree& tree,
-                   const la::matrix_scalar_t<MatT>* vals,
-                   const std::vector<MatT>& factors, index_t r, int team,
+template <int RB>
+void csf_walk_leaf(const CsfTensor::Tree& tree, const double* vals,
+                   const std::vector<la::Matrix>& factors, index_t r, int team,
                    la::Matrix& out, util::KernelWorkspace& wsp) {
-  using S = la::matrix_scalar_t<MatT>;
   const int order = static_cast<int>(tree.mode_order.size());
   const index_t roots = tree.root_count();
   const auto& root_fids = tree.fids.front();
   const auto& root_fptr = tree.fptr.front();
-  const MatT& root_factor =
+  const la::Matrix& root_factor =
       factors[static_cast<std::size_t>(tree.mode_order.front())];
   const index_t osize = out.rows() * r;
   // Per thread: one product slab per level (levels 0..order-2; the root
   // product occupies slot 0) plus, when the team is parallel, a private
-  // output copy. fp64 throughout — the scalar axis only changes what the
-  // loads stream.
+  // output copy.
   const index_t scratch_per_thread = static_cast<index_t>(order) * r;
   const index_t per_thread =
       scratch_per_thread + (team > 1 ? osize : index_t{0});
@@ -565,12 +527,12 @@ void csf_walk_leaf(const CsfTensor::Tree& tree,
     const index_t k_begin = roots * tid / nt;
     const index_t k_end = roots * (tid + 1) / nt;
     for (index_t k = k_begin; k < k_end; ++k) {
-      const S* PARPP_RESTRICT arow =
+      const double* PARPP_RESTRICT arow =
           root_factor.row(root_fids[static_cast<std::size_t>(k)]);
       double* PARPP_RESTRICT rp = rootprod;
       const index_t rr = RB != 0 ? RB : r;
 #pragma omp simd
-      for (index_t q = 0; q < rr; ++q) rp[q] = static_cast<double>(arow[q]);
+      for (index_t q = 0; q < rr; ++q) rp[q] = arow[q];
       leaf_scatter<RB>(tree, vals, factors, 1,
                        root_fptr[static_cast<std::size_t>(k)],
                        root_fptr[static_cast<std::size_t>(k + 1)], rootprod, r,
@@ -590,17 +552,17 @@ void csf_walk_leaf(const CsfTensor::Tree& tree,
   }
 }
 
-template <typename MatT>
-void mttkrp_csf_into_impl(const CsfTensor& t,
-                          const la::matrix_scalar_t<MatT>* vals,
-                          const std::vector<MatT>& factors, int n,
-                          la::Matrix& out, Profile* profile,
-                          util::KernelWorkspace* ws, CsfWalk walk) {
+}  // namespace
+
+void mttkrp_csf_into(const CsfTensor& t, const std::vector<la::Matrix>& factors,
+                     int n, la::Matrix& out, Profile* profile,
+                     util::KernelWorkspace* ws, CsfWalk walk) {
   check_factors(t, factors, n);
   const int order = t.order();
   const index_t r = factors.front().cols();
   const CsfTensor::Walk wk = t.walk_for(n);
   const CsfTensor::Tree& tree = *wk.tree;
+  const double* vals = tree.vals.data();
   ScopedProfile sp(profile ? *profile : Profile::thread_default(),
                    Kernel::kTTM,
                    2.0 * static_cast<double>(r) *
@@ -639,26 +601,6 @@ void mttkrp_csf_into_impl(const CsfTensor& t,
                                           team, out, wsp);
     }
   });
-}
-
-}  // namespace
-
-void mttkrp_csf_into(const CsfTensor& t, const std::vector<la::Matrix>& factors,
-                     int n, la::Matrix& out, Profile* profile,
-                     util::KernelWorkspace* ws, CsfWalk walk) {
-  const CsfTensor::Walk wk = t.walk_for(n);
-  mttkrp_csf_into_impl(t, wk.tree->vals.data(), factors, n, out, profile, ws,
-                       walk);
-}
-
-void mttkrp_csf_into_f32(const CsfTensor& t,
-                         const std::vector<la::MatrixF32>& factors, int n,
-                         const CsfValsF32& vals32, la::Matrix& out,
-                         Profile* profile, util::KernelWorkspace* ws,
-                         CsfWalk walk) {
-  const CsfTensor::Walk wk = t.walk_for(n);
-  mttkrp_csf_into_impl(t, vals32.tree_vals(wk.tree_index), factors, n, out,
-                       profile, ws, walk);
 }
 
 la::Matrix mttkrp_csf(const CsfTensor& t, const std::vector<la::Matrix>& factors,

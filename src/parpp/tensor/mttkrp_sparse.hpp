@@ -21,15 +21,12 @@
 //
 // Per-thread accumulators (and the tile-boundary rows) are leased from the
 // workspace and sized by the actual OpenMP team, making steady-state sweeps
-// allocation-free exactly like the dense fused path. Accumulation is always
-// fp64 — the fp32 entry points below change only the *streamed* storage
-// (factor mirrors + CsfValsF32 value mirrors), never the accumulator slabs.
+// allocation-free exactly like the dense fused path.
 #pragma once
 
 #include <vector>
 
 #include "parpp/la/matrix.hpp"
-#include "parpp/la/scalar.hpp"
 #include "parpp/tensor/coo_tensor.hpp"
 #include "parpp/tensor/csf_tensor.hpp"
 #include "parpp/util/profile.hpp"
@@ -68,19 +65,6 @@ void mttkrp_csf_into(const CsfTensor& t,
                      util::KernelWorkspace* ws = nullptr,
                      CsfWalk walk = CsfWalk::kAuto);
 
-/// fp32-storage CSF MTTKRP: identical walk with fp32 factor mirrors and
-/// fp32 value mirrors (`vals32`, built once per tensor via
-/// CsfValsF32::sync), widening every load to fp64 before accumulating —
-/// the per-thread accumulator slabs stay fp64-sized. Halves the bytes of
-/// the dominant streams (factor rows + values); parity vs the fp64 walk
-/// is ~1e-5 relative (asserted in test_scalar_kernels.cpp).
-void mttkrp_csf_into_f32(const CsfTensor& t,
-                         const std::vector<la::MatrixF32>& factors, int n,
-                         const CsfValsF32& vals32, la::Matrix& out,
-                         Profile* profile = nullptr,
-                         util::KernelWorkspace* ws = nullptr,
-                         CsfWalk walk = CsfWalk::kAuto);
-
 /// Pairwise-perturbation pair operator M_p(i,j) over sparse storage: the
 /// (s_i, s_j, R) dense tensor obtained by contracting every mode except
 /// {i, j} with its factor — an MTTKRP with two free modes. Walks the tree
@@ -94,14 +78,6 @@ void pair_mttkrp_csf_into(const CsfTensor& t,
                           const std::vector<la::Matrix>& factors, int i,
                           int j, DenseTensor& out, Profile* profile = nullptr,
                           util::KernelWorkspace* ws = nullptr);
-
-/// fp32-storage pair operator: same walk as pair_mttkrp_csf_into over fp32
-/// factor/value mirrors with fp64 accumulation into `out`.
-void pair_mttkrp_csf_into_f32(const CsfTensor& t,
-                              const std::vector<la::MatrixF32>& factors,
-                              int i, int j, const CsfValsF32& vals32,
-                              DenseTensor& out, Profile* profile = nullptr,
-                              util::KernelWorkspace* ws = nullptr);
 
 /// Entry-wise COO reference for the pair operator (validation oracle).
 [[nodiscard]] DenseTensor pair_mttkrp_coo(const CooTensor& t,

@@ -5,42 +5,42 @@
 #include <algorithm>
 #include <vector>
 
-#include "parpp/la/scalar.hpp"
 #include "parpp/util/omp_sync.hpp"
 
 namespace parpp::tensor {
 
 namespace {
 
-// Templated on the storage scalar of the streamed intermediate (double for
-// the classic path, float for PP pair-operator mirrors); loads widen to
-// fp64, every accumulation is fp64, and the loops are element-wise over j,
-// so the double instantiation reproduces the historical results exactly.
-
 // Accumulate out_plane(right x R) += sum_y in(y, rt_range, R) * A(y, :),
 // restricted to rt in [rt0, rt1).
-template <typename S>
-inline void accumulate_rt_range(const S* in_block, const double* am,
+inline void accumulate_rt_range(const double* in_block, const double* am,
                                 double* out_plane, index_t dp, index_t right,
                                 index_t r, index_t rt0, index_t rt1) {
   const index_t plane = right * r;
   for (index_t y = 0; y < dp; ++y) {
-    const S* in_plane = in_block + y * plane;
+    const double* in_plane = in_block + y * plane;
     const double* arow = am + y * r;
     for (index_t rt = rt0; rt < rt1; ++rt) {
-      const S* PARPP_RESTRICT ip = in_plane + rt * r;
+      const double* PARPP_RESTRICT ip = in_plane + rt * r;
       const double* PARPP_RESTRICT ar = arow;
       double* PARPP_RESTRICT op = out_plane + rt * r;
 #pragma omp simd
-      for (index_t j = 0; j < r; ++j)
-        op[j] += static_cast<double>(ip[j]) * ar[j];
+      for (index_t j = 0; j < r; ++j) op[j] += ip[j] * ar[j];
     }
   }
 }
 
-template <typename S>
-void mttv_into_impl(const DenseTensor& k, const S* src, int pos,
-                    const la::Matrix& a, DenseTensor& out, Profile* profile) {
+}  // namespace
+
+DenseTensor mttv(const DenseTensor& k, int pos, const la::Matrix& a,
+                 Profile* profile) {
+  DenseTensor out;
+  mttv_into(k, pos, a, out, profile);
+  return out;
+}
+
+void mttv_into(const DenseTensor& k, int pos, const la::Matrix& a,
+               DenseTensor& out, Profile* profile) {
   PARPP_CHECK(&k != &out, "mttv_into: input must not alias output");
   const int n = k.order();
   PARPP_CHECK(n >= 2, "mttv: intermediate must carry a rank mode");
@@ -68,6 +68,7 @@ void mttv_into_impl(const DenseTensor& k, const S* src, int pos,
   ScopedProfile sp(profile ? *profile : Profile::thread_default(),
                    Kernel::kMTTV, flops);
 
+  const double* src = k.data();
   const double* am = a.data();
   double* dst = out.data();
   const index_t plane = right * r;
@@ -107,11 +108,10 @@ void mttv_into_impl(const DenseTensor& k, const S* src, int pos,
       std::vector<double> local(static_cast<std::size_t>(r), 0.0);
 #pragma omp for schedule(static) nowait
       for (index_t y = 0; y < dp; ++y) {
-        const S* ip = src + y * r;
+        const double* ip = src + y * r;
         const double* arow = am + y * r;
         for (index_t j = 0; j < r; ++j)
-          local[static_cast<std::size_t>(j)] +=
-              static_cast<double>(ip[j]) * arow[j];
+          local[static_cast<std::size_t>(j)] += ip[j] * arow[j];
       }
       // The critical section's lock lives in libgomp, invisible to TSan;
       // observe-on-entry / publish-on-exit restate the serialization the
@@ -126,25 +126,6 @@ void mttv_into_impl(const DenseTensor& k, const S* src, int pos,
     }
     fence.join();
   }
-}
-
-}  // namespace
-
-DenseTensor mttv(const DenseTensor& k, int pos, const la::Matrix& a,
-                 Profile* profile) {
-  DenseTensor out;
-  mttv_into(k, pos, a, out, profile);
-  return out;
-}
-
-void mttv_into(const DenseTensor& k, int pos, const la::Matrix& a,
-               DenseTensor& out, Profile* profile) {
-  mttv_into_impl(k, k.data(), pos, a, out, profile);
-}
-
-void mttv_into_f32(const DenseTensor& k, const float* k32, int pos,
-                   const la::Matrix& a, DenseTensor& out, Profile* profile) {
-  mttv_into_impl(k, k32, pos, a, out, profile);
 }
 
 }  // namespace parpp::tensor

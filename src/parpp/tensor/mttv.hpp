@@ -23,13 +23,4 @@ namespace parpp::tensor {
 void mttv_into(const DenseTensor& k, int pos, const la::Matrix& a,
                DenseTensor& out, Profile* profile = nullptr);
 
-/// fp32-streaming variant: `k` supplies only the shape bookkeeping; the
-/// intermediate's data is streamed from `k32` (an fp32 mirror of k.data(),
-/// k.size() elements — e.g. a PpOperators::PairOp::data_f32). A stays
-/// fp64 and every accumulation is fp64 — only the dominant stream (the
-/// intermediate, which dwarfs A) is halved.
-void mttv_into_f32(const DenseTensor& k, const float* k32, int pos,
-                   const la::Matrix& a, DenseTensor& out,
-                   Profile* profile = nullptr);
-
 }  // namespace parpp::tensor

@@ -43,6 +43,14 @@ template <typename... Args>
     }                                                                \
   } while (0)
 
+// Non-aliasing pointer marker for the register-blocked inner loops; the
+// autovectorizer needs it to keep R-wide accumulators in registers.
+#if defined(__GNUC__) || defined(__clang__)
+#define PARPP_RESTRICT __restrict
+#else
+#define PARPP_RESTRICT
+#endif
+
 // Internal invariant check, compiled out unless PARPP_ENABLE_ASSERTS.
 #if defined(PARPP_ENABLE_ASSERTS) && PARPP_ENABLE_ASSERTS
 #define PARPP_ASSERT(expr, ...) PARPP_CHECK(expr, ##__VA_ARGS__)

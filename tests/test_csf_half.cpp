@@ -95,15 +95,19 @@ TEST(CsfHalf, TreeAccessorRejectsUpperModes) {
   EXPECT_THROW((void)half.tree(3), parpp::error);
 }
 
+/// Checks `rank` and the register-blocked ranks 8, 16 and 32.
 void expect_half_matches_dense(const tensor::CooTensor& coo, index_t rank,
                                std::uint64_t seed) {
   const tensor::CsfTensor half = make_half(coo);
   const tensor::DenseTensor dense = coo.densify();
-  const auto factors = test::random_factors(coo.shape(), rank, seed);
-  for (int mode = 0; mode < coo.order(); ++mode) {
-    const la::Matrix ref = tensor::mttkrp_fused(dense, factors, mode);
-    test::expect_matrix_near(tensor::mttkrp_csf(half, factors, mode), ref,
-                             1e-10, "half-layout CSF vs dense fused");
+  for (index_t r : {rank, index_t{8}, index_t{16}, index_t{32}}) {
+    SCOPED_TRACE(::testing::Message() << "rank " << r);
+    const auto factors = test::random_factors(coo.shape(), r, seed);
+    for (int mode = 0; mode < coo.order(); ++mode) {
+      const la::Matrix ref = tensor::mttkrp_fused(dense, factors, mode);
+      test::expect_matrix_near(tensor::mttkrp_csf(half, factors, mode), ref,
+                               1e-10, "half-layout CSF vs dense fused");
+    }
   }
 }
 

@@ -73,25 +73,29 @@ TEST(CsfTiling, ShortRootModeSplitsIntoMultipleTiles) {
 /// Property: the tiled walk equals the fiber walk and the dense reference
 /// for every mode, at 1 and 4 threads (4 exercises split-root fix-up paths
 /// regardless of the physical core count).
+/// Also checks the register-blocked ranks 8, 16 and 32.
 void expect_tiled_matches(const tensor::CooTensor& coo, index_t rank,
                           std::uint64_t seed) {
   const tensor::CsfTensor csf(coo);
   const tensor::DenseTensor dense = coo.densify();
-  const auto factors = test::random_factors(coo.shape(), rank, seed);
-  for (int threads : {1, 4}) {
-    test::with_threads(threads, [&] {
-      for (int mode = 0; mode < coo.order(); ++mode) {
-        const la::Matrix ref = tensor::mttkrp_fused(dense, factors, mode);
-        test::expect_matrix_near(
-            tensor::mttkrp_csf(csf, factors, mode, nullptr, nullptr,
-                               tensor::CsfWalk::kTiled),
-            ref, 1e-10, "tiled vs dense fused");
-        test::expect_matrix_near(
-            tensor::mttkrp_csf(csf, factors, mode, nullptr, nullptr,
-                               tensor::CsfWalk::kFiber),
-            ref, 1e-10, "fiber vs dense fused");
-      }
-    });
+  for (index_t r : {rank, index_t{8}, index_t{16}, index_t{32}}) {
+    SCOPED_TRACE(::testing::Message() << "rank " << r);
+    const auto factors = test::random_factors(coo.shape(), r, seed);
+    for (int threads : {1, 4}) {
+      test::with_threads(threads, [&] {
+        for (int mode = 0; mode < coo.order(); ++mode) {
+          const la::Matrix ref = tensor::mttkrp_fused(dense, factors, mode);
+          test::expect_matrix_near(
+              tensor::mttkrp_csf(csf, factors, mode, nullptr, nullptr,
+                                 tensor::CsfWalk::kTiled),
+              ref, 1e-10, "tiled vs dense fused");
+          test::expect_matrix_near(
+              tensor::mttkrp_csf(csf, factors, mode, nullptr, nullptr,
+                                 tensor::CsfWalk::kFiber),
+              ref, 1e-10, "fiber vs dense fused");
+        }
+      });
+    }
   }
 }
 

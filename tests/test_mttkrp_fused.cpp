@@ -27,15 +27,18 @@ void check_all_modes(const std::vector<index_t>& shape, index_t rank,
 }
 
 TEST(MttkrpFused, Order3AllModesAllRanks) {
-  for (index_t rank : {1, 8, 33}) check_all_modes({6, 5, 7}, rank, 101);
+  for (index_t rank : {1, 8, 16, 32, 33})
+    check_all_modes({6, 5, 7}, rank, 101);
 }
 
 TEST(MttkrpFused, Order4AllModesAllRanks) {
-  for (index_t rank : {1, 8, 33}) check_all_modes({4, 3, 5, 4}, rank, 202);
+  for (index_t rank : {1, 8, 16, 32, 33})
+    check_all_modes({4, 3, 5, 4}, rank, 202);
 }
 
 TEST(MttkrpFused, Order5AllModesAllRanks) {
-  for (index_t rank : {1, 8, 33}) check_all_modes({3, 4, 2, 3, 4}, rank, 303);
+  for (index_t rank : {1, 8, 16, 32, 33})
+    check_all_modes({3, 4, 2, 3, 4}, rank, 303);
 }
 
 TEST(MttkrpFused, PanelBoundaryShapes) {

@@ -16,17 +16,21 @@ namespace {
 
 /// Property: on the densified tensor, both sparse paths must match the
 /// dense fused kernel for every mode.
+/// Checks `rank` and the register-blocked ranks 8, 16 and 32.
 void expect_sparse_matches_dense(const tensor::CooTensor& coo,
                                  index_t rank, std::uint64_t seed) {
   const tensor::CsfTensor csf(coo);
   const tensor::DenseTensor dense = coo.densify();
-  const auto factors = test::random_factors(coo.shape(), rank, seed);
-  for (int mode = 0; mode < coo.order(); ++mode) {
-    const la::Matrix ref = tensor::mttkrp_fused(dense, factors, mode);
-    test::expect_matrix_near(tensor::mttkrp_coo(coo, factors, mode), ref,
-                             1e-10, "COO vs dense fused");
-    test::expect_matrix_near(tensor::mttkrp_csf(csf, factors, mode), ref,
-                             1e-10, "CSF vs dense fused");
+  for (index_t r : {rank, index_t{8}, index_t{16}, index_t{32}}) {
+    SCOPED_TRACE(::testing::Message() << "rank " << r);
+    const auto factors = test::random_factors(coo.shape(), r, seed);
+    for (int mode = 0; mode < coo.order(); ++mode) {
+      const la::Matrix ref = tensor::mttkrp_fused(dense, factors, mode);
+      test::expect_matrix_near(tensor::mttkrp_coo(coo, factors, mode), ref,
+                               1e-10, "COO vs dense fused");
+      test::expect_matrix_near(tensor::mttkrp_csf(csf, factors, mode), ref,
+                               1e-10, "CSF vs dense fused");
+    }
   }
 }
 

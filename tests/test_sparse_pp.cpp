@@ -30,16 +30,20 @@ TEST(SparsePairOp, CsfWalkMatchesCooReference) {
        {std::vector<index_t>{9, 8, 7}, std::vector<index_t>{6, 5, 7, 4}}) {
     const tensor::CooTensor coo = data::make_sparse_random(shape, 0.08, 13);
     const tensor::CsfTensor csf(coo);
-    const auto factors = factors_for(csf, 5, 7);
     const int n = csf.order();
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < n; ++j) {
-        if (i == j) continue;
-        tensor::DenseTensor got;
-        tensor::pair_mttkrp_csf_into(csf, factors, i, j, got);
-        const tensor::DenseTensor want =
-            tensor::pair_mttkrp_coo(coo, factors, i, j);
-        test::expect_tensor_near(got, want, 1e-12, "pair op");
+    // Rank 5 takes the generic walk; 8, 16 and 32 the register blocks.
+    for (index_t rank : {5, 8, 16, 32}) {
+      SCOPED_TRACE(::testing::Message() << "rank " << rank);
+      const auto factors = factors_for(csf, rank, 7);
+      for (int i = 0; i < n; ++i) {
+        for (int j = 0; j < n; ++j) {
+          if (i == j) continue;
+          tensor::DenseTensor got;
+          tensor::pair_mttkrp_csf_into(csf, factors, i, j, got);
+          const tensor::DenseTensor want =
+              tensor::pair_mttkrp_coo(coo, factors, i, j);
+          test::expect_tensor_near(got, want, 1e-12, "pair op");
+        }
       }
     }
   }

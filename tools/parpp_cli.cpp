@@ -48,7 +48,6 @@ struct Cli {
   std::string engine = "msdt";
   std::string method;  ///< empty: derived from --pp / --nonneg
   std::string partition = "uniform";
-  std::string scalar = "fp64";
   std::string csf_layout = "all-modes";
   index_t size = 64;
   index_t rank = 16;
@@ -99,7 +98,6 @@ Cli parse(int argc, char** argv) {
     }
     else if (flag == "--save") cli.save_path = next();
     else if (flag == "--engine") cli.engine = next();
-    else if (flag == "--scalar") cli.scalar = next();
     else if (flag == "--csf-layout") cli.csf_layout = next();
     else if (flag == "--method") cli.method = next();
     else if (flag == "--size") cli.size = std::atol(next());
@@ -156,9 +154,6 @@ void usage() {
       "                  --nonneg compose to the same four methods)\n"
       "  --engine E      naive | dt | msdt | sparse (default msdt; sparse\n"
       "                  inputs always run the sparse engine)\n"
-      "  --scalar S      fp64 | fp32 — storage scalar the kernels stream\n"
-      "                  (fp32 halves bandwidth, accumulation stays fp64;\n"
-      "                  naive and sparse engines only; default fp64)\n"
       "  --csf-layout L  all-modes | half — CSF trees kept for sparse\n"
       "                  inputs (half keeps ceil(N/2) trees, halving\n"
       "                  pattern memory; PP needs all-modes; default\n"
@@ -301,26 +296,6 @@ int run(const Cli& cli) {
                  "FILE.tns or --density D\n");
     return 2;
   }
-  const auto scalar = solver::scalar_from_string(cli.scalar);
-  if (!scalar) {
-    std::fprintf(stderr, "unknown scalar %s (fp64 | fp32)\n",
-                 cli.scalar.c_str());
-    return 2;
-  }
-  if (*scalar == la::Scalar::kF32 && !sparse_mode &&
-      *engine != core::EngineKind::kNaive) {
-    std::fprintf(stderr,
-                 "--scalar fp32 on dense storage needs --engine naive (the "
-                 "dimension-tree engines are fp64-only)\n");
-    return 2;
-  }
-  if (*scalar == la::Scalar::kF32 && !sparse_mode && method != solver::Method::kAls &&
-      method != solver::Method::kNncpHals) {
-    std::fprintf(stderr,
-                 "--scalar fp32 with a PP method needs sparse storage (the "
-                 "dense PP operator chains are fp64-only)\n");
-    return 2;
-  }
   const auto csf_layout = solver::csf_layout_from_string(cli.csf_layout);
   if (!csf_layout) {
     std::fprintf(stderr, "unknown csf layout %s (all-modes | half)\n",
@@ -405,7 +380,6 @@ int run(const Cli& cli) {
   solver::SolverSpec spec;
   spec.method = method;
   spec.engine = *engine;
-  spec.engine_options.scalar = *scalar;
   spec.rank = cli.rank;
   spec.seed = cli.seed;
   spec.stopping.max_sweeps = cli.max_sweeps;

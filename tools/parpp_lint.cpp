@@ -219,10 +219,6 @@ void check_alloc(const fs::path& file, const std::string& rel,
       "src/parpp/tensor/mttkrp_fused.cpp",
       "src/parpp/tensor/mttv.cpp",
       "src/parpp/la/gemm.cpp",
-      // The scalar-type axis: fp32 mirror sync runs once per factor update
-      // on the hot sweep path, so it carries the same discipline (its
-      // shape-change resize is an annotated cold path).
-      "src/parpp/la/scalar.hpp",
   };
   bool hot = false;
   for (const auto& f : kHotFiles) hot = hot || rel == f;
