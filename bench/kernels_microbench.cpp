@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks for the compute kernels underlying all
 // of the paper-reproduction harnesses: GEMM, first-level TTM, batched mTTV,
-// tensor transpose, Gram, the SPD solve, and the fused vs KRP+GEMM MTTKRP
-// comparison the allocation-free path is judged by.
+// tensor transpose, Gram, the SPD solve, the PP operator build, and the
+// fused vs KRP+GEMM MTTKRP comparison the allocation-free path is judged by.
 //
 // These quantify the compute/bandwidth character the paper's breakdown
 // relies on (TTM compute-bound, mTTV bandwidth-bound). Unless the caller
@@ -9,12 +9,15 @@
 // (GFLOP/s and GB/s counters per kernel) so successive PRs have a perf
 // trajectory to regress against.
 #include <benchmark/benchmark.h>
+#include <omp.h>
 
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "parpp/core/gram.hpp"
+#include "parpp/core/pp_operators.hpp"
+#include "parpp/core/solve_update.hpp"
 #include "parpp/data/sparse_synthetic.hpp"
 #include "parpp/la/gemm.hpp"
 #include "parpp/la/spd_solve.hpp"
@@ -281,6 +284,48 @@ void BM_MttkrpFusedBandwidth(benchmark::State& state) {
   set_rates(state, mttkrp_flops(t, kBwR, 1), mttkrp_bytes(t, kBwR, 1));
 }
 BENCHMARK(BM_MttkrpFusedBandwidth)->Arg(0)->Arg(1);
+
+// ---------------------------------------------------------------------------
+// PP initialization on one rank's block of the dense4-pp-p4 workload (64^4
+// on a 2x2x1x1 grid: a 32x32x64x64 block at R = 16), one thread, with the
+// preceding MSDT sweep's engine as donor. Flops are what the build charges
+// to its Profile (TTM and mTTV). Computed bytes count only what the build
+// observably must move: the tensor read by each first-level TTM it runs
+// and every pair operator written once; intermediates are not counted.
+
+void BM_PpBuild(benchmark::State& state) {
+  const std::vector<index_t> shape{32, 32, 64, 64};
+  constexpr index_t kR = 16;
+  const int ambient = omp_get_max_threads();
+  omp_set_num_threads(1);
+  const auto t = rand_tensor(shape, 23);
+  std::vector<la::Matrix> f = rand_factors(shape, kR, 24);
+  auto grams = core::all_grams(f);
+  const auto engine = core::make_engine(core::EngineKind::kMsdt, t, f);
+  for (int mode = 0; mode < 4; ++mode) {
+    const auto um = static_cast<std::size_t>(mode);
+    f[um] = core::update_factor(core::gamma_chain(grams, mode),
+                                engine->mttkrp(mode));
+    engine->notify_update(mode);
+    grams[um] = la::gram(f[um]);
+  }
+  const auto* donor = dynamic_cast<const core::TreeEngineBase*>(engine.get());
+  Profile prof;
+  core::PpOperators ops(t, f, &prof);
+  ops.build(donor);  // sizes the build arena; every build does the same work
+  const double flops = prof.flops(Kernel::kTTM) + prof.flops(Kernel::kMTTV);
+  const double words = static_cast<double>(t.size()) *
+                           static_cast<double>(ops.last_build_ttms()) +
+                       static_cast<double>(ops.operator_elements());
+
+  for (auto _ : state) {
+    ops.build(donor);
+    benchmark::DoNotOptimize(ops.mttkrp_p(0).data());
+  }
+  omp_set_num_threads(ambient);
+  set_rates(state, flops, words * 8.0);
+}
+BENCHMARK(BM_PpBuild)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // CSF walk at large extents: every nonzero gathers a random factor row

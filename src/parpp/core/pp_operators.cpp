@@ -1,6 +1,7 @@
 #include "parpp/core/pp_operators.hpp"
 
 #include <algorithm>
+#include <set>
 
 #include "parpp/tensor/csf_tensor.hpp"
 #include "parpp/tensor/mttkrp_sparse.hpp"
@@ -38,69 +39,113 @@ int PpOperators::root_exclusion_for(int i, int j) const {
   return -1;
 }
 
-const PpOperators::Node& PpOperators::ensure_set(int c,
-                                                 const std::vector<int>& set,
-                                                 const TreeEngineBase* donor) {
-  auto it = memo_.find(set);
-  if (it != memo_.end()) return it->second;
+void PpOperators::build_root(int c, const TreeEngineBase* donor) {
+  std::vector<int> full;
+  for (int m = 0; m < n_; ++m)
+    if (m != c) full.push_back(m);
 
-  Profile& prof = profile_ ? *profile_ : Profile::thread_default();
-
-  // Donor lookup: an exactly-matching current intermediate from the regular
-  // sweep's cache can be adopted wholesale.
-  if (donor) {
-    if (auto d = donor->find_current_superset(set);
-        d && d->modes.size() == set.size()) {
-      Node node;
-      node.data = d->data;  // copy; donor cache stays valid
-      node.modes = d->modes;
-      return memo_.emplace(set, std::move(node)).first->second;
+  // The lazy recursion's walk, planned up front: from each pair rooted at
+  // c, climb the canonical chain (each parent re-adds the smallest missing
+  // mode, so a chain contracts the missing modes largest first) until the
+  // donor holds the set, the set was already reached, or the set is the
+  // first-level node. Only the sets the donor does not hold are computed.
+  std::set<std::vector<int>> reached;
+  std::map<std::vector<int>, detail::NodePtr> adopted;
+  Kids kids;
+  bool ttm = false;
+  for (int i = 0; i < n_; ++i) {
+    for (int j = i + 1; j < n_; ++j) {
+      if (root_exclusion_for(i, j) != c) continue;
+      std::vector<int> set{i, j};
+      while (reached.insert(set).second) {
+        if (donor) {
+          if (auto d = donor->find_current_superset(set);
+              d && d->modes.size() == set.size()) {
+            adopted.emplace(set, std::move(d));
+            break;
+          }
+        }
+        if (set == full) {
+          ttm = true;
+          break;
+        }
+        int q = 0;  // the smallest mode of full missing from set
+        while (q == c || std::binary_search(set.begin(), set.end(), q)) ++q;
+        std::vector<int> parent = set;
+        parent.insert(std::upper_bound(parent.begin(), parent.end(), q), q);
+        kids[parent].push_back(set);
+        set = std::move(parent);
+      }
     }
   }
 
-  const std::vector<int> full = [&] {
-    std::vector<int> f;
-    for (int m = 0; m < n_; ++m)
-      if (m != c) f.push_back(m);
-    return f;
-  }();
-
-  if (set == full) {
-    // First-level intermediate: one TTM on mode c, into workspace-backed
-    // storage recycled across builds.
-    Node node;
-    node.data = tensor::DenseTensor(ws_);
-    tensor::ttm_first_into(*t_, c, (*factors_)[static_cast<std::size_t>(c)],
-                           node.data, &prof);
-    ++last_build_ttms_;
-    node.modes = full;
-    return memo_.emplace(set, std::move(node)).first->second;
+  // A pair the donor holds outright is copied: it outlives the donor's
+  // cache. Any larger donor node is read in place.
+  for (const auto& [set, d] : adopted) {
+    if (set.size() != 2) continue;
+    PairOp& op = pairs_[std::make_pair(set[0], set[1])];
+    op.data = d->data;
+    op.modes = d->modes;
   }
+  Profile& prof = profile_ ? *profile_ : Profile::thread_default();
+  if (ttm) {
+    const la::Matrix& a = (*factors_)[static_cast<std::size_t>(c)];
+    ++last_build_ttms_;
+    if (full.size() == 2) {  // order 3: the first-level node is a pair
+      PairOp& op = pairs_[std::make_pair(full[0], full[1])];
+      tensor::ttm_first_into(*t_, c, a, op.data, &prof);
+      op.modes = full;
+    } else {
+      tensor::ttm_first_into(*t_, c, a, first_, &prof);
+      expand(full, first_, full, kids);
+    }
+  }
+  for (const auto& [set, d] : adopted) expand(set, d->data, d->modes, kids);
+}
 
-  // Parent on the canonical chain removes elements of full \ set in
-  // descending order, so the parent re-adds the smallest missing element.
-  std::vector<int> missing;
-  std::set_difference(full.begin(), full.end(), set.begin(), set.end(),
-                      std::back_inserter(missing));
-  PARPP_ASSERT(!missing.empty(), "ensure_set: set not below root");
-  const int q = missing.front();
-  std::vector<int> parent_set = set;
-  parent_set.insert(
-      std::upper_bound(parent_set.begin(), parent_set.end(), q), q);
-  const Node& parent = ensure_set(c, parent_set, donor);
+void PpOperators::expand(const std::vector<int>& set,
+                         const tensor::DenseTensor& data,
+                         const std::vector<int>& modes, const Kids& kids) {
+  const auto it = kids.find(set);
+  if (it == kids.end()) return;
+  const std::vector<std::vector<int>>& children = it->second;
 
-  const auto pit = std::find(parent.modes.begin(), parent.modes.end(), q);
-  PARPP_ASSERT(pit != parent.modes.end(), "parent missing contract mode");
-  const int pos = static_cast<int>(pit - parent.modes.begin());
+  // Every computed child of this node in one pass over it (one mttv_into
+  // per child on a team): pairs straight into their operators, larger sets
+  // into the build's workspace.
+  std::vector<tensor::DenseTensor> inner;
+  inner.reserve(children.size());
+  std::vector<std::vector<int>> inner_modes;
+  std::vector<tensor::MttvTarget> targets;
+  for (const std::vector<int>& child : children) {
+    int q = -1;
+    for (int m : set)
+      if (!std::binary_search(child.begin(), child.end(), m)) q = m;
+    const auto pit = std::find(modes.begin(), modes.end(), q);
+    PARPP_ASSERT(pit != modes.end(), "expand: parent missing contract mode");
+    std::vector<int> child_modes = modes;
+    child_modes.erase(child_modes.begin() + (pit - modes.begin()));
+    tensor::DenseTensor* out = nullptr;
+    if (child.size() == 2) {
+      PairOp& op = pairs_[std::make_pair(child[0], child[1])];
+      op.modes = std::move(child_modes);
+      out = &op.data;
+    } else {
+      out = &inner.emplace_back(ws_);
+      inner_modes.push_back(std::move(child_modes));
+    }
+    targets.push_back({static_cast<int>(pit - modes.begin()),
+                       &(*factors_)[static_cast<std::size_t>(q)], out});
+  }
+  tensor::mttv_multi_into(data, targets,
+                          profile_ ? profile_ : &Profile::thread_default());
 
-  Node node;
-  node.data = tensor::DenseTensor(ws_);
-  tensor::mttv_into(parent.data, pos,
-                    (*factors_)[static_cast<std::size_t>(q)], node.data,
-                    &prof);
-  node.modes = parent.modes;
-  node.modes.erase(node.modes.begin() + pos);
-  return memo_.emplace(set, std::move(node)).first->second;
+  std::size_t next = 0;
+  for (const std::vector<int>& child : children) {
+    if (child.size() == 2) continue;
+    expand(child, inner[next], inner_modes[next], kids);
+    ++next;
+  }
 }
 
 void PpOperators::build_sparse() {
@@ -136,22 +181,22 @@ void PpOperators::build(const TreeEngineBase* donor) {
     build_sparse();
     return;
   }
-  memo_.clear();
   if (mp_.size() != static_cast<std::size_t>(n_))
     mp_.resize(static_cast<std::size_t>(n_));
   last_build_ttms_ = 0;
 
-  // Pair operators. Existing map entries (shapes are build-invariant) are
-  // assigned in place so periodic rebuilds reuse their buffers.
-  for (int i = 0; i < n_; ++i) {
-    for (int j = i + 1; j < n_; ++j) {
-      const int c = root_exclusion_for(i, j);
-      const Node& node = ensure_set(c, {i, j}, donor);
-      PairOp& op = pairs_[std::make_pair(i, j)];
-      op.data = node.data;
-      op.modes = node.modes;
-    }
-  }
+  // One root exclusion at a time, each root's nodes released before the
+  // next root's first-level node exists. The node sets of different roots
+  // never overlap (sets under c = 0 lack mode 0, the others hold it), so
+  // each set is computed by the same chain in any root order. One
+  // first-level buffer, sized once for the largest root, serves all three.
+  const index_t r = (*factors_)[0].cols();
+  index_t largest = 0;
+  for (int c : {0, n_ - 1, n_ - 2})
+    largest = std::max(largest, t_->extent_product(0, c) *
+                                    t_->extent_product(c + 1, n_) * r);
+  if (n_ > 3) first_.reshape({largest});
+  for (int c : {0, n_ - 1, n_ - 2}) build_root(c, donor);
 
   built_ = true;  // pair operators are complete; leaves draw on them
 
@@ -172,10 +217,6 @@ void PpOperators::build(const TreeEngineBase* donor) {
     std::copy(leaf_scratch_.data(), leaf_scratch_.data() + leaf_scratch_.size(),
               mp.data());
   }
-
-  // Keep only the pair operators and leaves; drop larger intermediates
-  // (their buffers return to the workspace for the next build).
-  memo_.clear();
 }
 
 const PpOperators::PairOp& PpOperators::pair_op(int i, int j) const {

@@ -7,11 +7,27 @@
 //
 // The build uses a PP dimension tree: three first-level TTM intermediates
 // (sets full\{0}, full\{N-1}, full\{N-2}) cover every pair; chains of mTTVs
-// with per-(root, subset) memoization produce the pairs and leaves. When a
-// regular-sweep engine is supplied as donor, any version-current cached
-// intermediate covering a needed set is reused — in the steady state this
+// produce the pairs, and the leaves contract one more mode out of a pair.
+// When a regular-sweep engine is supplied as donor, a version-current cached
+// node holding exactly a needed set is adopted — in the steady state this
 // amortizes one of the three first-level TTMs (footnote 1), giving the
 // 4 s^N R leading cost of Table I.
+//
+// The build moves only the bytes this costs:
+//   * Build order: one root exclusion at a time (c = 0, N-1, N-2), each
+//     root's nodes released before the next root's first-level node
+//     exists, so one first-level buffer serves all three roots.
+//   * In-place donor: an adopted node is read from the donor's cache
+//     directly (the NodePtr is held for the build); only an adopted pair
+//     is copied, because it outlives the build.
+//   * One pass per node: on one thread (each rank of a multi-rank solve)
+//     each node is read once by tensor::mttv_multi_into, which writes
+//     every computed child it feeds — pairs straight into their operators
+//     — with mttv_into's bits (each output element adds its contracted
+//     index in increasing order); on a team each child is its own
+//     mttv_into. Each set is computed by the same canonical chain as a
+//     lazy per-set recursion: a TTM on c, then the missing modes
+//     contracted largest first.
 #pragma once
 
 #include <map>
@@ -83,19 +99,20 @@ class PpOperators {
   [[nodiscard]] index_t operator_elements() const;
 
  private:
-  struct Node {
-    tensor::DenseTensor data;
-    std::vector<int> modes;
-  };
+  /// Computed children of each node of one root, keyed by sorted mode set.
+  using Kids = std::map<std::vector<int>, std::vector<std::vector<int>>>;
 
   /// Root set choice for a pair: the first of {0, N-1, N-2} not contained
   /// in the pair.
   [[nodiscard]] int root_exclusion_for(int i, int j) const;
 
-  /// Ensures the intermediate covering `set` (sorted) under root exclusion
-  /// `c`; memoized on the set.
-  const Node& ensure_set(int c, const std::vector<int>& set,
-                         const TreeEngineBase* donor);
+  /// Writes every pair operator rooted at c: adopts what the donor holds,
+  /// runs the first-level TTM if still needed, and expands the rest.
+  void build_root(int c, const TreeEngineBase* donor);
+  /// Writes the computed children of node `set` (storage order `modes`)
+  /// in one mTTV pass over `data`, then expands the children in turn.
+  void expand(const std::vector<int>& set, const tensor::DenseTensor& data,
+              const std::vector<int>& modes, const Kids& kids);
 
   void build_sparse();
 
@@ -106,12 +123,13 @@ class PpOperators {
   int n_;
   bool built_ = false;
   long last_build_ttms_ = 0;
-  /// Arena for build-chain intermediates: memo nodes release their buffers
-  /// here when the build finishes, so periodic rebuilds do not allocate.
+  /// Arena for the first-level node and build-chain intermediates: each
+  /// root's nodes release their buffers here before the next root's, so
+  /// periodic rebuilds do not allocate.
   util::KernelWorkspace ws_;
-  std::map<std::vector<int>, Node> memo_;
   std::map<std::pair<int, int>, PairOp> pairs_;
   std::vector<la::Matrix> mp_;
+  tensor::DenseTensor first_{ws_};
   tensor::DenseTensor leaf_scratch_{ws_};
 };
 

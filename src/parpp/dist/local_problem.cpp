@@ -14,8 +14,9 @@ index_t stored_nnz(const tensor::CsfTensor& t) { return t.nnz(); }
 template <class Storage>
 class BlockProblem final : public LocalProblem {
  public:
-  BlockProblem(const Storage& t, std::unique_ptr<const Storage> owned)
-      : owned_(std::move(owned)), t_(&t), sq_norm_(t.squared_norm()) {}
+  BlockProblem(const Storage& t, std::unique_ptr<const Storage> owned,
+               double sq_norm)
+      : owned_(std::move(owned)), t_(&t), sq_norm_(sq_norm) {}
 
   [[nodiscard]] const std::vector<index_t>& shape() const override {
     return t_->shape();
@@ -47,17 +48,26 @@ template <class Storage>
 std::unique_ptr<LocalProblem> owning(Storage block) {
   auto owned = std::make_unique<const Storage>(std::move(block));
   const Storage& t = *owned;
-  return std::make_unique<BlockProblem<Storage>>(t, std::move(owned));
+  return std::make_unique<BlockProblem<Storage>>(t, std::move(owned),
+                                                 t.squared_norm());
 }
 
 }  // namespace
 
-std::unique_ptr<LocalProblem> view_block(const tensor::DenseTensor& t) {
-  return std::make_unique<BlockProblem<tensor::DenseTensor>>(t, nullptr);
+std::unique_ptr<LocalProblem> view_block(const tensor::DenseTensor& t,
+                                         double squared_norm) {
+  PARPP_ASSERT(squared_norm == t.squared_norm(),
+               "view_block: squared_norm is not the block's");
+  return std::make_unique<BlockProblem<tensor::DenseTensor>>(t, nullptr,
+                                                             squared_norm);
 }
 
-std::unique_ptr<LocalProblem> view_block(const tensor::CsfTensor& t) {
-  return std::make_unique<BlockProblem<tensor::CsfTensor>>(t, nullptr);
+std::unique_ptr<LocalProblem> view_block(const tensor::CsfTensor& t,
+                                         double squared_norm) {
+  PARPP_ASSERT(squared_norm == t.squared_norm(),
+               "view_block: squared_norm is not the block's");
+  return std::make_unique<BlockProblem<tensor::CsfTensor>>(t, nullptr,
+                                                           squared_norm);
 }
 
 std::unique_ptr<LocalProblem> own_block(tensor::DenseTensor block) {

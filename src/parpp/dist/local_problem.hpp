@@ -63,11 +63,13 @@ class LocalProblem {
 
 /// The local problem over one dense or CSF block. view_block reads `t` in
 /// place, so `t` must outlive the problem and every engine made from it;
-/// own_block keeps the block alive itself.
+/// own_block keeps the block alive itself. A view takes the block's
+/// `squared_norm` (t.squared_norm()) from its caller, which holds it;
+/// builds with PARPP_ENABLE_ASSERTS recompute it and check.
 [[nodiscard]] std::unique_ptr<LocalProblem> view_block(
-    const tensor::DenseTensor& t);
+    const tensor::DenseTensor& t, double squared_norm);
 [[nodiscard]] std::unique_ptr<LocalProblem> view_block(
-    const tensor::CsfTensor& t);
+    const tensor::CsfTensor& t, double squared_norm);
 [[nodiscard]] std::unique_ptr<LocalProblem> own_block(
     tensor::DenseTensor block);
 [[nodiscard]] std::unique_ptr<LocalProblem> own_block(tensor::CsfTensor block);
@@ -99,10 +101,14 @@ class DistProblem {
 /// The one block of a 1-rank solve: its local problem views the caller's
 /// dense or CSF tensor, with no block copy and no repartition. Non-owning —
 /// `t` must outlive this and every local problem made from it.
+/// `squared_norm` is t.squared_norm(), which the caller already holds
+/// (solve() checks the norm up front), so a dense tensor is not read twice
+/// for it.
 template <class Storage>
 class WholeTensorProblem final : public DistProblem {
  public:
-  explicit WholeTensorProblem(const Storage& t) : t_(&t) {}
+  WholeTensorProblem(const Storage& t, double squared_norm)
+      : t_(&t), squared_norm_(squared_norm) {}
 
   [[nodiscard]] const std::vector<index_t>& global_shape() const override {
     return t_->shape();
@@ -112,11 +118,12 @@ class WholeTensorProblem final : public DistProblem {
       const std::vector<int>& /*coords*/) const override {
     PARPP_CHECK(dist.local_shape() == t_->shape(),
                 "WholeTensorProblem: the grid must have exactly one block");
-    return view_block(*t_);
+    return view_block(*t_, squared_norm_);
   }
 
  private:
   const Storage* t_;
+  double squared_norm_;
 };
 
 /// Dense storage: hyper-rectangular zero-padded slabs via

@@ -78,10 +78,12 @@ using vdf = double __attribute__((vector_size(kVecW * 8), aligned(8)));
 // the hardware prefetcher's stream table the k loop otherwise stalls on
 // every line. One prefetch per k step, rotated across the tile's rows, keeps
 // each row a few lines ahead for the cost of a single spare load slot. A
-// packed panel is one sequential stream and needs none.
+// packed panel is one sequential stream and needs none. With `write` the
+// tile stores 0 + alpha * acc without reading C (see block_kernel).
 template <index_t TM, index_t TN, bool kPanel>
 inline void micro_tile(index_t kb, double alpha, const double* a, index_t lda,
-                       const double* b, index_t ldb, double* c, index_t ldc) {
+                       const double* b, index_t ldb, double* c, index_t ldc,
+                       bool write) {
   constexpr index_t NV = TN / kVecW;
   static_assert(NV * kVecW == TN, "tile width must be lane-multiple");
   vdf acc[TM][NV] = {};
@@ -102,7 +104,8 @@ inline void micro_tile(index_t kb, double alpha, const double* a, index_t lda,
   for (index_t ti = 0; ti < TM; ++ti) {
     double* crow = c + ti * ldc;
     for (index_t tv = 0; tv < NV; ++tv) {
-      vdf cv = *reinterpret_cast<vdf*>(crow + kVecW * tv);
+      vdf cv = {};
+      if (!write) cv = *reinterpret_cast<vdf*>(crow + kVecW * tv);
       cv += alpha * acc[ti][tv];
       *reinterpret_cast<vdf*>(crow + kVecW * tv) = cv;
     }
@@ -111,7 +114,8 @@ inline void micro_tile(index_t kb, double alpha, const double* a, index_t lda,
 #else
 template <index_t TM, index_t TN, bool kPanel>
 inline void micro_tile(index_t kb, double alpha, const double* a, index_t lda,
-                       const double* b, index_t ldb, double* c, index_t ldc) {
+                       const double* b, index_t ldb, double* c, index_t ldc,
+                       bool write) {
   double acc[TM][TN] = {};
   for (index_t l = 0; l < kb; ++l) {
     const double* brow = b + l * ldb;
@@ -122,19 +126,23 @@ inline void micro_tile(index_t kb, double alpha, const double* a, index_t lda,
   }
   for (index_t ti = 0; ti < TM; ++ti) {
     double* crow = c + ti * ldc;
-    for (index_t tj = 0; tj < TN; ++tj) crow[tj] += alpha * acc[ti][tj];
+    for (index_t tj = 0; tj < TN; ++tj)
+      crow[tj] = (write ? 0.0 : crow[tj]) + alpha * acc[ti][tj];
   }
 }
 #endif
 
 // Generic edge kernel: C[i,:] += alpha * A[i,l] * B[l,:] with the j-loop
 // vectorizable. A's element (i, l) sits at a[i * a_row + l * a_step]:
-// (lda, 1) in place, (1, panel rows) in a k-major panel.
+// (lda, 1) in place, (1, panel rows) in a k-major panel. With `write` each
+// C row is zeroed just before this block accumulates into it.
 inline void edge_kernel(index_t mb, index_t nb, index_t kb, double alpha,
                         const double* a, index_t a_row, index_t a_step,
-                        const double* b, index_t ldb, double* c, index_t ldc) {
+                        const double* b, index_t ldb, double* c, index_t ldc,
+                        bool write) {
   for (index_t i = 0; i < mb; ++i) {
     double* PARPP_RESTRICT crow = c + i * ldc;
+    if (write) std::fill(crow, crow + nb, 0.0);
     const double* arow = a + i * a_row;
     for (index_t l = 0; l < kb; ++l) {
       const double av = alpha * arow[l * a_step];
@@ -152,11 +160,13 @@ inline void edge_kernel(index_t mb, index_t nb, index_t kb, double alpha,
 // (kPanel) pack_at's k-major panels, passed with lda == kb so that the panel
 // of rows [i, i + kTileM) starts at a + i * lda in both layouts. The layout
 // changes only where A's values are read from, never which kernel computes
-// which C element, so the two give the same bits.
+// which C element, so the two give the same bits. `write` (the first k
+// block of a beta = 0 product) makes every kernel store 0 + alpha * acc
+// instead of adding to C: a zeroed C's bits, with C never read.
 template <bool kPanel>
 inline void block_kernel(index_t mb, index_t nb, index_t kb, double alpha,
                          const double* a, index_t lda, const double* b,
-                         index_t ldb, double* c, index_t ldc) {
+                         index_t ldb, double* c, index_t ldc, bool write) {
   const index_t mt = mb / kTileM * kTileM;
   const index_t nt = nb / kTileN * kTileN;
   // At most one narrow register tile mops up columns [nt, nt8) so an 8-wide
@@ -170,18 +180,18 @@ inline void block_kernel(index_t mb, index_t nb, index_t kb, double alpha,
   for (index_t i = 0; i < mt; i += kTileM) {
     for (index_t j = 0; j < nt; j += kTileN)
       micro_tile<kTileM, kTileN, kPanel>(kb, alpha, a + i * lda, lda, b + j,
-                                         ldb, c + i * ldc + j, ldc);
+                                         ldb, c + i * ldc + j, ldc, write);
     if (nt8 > nt)
       micro_tile<kTileM, kTileNNarrow, kPanel>(kb, alpha, a + i * lda, lda,
                                                b + nt, ldb, c + i * ldc + nt,
-                                               ldc);
+                                               ldc, write);
     if (nt8 < nb)
       edge_kernel(kTileM, nb - nt8, kb, alpha, a + i * lda, tile_row,
-                  tile_step, b + nt8, ldb, c + i * ldc + nt8, ldc);
+                  tile_step, b + nt8, ldb, c + i * ldc + nt8, ldc, write);
   }
   if (mt < mb)
     edge_kernel(mb - mt, nb, kb, alpha, a + mt * lda, tile_row, tail_step, b,
-                ldb, c + mt * ldc, ldc);
+                ldb, c + mt * ldc, ldc, write);
 }
 
 // Packs the (mb x kb) block of a transposed A at logical (i0, l0) into
@@ -230,6 +240,53 @@ inline void pack_b(index_t kb, index_t nb, const double* b, index_t ldb,
   }
 }
 
+// Computes C's rows [i0, i0 + mb) x columns [j0, j1) over every k block in
+// k order; j0 and j1 are multiples of kBlockN or n. A transposed A is packed
+// once per k block and serves every column block of the range. With
+// `write` (beta = 0) the first k block writes C and later blocks add to it.
+void gemm_rows(Trans trans_a, Trans trans_b, index_t i0, index_t mb,
+               index_t j0, index_t j1, index_t k, double alpha, const double* a,
+               index_t lda, const double* b, index_t ldb, bool write,
+               double* c, index_t ldc) {
+  // The thread's workspace is created only when a lease needs it: creating
+  // it on workers that lease nothing raised dense3-als-seq's peak RSS by
+  // 32 MB, through glibc's heap rather than anything the GEMM holds.
+  util::KernelWorkspace::Lease a_scratch;
+  if (trans_a == Trans::kYes)
+    a_scratch =
+        util::KernelWorkspace::thread_default().lease(kBlockM * kBlockK);
+  util::KernelWorkspace::Lease b_scratch;
+  if (trans_b == Trans::kYes)
+    b_scratch =
+        util::KernelWorkspace::thread_default().lease(kBlockK * kBlockN);
+  for (index_t l0 = 0; l0 < k; l0 += kBlockK) {
+    const index_t kb = std::min(kBlockK, k - l0);
+    const bool first = write && l0 == 0;
+    if (trans_a == Trans::kYes)
+      pack_at(mb, kb, a, lda, i0, l0, a_scratch.data());
+    for (index_t jb = j0; jb < j1; jb += kBlockN) {
+      const index_t nb = std::min(kBlockN, j1 - jb);
+      const double* bblk;
+      index_t bblk_ld;
+      if (trans_b == Trans::kYes) {
+        pack_b(kb, nb, b, ldb, trans_b, l0, jb, b_scratch.data());
+        bblk = b_scratch.data();
+        bblk_ld = nb;
+      } else {
+        bblk = b + l0 * ldb + jb;
+        bblk_ld = ldb;
+      }
+      double* cblk = c + i0 * ldc + jb;
+      if (trans_a == Trans::kYes)
+        block_kernel<true>(mb, nb, kb, alpha, a_scratch.data(), kb, bblk,
+                           bblk_ld, cblk, ldc, first);
+      else
+        block_kernel<false>(mb, nb, kb, alpha, a + i0 * lda + l0, lda, bblk,
+                            bblk_ld, cblk, ldc, first);
+    }
+  }
+}
+
 }  // namespace
 
 void gemm_raw(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k,
@@ -238,7 +295,10 @@ void gemm_raw(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k,
   PARPP_CHECK(m >= 0 && n >= 0 && k >= 0, "gemm: negative dimension");
   if (m == 0 || n == 0) return;
 
-  if (beta != 1.0) {
+  // beta = 0 with work to do never reads C: each tile's first k block
+  // writes it (gemm_rows). Every other beta scales C here first.
+  const bool write = beta == 0.0 && k > 0 && alpha != 0.0;
+  if (beta != 1.0 && !write) {
     for (index_t i = 0; i < m; ++i) {
       double* crow = c + i * ldc;
       if (beta == 0.0)
@@ -249,46 +309,33 @@ void gemm_raw(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k,
   }
   if (k == 0 || alpha == 0.0) return;
 
-  // Parallelize over M blocks; each thread owns disjoint C rows. Transposed
-  // operands are repacked block-wise into each worker's thread-local
-  // workspace (streaming loads in the kernel, zero steady-state
-  // allocations); non-transposed A blocks are consumed in place.
-#pragma omp parallel for schedule(static) if (m * n * k > (index_t{1} << 16))
-  for (index_t i0 = 0; i0 < m; i0 += kBlockM) {
-    const index_t mb = std::min(kBlockM, m - i0);
-    util::KernelWorkspace::Lease a_scratch;
-    if (trans_a == Trans::kYes)
-      a_scratch =
-          util::KernelWorkspace::thread_default().lease(kBlockM * kBlockK);
-    util::KernelWorkspace::Lease b_scratch;
-    if (trans_b == Trans::kYes)
-      b_scratch =
-          util::KernelWorkspace::thread_default().lease(kBlockK * kBlockN);
-    for (index_t l0 = 0; l0 < k; l0 += kBlockK) {
-      const index_t kb = std::min(kBlockK, k - l0);
-      for (index_t j0 = 0; j0 < n; j0 += kBlockN) {
-        const index_t nb = std::min(kBlockN, n - j0);
-        const double* bblk;
-        index_t bblk_ld;
-        if (trans_b == Trans::kYes) {
-          pack_b(kb, nb, b, ldb, trans_b, l0, j0, b_scratch.data());
-          bblk = b_scratch.data();
-          bblk_ld = nb;
-        } else {
-          bblk = b + l0 * ldb + j0;
-          bblk_ld = ldb;
-        }
-        if (trans_a == Trans::kYes) {
-          if (j0 == 0) pack_at(mb, kb, a, lda, i0, l0, a_scratch.data());
-          block_kernel<true>(mb, nb, kb, alpha, a_scratch.data(), kb, bblk,
-                             bblk_ld, c + i0 * ldc + j0, ldc);
-        } else {
-          block_kernel<false>(mb, nb, kb, alpha, a + i0 * lda + l0, lda, bblk,
-                              bblk_ld, c + i0 * ldc + j0, ldc);
-        }
-      }
+  // Each task owns disjoint C tiles: one 64-row M block over all of n, or,
+  // when there are fewer M blocks than threads, one (M block, N block)
+  // pair. A task runs every k block of its tiles in k order with the same
+  // block kernels either way, so the split never changes a bit of C.
+  // Transposed operands are repacked into each worker's thread-local
+  // workspace; non-transposed A blocks are consumed in place.
+  const bool parallel = m * n * k > (index_t{1} << 16);
+  const int team = parallel && !omp_in_parallel() ? omp_get_max_threads() : 1;
+  const index_t m_blocks = (m + kBlockM - 1) / kBlockM;
+  const index_t n_split = m_blocks < team ? (n + kBlockN - 1) / kBlockN : 1;
+  const index_t n_chunk = n_split > 1 ? kBlockN : n;
+  util::OmpJoinFence fence;
+  fence.fork();
+#pragma omp parallel if (parallel)
+  {
+    fence.enter();
+#pragma omp for schedule(static) nowait
+    for (index_t t = 0; t < m_blocks * n_split; ++t) {
+      const index_t i0 = t / n_split * kBlockM;
+      const index_t j0 = t % n_split * n_chunk;
+      gemm_rows(trans_a, trans_b, i0, std::min(kBlockM, m - i0), j0,
+                std::min(n, j0 + n_chunk), k, alpha, a, lda, b, ldb, write, c,
+                ldc);
     }
+    fence.leave();
   }
+  fence.join();
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b, Trans trans_a, Trans trans_b) {

@@ -67,8 +67,9 @@ solver::SolveReport solve(const solver::TensorSource& t,
   // A zero tensor has no direction to fit: the fitness 1 - |T - X| / |T|
   // divides by its norm, so reject it up front with a structured error
   // instead of a NaN cascade deep in a driver.
-  const double tensor_norm =
-      t.is_sparse() ? t.sparse().frobenius_norm() : t.dense().frobenius_norm();
+  const double squared_norm =
+      t.is_sparse() ? t.sparse().squared_norm() : t.dense().squared_norm();
+  const double tensor_norm = std::sqrt(squared_norm);
   PARPP_CHECK(std::isfinite(tensor_norm),
               "solve: tensor has a non-finite Frobenius norm");
   PARPP_CHECK(tensor_norm > 0.0,
@@ -183,11 +184,11 @@ solver::SolveReport solve(const solver::TensorSource& t,
   if (!eff.execution.is_parallel()) {
     if (t.is_sparse())
       problem = std::make_unique<dist::WholeTensorProblem<tensor::CsfTensor>>(
-          t.sparse());
+          t.sparse(), squared_norm);
     else
       problem =
           std::make_unique<dist::WholeTensorProblem<tensor::DenseTensor>>(
-              t.dense());
+              t.dense(), squared_norm);
   } else if (t.is_sparse()) {
     problem = dist::make_sparse_problem(t.sparse(), eff.execution.partition);
   } else {

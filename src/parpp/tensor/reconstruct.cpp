@@ -25,12 +25,11 @@ DenseTensor reconstruct(const std::vector<la::Matrix>& factors) {
   }
 
   // T unfolded along mode 0 (row-major) = A(1) * W^T with W the KRP of the
-  // remaining factors in increasing mode order. t starts zeroed, so beta = 1
-  // gives beta = 0's bits without gemm_raw's serial zero fill of C.
+  // remaining factors in increasing mode order.
   la::Matrix w = khatri_rao_all(factors, 0);
   const auto& a0 = factors[0];
   la::gemm_raw(la::Trans::kNo, la::Trans::kYes, a0.rows(), w.rows(), a0.cols(),
-               1.0, a0.data(), a0.cols(), w.data(), w.cols(), 1.0, t.data(),
+               1.0, a0.data(), a0.cols(), w.data(), w.cols(), 0.0, t.data(),
                w.rows());
   return t;
 }

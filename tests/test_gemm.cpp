@@ -126,6 +126,77 @@ TEST(Gemm, BetaZeroOverwritesGarbage) {
   test::expect_matrix_near(c, want, 1e-12, "beta=0 overwrite");
 }
 
+/// beta = 0 never reads C: each tile's first k block writes 0 + alpha * acc.
+/// A NaN-filled C must then give the bits of accumulating (beta = 1) onto a
+/// zeroed C, in every transpose pair, across k chunks.
+TEST(Gemm, BetaZeroWritesTheZeroedCBits) {
+  std::vector<Shape> shapes = kGemmShapes;
+  for (index_t k : {257, 600}) shapes.emplace_back(65, 130, k);
+  for (const auto& [m, n, k] : shapes) {
+    for (Trans ta : {Trans::kNo, Trans::kYes}) {
+      for (Trans tb : {Trans::kNo, Trans::kYes}) {
+        const Matrix a = test::random_matrix(m, k, 41);
+        const Matrix b = test::random_matrix(k, n, 42);
+        const index_t lda = ta == Trans::kNo ? k : m;
+        const index_t ldb = tb == Trans::kNo ? n : k;
+        for (double alpha : {1.0, -0.5}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "m " << m << " n " << n << " k " << k << " alpha "
+                       << alpha);
+          Matrix nan_c(m, n), zero_c(m, n);
+          nan_c.fill(std::nan(""));
+          gemm_raw(ta, tb, m, n, k, alpha, a.data(), lda, b.data(), ldb, 0.0,
+                   nan_c.data(), n);
+          gemm_raw(ta, tb, m, n, k, alpha, a.data(), lda, b.data(), ldb, 1.0,
+                   zero_c.data(), n);
+          for (index_t i = 0; i < m * n; ++i)
+            ASSERT_EQ(bits(nan_c.data()[i]), bits(zero_c.data()[i]))
+                << "element " << i;
+        }
+      }
+    }
+  }
+}
+
+/// Few 64-row M blocks and a long n split over (M block, N block) pairs;
+/// each C element keeps its kernel and k order, so every team gives the
+/// one-thread bits.
+TEST(Gemm, ShortMSplitsNWithTheSameBits) {
+  for (index_t m : {1, 7, 64}) {
+    for (index_t n : {130, 4096}) {
+      for (index_t k : {16, 300}) {
+        const Matrix a = test::random_matrix(m, k, 43);
+        const Matrix at = test::random_matrix(k, m, 44);
+        const Matrix b = test::random_matrix(k, n, 45);
+        Matrix want(m, n), want_t(m, n);
+        test::with_threads(1, [&] {
+          gemm_raw(Trans::kNo, Trans::kNo, m, n, k, 1.0, a.data(), k,
+                   b.data(), n, 0.0, want.data(), n);
+          gemm_raw(Trans::kYes, Trans::kNo, m, n, k, 1.0, at.data(), m,
+                   b.data(), n, 0.0, want_t.data(), n);
+        });
+        for (int threads = 2; threads <= 4; ++threads) {
+          Matrix got(m, n), got_t(m, n);
+          test::with_threads(threads, [&] {
+            gemm_raw(Trans::kNo, Trans::kNo, m, n, k, 1.0, a.data(), k,
+                     b.data(), n, 0.0, got.data(), n);
+            gemm_raw(Trans::kYes, Trans::kNo, m, n, k, 1.0, at.data(), m,
+                     b.data(), n, 0.0, got_t.data(), n);
+          });
+          for (index_t i = 0; i < m * n; ++i) {
+            ASSERT_EQ(bits(got.data()[i]), bits(want.data()[i]))
+                << "m " << m << " n " << n << " k " << k << " threads "
+                << threads << " element " << i;
+            ASSERT_EQ(bits(got_t.data()[i]), bits(want_t.data()[i]))
+                << "A^T m " << m << " n " << n << " k " << k << " threads "
+                << threads << " element " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Gemm, InnerDimensionMismatchThrows) {
   const Matrix a(3, 4);
   const Matrix b(5, 6);

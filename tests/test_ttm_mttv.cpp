@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <sstream>
 
 #include "parpp/tensor/mttv.hpp"
@@ -143,6 +144,75 @@ TEST(Mttv, FinalLeafContraction) {
   const DenseTensor got = mttv(k, 0, a);
   const DenseTensor want = ref_mttv(k, 0, a);
   test::expect_tensor_near(got, want, 1e-10, "leaf mttv");
+}
+
+bool same_bits(const DenseTensor& a, const DenseTensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.size()) * sizeof(double)) == 0;
+}
+
+TEST(Mttv, FinalLeafBitsIndependentOfRunAndTeam) {
+  // (1, s, R) at pos 1 and (s, R) at pos 0 reach the final-leaf branch; the
+  // longer s span several fixed reduction blocks.
+  const std::vector<std::vector<index_t>> shapes = {
+      {1, 5000, 7}, {3000, 16}, {1, 300, 5}};
+  for (const auto& shape : shapes) {
+    const DenseTensor k = test::random_tensor(shape, 41);
+    const int pos = static_cast<int>(shape.size()) - 2;
+    const la::Matrix a = test::random_matrix(
+        shape[static_cast<std::size_t>(pos)], shape.back(), 42);
+    DenseTensor want;
+    test::with_threads(1, [&] { mttv_into(k, pos, a, want); });
+    test::expect_tensor_near(want, ref_mttv(k, pos, a), 1e-9, "leaf mttv");
+    for (int rep = 0; rep < 20; ++rep) {
+      DenseTensor got;
+      test::with_threads(4, [&] { mttv_into(k, pos, a, got); });
+      EXPECT_TRUE(same_bits(got, want)) << "run " << rep << " s " << shape[1];
+    }
+    for (int threads = 1; threads <= 4; ++threads) {
+      DenseTensor got;
+      test::with_threads(threads, [&] { mttv_into(k, pos, a, got); });
+      EXPECT_TRUE(same_bits(got, want)) << threads << " threads";
+    }
+  }
+}
+
+TEST(Mttv, MultiTargetGivesSeparateCallBits) {
+  // Nodes of 2-4 tensor modes, all targets with and without the leading
+  // mode, at teams 1-4: one thread runs the pass, a team hands every target
+  // to mttv_into. The last node's pos-2 target is a final-leaf contraction
+  // longer than one reduction block, which the pass leaves to mttv_into.
+  const std::vector<std::vector<index_t>> shapes = {
+      {9, 10, 5}, {6, 7, 8, 5}, {5, 6, 4, 7, 3}, {1, 5, 6, 4}, {1, 1, 1500, 3}};
+  for (const auto& shape : shapes) {
+    const DenseTensor k = test::random_tensor(shape, 51);
+    const int modes = static_cast<int>(shape.size()) - 1;
+    std::vector<la::Matrix> as;
+    for (int p = 0; p < modes; ++p)
+      as.push_back(test::random_matrix(shape[static_cast<std::size_t>(p)],
+                                       shape.back(), 52 + p));
+    std::vector<DenseTensor> want(static_cast<std::size_t>(modes));
+    for (int p = 0; p < modes; ++p)
+      test::with_threads(1, [&] {
+        mttv_into(k, p, as[static_cast<std::size_t>(p)],
+                  want[static_cast<std::size_t>(p)]);
+      });
+    for (int first : {0, 1}) {
+      for (int threads = 1; threads <= 4; ++threads) {
+        std::vector<DenseTensor> got(static_cast<std::size_t>(modes));
+        std::vector<MttvTarget> targets;
+        for (int p = first; p < modes; ++p)
+          targets.push_back({p, &as[static_cast<std::size_t>(p)],
+                             &got[static_cast<std::size_t>(p)]});
+        test::with_threads(threads, [&] { mttv_multi_into(k, targets); });
+        for (int p = first; p < modes; ++p)
+          EXPECT_TRUE(same_bits(got[static_cast<std::size_t>(p)],
+                                want[static_cast<std::size_t>(p)]))
+              << "order " << modes << " pos " << p << " threads " << threads;
+      }
+    }
+  }
 }
 
 TEST(Mttv, RankColumnMismatchThrows) {
