@@ -33,12 +33,8 @@ int main(int argc, char** argv) {
               "MSDT", "PP-init", "PP-approx", "comm-words");
 
   for (const auto& grid : bench::grid_ladder(3, max_procs)) {
-    int procs = 1;
     std::vector<index_t> shape;
-    for (int d : grid) {
-      procs *= d;
-      shape.push_back(slocal * d);
-    }
+    for (int d : grid) shape.push_back(slocal * d);
     tensor::DenseTensor t(shape);
     Rng rng(17);
     t.fill_uniform(rng);
@@ -51,8 +47,7 @@ int main(int argc, char** argv) {
     spec.engine = core::EngineKind::kMsdt;
     const double msdt = parpp::solve(t, spec).mean_sweep_seconds;
 
-    const par::PpKernelTimings pp = par::time_pp_kernels(
-        t, procs, solver::par_options(spec, t.order()), sweeps);
+    const par::PpKernelTimings pp = par::time_pp_kernels(t, spec, sweeps);
 
     std::printf("%-10s %8.4f %8.4f %8.4f %8.4f %9.4f %12.3e\n",
                 bench::grid_to_string(grid).c_str(), planc, dt, msdt,

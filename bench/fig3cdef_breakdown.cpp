@@ -40,12 +40,8 @@ Profile mean_sweep_profile(const std::vector<Profile>& sweeps) {
 
 void run_case(const char* label, const std::vector<int>& grid, index_t slocal,
               index_t rank, int sweeps) {
-  int procs = 1;
   std::vector<index_t> shape;
-  for (int d : grid) {
-    procs *= d;
-    shape.push_back(slocal * d);
-  }
+  for (int d : grid) shape.push_back(slocal * d);
   tensor::DenseTensor t(shape);
   Rng rng(23);
   t.fill_uniform(rng);
@@ -69,8 +65,7 @@ void run_case(const char* label, const std::vector<int>& grid, index_t slocal,
   const auto msdt = parpp::solve(t, spec);
   print_profile_row("MSDT", mean_sweep_profile(msdt.sweep_profiles));
 
-  const auto pp = par::time_pp_kernels(
-      t, procs, solver::par_options(spec, t.order()), sweeps);
+  const auto pp = par::time_pp_kernels(t, spec, sweeps);
   print_profile_row("PP-init", pp.init_profile);
   Profile approx = mean_sweep_profile({pp.approx_profile});
   // approx_profile is summed over `sweeps`; normalize.

@@ -54,11 +54,13 @@ int main(int argc, char** argv) {
   std::vector<Cell> cells;
   std::printf("%-8s %-6s %10s %7s %9s %11s %13s\n", "method", "engine",
               "fitness", "sweeps", "time(s)", "sweeps/sec", "t-to-target");
-  for (const solver::MethodEntry& entry : solver::registered_methods()) {
+  for (const solver::Method method :
+       {solver::Method::kAls, solver::Method::kPp, solver::Method::kNncpHals,
+        solver::Method::kPpNncp}) {
     for (core::EngineKind engine :
          {core::EngineKind::kDt, core::EngineKind::kMsdt}) {
       solver::SolverSpec spec;
-      spec.method = entry.method;
+      spec.method = method;
       spec.rank = rank;
       spec.engine = engine;
       spec.stopping.max_sweeps = max_sweeps;
@@ -70,7 +72,7 @@ int main(int argc, char** argv) {
       WallTimer timer;
       const solver::SolveReport r = parpp::solve(gen.tensor, spec);
       Cell c;
-      c.method = std::string(entry.name);
+      c.method = std::string(solver::to_string(method));
       c.engine = std::string(solver::to_string(engine));
       c.fitness = r.fitness;
       c.sweeps = r.sweeps;

@@ -78,8 +78,7 @@ int main(int argc, char** argv) {
          static_cast<double>(n) / (2.0 * (n - 1)));
 
   // PP approximated step: 2 N^2 (s_loc^2 R + R^2 ...) local.
-  const auto pp = par::time_pp_kernels(t, procs,
-                                       solver::par_options(spec, n), sweeps);
+  const auto pp = par::time_pp_kernels(t, spec, sweeps);
   const double pp_flops =
       (pp.approx_profile.flops(Kernel::kTTM) +
        pp.approx_profile.flops(Kernel::kMTTV)) /

@@ -17,23 +17,15 @@ namespace {
 
 void run_grid(const std::vector<int>& grid, index_t slocal, index_t rank,
               int sweeps) {
-  int procs = 1;
   std::vector<index_t> shape;
-  for (int d : grid) {
-    procs *= d;
-    shape.push_back(slocal * d);
-  }
+  for (int d : grid) shape.push_back(slocal * d);
   tensor::DenseTensor t(shape);
   Rng rng(29);
   t.fill_uniform(rng);
 
-  par::ParOptions opt;
-  opt.base.rank = rank;
-  opt.base.engine = core::EngineKind::kMsdt;
-  opt.grid_dims = grid;
-
-  const auto ours = par::time_pp_kernels(t, procs, opt, sweeps);
-  const auto ref = par::time_ref_pp_kernels(t, procs, opt, sweeps);
+  const solver::SolverSpec spec = bench::fixed_sweeps_spec(rank, sweeps, grid);
+  const auto ours = par::time_pp_kernels(t, spec, sweeps);
+  const auto ref = par::time_ref_pp_kernels(t, spec, sweeps);
 
   std::printf("%-12s %9.4f %12.4f %10.4f %13.4f %11.3e %11.3e\n",
               bench::grid_to_string(grid).c_str(), ours.init_seconds,

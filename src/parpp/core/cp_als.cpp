@@ -18,12 +18,11 @@ std::vector<la::Matrix> init_factors(const std::vector<index_t>& shape,
   return factors;
 }
 
-std::vector<la::Matrix> resolve_init_factors(const std::vector<index_t>& shape,
-                                             index_t rank, std::uint64_t seed,
-                                             const DriverHooks& hooks) {
-  if (hooks.initial_factors == nullptr)
-    return init_factors(shape, rank, seed);
-  const auto& init = *hooks.initial_factors;
+std::vector<la::Matrix> resolve_init_factors(
+    const std::vector<index_t>& shape, index_t rank, std::uint64_t seed,
+    const std::vector<la::Matrix>* initial) {
+  if (initial == nullptr) return init_factors(shape, rank, seed);
+  const auto& init = *initial;
   PARPP_CHECK(init.size() == shape.size(),
               "warm start: need one factor per tensor mode");
   for (std::size_t m = 0; m < init.size(); ++m) {

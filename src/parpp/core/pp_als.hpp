@@ -1,5 +1,6 @@
-// Options of the pairwise-perturbation sweep loop (Algorithm 2 with the
-// Algorithm 4 subroutine, par::par_pp_cp_als).
+// Options of the PP phases of the sweep loop (Algorithm 2 with the
+// Algorithm 4 subroutine, par::run_cp_als), read by the pp and pp-nncp
+// methods.
 #pragma once
 
 namespace parpp::core {

@@ -1,4 +1,4 @@
-// Storage-agnostic distributed tensor problems for the parallel drivers.
+// Storage-agnostic distributed tensor problems for the sweep loop.
 //
 // dist::LocalProblem is the complete contract between one grid block's
 // storage and the Algorithm 3/4 sweep loop — the (padded) block shape the

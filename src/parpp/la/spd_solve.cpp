@@ -54,7 +54,7 @@ Matrix solve_gram(const Matrix& g, const Matrix& m, Profile* profile,
 
   if (!g.all_finite()) {
     // The Jacobi eigensolver is not NaN-safe; return zeros and leave the
-    // NaN Gram in place for the drivers' per-sweep health check to catch.
+    // NaN Gram in place for the sweep loop's health check to catch.
     ++spd_stats().nonfinite_grams;
     Matrix zero(m.rows(), m.cols());
     return zero;

@@ -9,10 +9,10 @@
 
 namespace parpp::la {
 
-/// Thread-local breakdown counters for solve_gram. Drivers snapshot the
-/// counters before a sweep and diff after, turning silent numerical rescue
+/// Thread-local breakdown counters for solve_gram. The sweep loop diffs the
+/// counters across each sweep, turning silent numerical rescue
 /// paths into reportable recovery-log events (each simulated rank is its
-/// own thread, so parallel drivers see exactly their rank's solves).
+/// own thread, so parallel runs see exactly their rank's solves).
 struct SpdStats {
   std::uint64_t cholesky_failures = 0;  ///< Cholesky rejected the Gram
   std::uint64_t ridge_recoveries = 0;   ///< ridge-regularized retry worked
@@ -32,7 +32,7 @@ struct SpdStats {
 /// λ→0 — before falling back to a Jacobi eigendecomposition pseudo-inverse
 /// with relative cutoff `rcond`. A non-finite G short-circuits to a zero
 /// matrix (the Jacobi iteration is not NaN-safe); the per-sweep health
-/// checks in the drivers observe the NaN Gram itself and roll back. Every
+/// checks in the sweep loop observe the NaN Gram itself and roll back. Every
 /// rescue path bumps spd_stats(). Work is charged to Kernel::kSolve in
 /// `profile`.
 [[nodiscard]] Matrix solve_gram(const Matrix& g, const Matrix& m,

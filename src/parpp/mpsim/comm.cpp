@@ -247,10 +247,12 @@ void Comm::allreduce_sum(double* data, index_t count, CommTag tag) const {
   g.src[static_cast<std::size_t>(rank_)] = slice.data();
   g.dst[static_cast<std::size_t>(rank_)] = data;
   sync();
-  // Everyone copies every slice into their own buffer.
+  // Everyone copies every slice into their own buffer. With count < p the
+  // trailing slices are empty vectors, whose data() may be null.
   for (int r = 0; r < p; ++r) {
     const index_t rlo = std::min<index_t>(count, r * chunk);
     const index_t rhi = std::min<index_t>(count, rlo + chunk);
+    if (rhi == rlo) continue;
     std::memcpy(data + rlo, g.src[static_cast<std::size_t>(r)],
                 static_cast<std::size_t>(rhi - rlo) * sizeof(double));
   }

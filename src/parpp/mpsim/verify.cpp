@@ -59,7 +59,8 @@ std::string describe_mismatch(const std::vector<Fingerprint>& fps) {
     bool placed = false;
     for (std::size_t g = 0; g < exemplar.size(); ++g) {
       if (fingerprints_match(fps[exemplar[g]], fps[r])) {
-        members[g] += "," + std::to_string(r);
+        members[g] += ',';
+        members[g] += std::to_string(r);
         placed = true;
         break;
       }

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "parpp/mpsim/grid.hpp"
+#include "parpp/solver/spec.hpp"
 
 namespace parpp::par {
 
@@ -19,15 +20,13 @@ BuddyStore::BuddyStore(int world_size) {
   rosters_.push_back(std::move(all));  // epoch 0: the full world
 }
 
-void BuddyStore::publish(int world_rank, int epoch, int sweep, double fit,
-                         double fit_old, ParCpContext& ctx) {
+void BuddyStore::publish(int world_rank, int epoch, const LoopState& state,
+                         ParCpContext& ctx) {
   // Build the generation fully before touching the slot, so an exception
   // mid-copy can never leave a half-written snapshot behind.
   Generation g;
-  g.sweep = sweep;
   g.epoch = epoch;
-  g.fit = fit;
-  g.fit_old = fit_old;
+  g.state = state;
   g.nnz = ctx.local_problem().nnz();
   const int n = ctx.order();
   auto& fd = ctx.factor_dist();
@@ -72,8 +71,8 @@ int BuddyStore::latest_sweep_in_epoch(int world_rank, int epoch) {
   Slot& s = *slots_[static_cast<std::size_t>(world_rank)];
   std::lock_guard<std::mutex> lk(s.mutex);
   int latest = -1;
-  if (s.cur.epoch == epoch) latest = s.cur.sweep;
-  if (s.prev.epoch == epoch) latest = std::max(latest, s.prev.sweep);
+  if (s.cur.epoch == epoch) latest = s.cur.state.sweep;
+  if (s.prev.epoch == epoch) latest = std::max(latest, s.prev.state.sweep);
   return latest;
 }
 
@@ -81,11 +80,11 @@ BuddyStore::Generation BuddyStore::generation_at(int world_rank, int sweep,
                                                  int epoch, bool* ok) {
   Slot& s = *slots_[static_cast<std::size_t>(world_rank)];
   std::lock_guard<std::mutex> lk(s.mutex);
-  if (s.cur.sweep == sweep && s.cur.epoch == epoch) {
+  if (s.cur.state.sweep == sweep && s.cur.epoch == epoch) {
     *ok = true;
     return s.cur;
   }
-  if (s.prev.sweep == sweep && s.prev.epoch == epoch) {
+  if (s.prev.state.sweep == sweep && s.prev.epoch == epoch) {
     *ok = true;
     return s.prev;
   }
@@ -96,18 +95,25 @@ BuddyStore::Generation BuddyStore::generation_at(int world_rank, int sweep,
 bool BuddyStore::any_published() {
   for (auto& sp : slots_) {
     std::lock_guard<std::mutex> lk(sp->mutex);
-    if (sp->cur.sweep >= 0) return true;
+    if (sp->cur.epoch >= 0) return true;
   }
   return false;
 }
 
 void ElasticAttempt::begin_epoch(ParCpContext& ctx) const {
-  if (comm.rank() == 0 && result != nullptr) {
-    result->final_ranks = comm.size();
+  if (comm.rank() == 0) {
+    report->final_ranks = comm.size();
     if (shrunk)
-      result->post_shrink_nnz_imbalance = ctx.nnz_imbalance();
+      report->post_shrink_nnz_imbalance = ctx.nnz_imbalance();
     else
-      result->nnz_imbalance = ctx.nnz_imbalance();
+      report->nnz_imbalance = ctx.nnz_imbalance();
+    // The epoch replays every sweep after `start`: drop their counts and
+    // records, which the first attempt already booked.
+    report->num_als_sweeps = start.num_als;
+    report->num_pp_init = start.num_pp_init;
+    report->num_pp_approx = start.num_pp_approx;
+    if (report->history.size() > start.records)
+      report->history.resize(start.records);
   }
   // Conservation check of a repartitioned sparse epoch against the buddy
   // manifest: the new partition must account for every nonzero the old one
@@ -124,20 +130,16 @@ void ElasticAttempt::begin_epoch(ParCpContext& ctx) const {
   }
 }
 
-void ElasticAttempt::publish(ParCpContext& ctx, int sweep, double cur_fit,
-                             double cur_fit_old) const {
-  if (store == nullptr || options.elastic.mode != ElasticMode::kShrink)
-    return;
-  store->publish(comm.world_rank(), epoch, sweep, cur_fit, cur_fit_old, ctx);
+void ElasticAttempt::publish(ParCpContext& ctx,
+                             const LoopState& state) const {
+  if (store != nullptr) store->publish(comm.world_rank(), epoch, state, ctx);
 }
 
 namespace {
 
 struct RebuiltState {
   std::vector<la::Matrix> factors;  ///< empty = cold restart
-  int sweep = 0;
-  double fit = 0.0;
-  double fit_old = -1.0;
+  LoopState state;
   index_t manifest_nnz = -1;
 };
 
@@ -239,7 +241,6 @@ RebuiltState rebuild_from_store(mpsim::Comm& nc, BuddyStore& store,
     // or its window rolled over. Both just mean "look older".
     if (common < 0) continue;
 
-    rs.sweep = common;
     const int n = static_cast<int>(shape.size());
     rs.factors.assign(static_cast<std::size_t>(n), la::Matrix());
     for (int m = 0; m < n; ++m)
@@ -273,11 +274,8 @@ RebuiltState rebuild_from_store(mpsim::Comm& nc, BuddyStore& store,
         dense = true;
       else
         nnz_total += g.nnz;
-      if (i == 0) {
-        // The fit scalars are replicated at a generation; any slot serves.
-        rs.fit = g.fit;
-        rs.fit_old = g.fit_old;
-      }
+      // The loop scalars are replicated at a generation; any slot serves.
+      if (i == 0) rs.state = g.state;
       if (std::find(reads.begin(), reads.end(), roster[i]) == reads.end())
         continue;
       for (int m = 0; m < n; ++m) {
@@ -315,22 +313,27 @@ RebuiltState rebuild_from_store(mpsim::Comm& nc, BuddyStore& store,
 }  // namespace
 
 void run_with_elastic(mpsim::Comm& comm, const dist::DistProblem& problem,
-                      const ParOptions& options,
-                      const core::DriverHooks& hooks, BuddyStore& store,
-                      ParResult& result, std::vector<char>& removed,
+                      const solver::SolverSpec& spec, const SolveStart& start,
+                      BuddyStore& store, solver::SolveReport& report,
+                      std::vector<char>& removed,
                       const std::function<void(ElasticAttempt&)>& body) {
+  // The caller's start: its warm start (null = seeded init) and the
+  // stopping-rule state of a loaded checkpoint.
+  const std::vector<la::Matrix>* warm_start =
+      spec.initial_factors.empty() ? nullptr : &spec.initial_factors;
+  LoopState cold_state;
+  cold_state.fit = start.fitness;
+  cold_state.fit_old = start.prev_fitness;
+  const ElasticOptions& options = spec.execution.elastic;
   ElasticAttempt at;
   at.comm = comm;
-  at.options = options;
-  at.init_factors = hooks.initial_factors;
-  if (hooks.resume != nullptr) {
-    at.fit = hooks.resume->fitness;
-    at.fit_old = hooks.resume->prev_fitness;
-  }
-  at.store = &store;
-  at.result = &result;
-  const bool elastic = options.elastic.mode == ElasticMode::kShrink &&
-                       at.comm.shrink_supported();
+  at.grid_dims = spec.execution.grid_dims;
+  at.init_factors = warm_start;
+  at.start = cold_state;
+  if (options.mode == ElasticMode::kShrink) at.store = &store;
+  at.report = &report;
+  const bool elastic =
+      options.mode == ElasticMode::kShrink && at.comm.shrink_supported();
   int shrinks = 0;
   std::vector<la::Matrix> warm;  // owns the rebuilt snapshot across epochs
   // Full copy of the last rebuilt snapshot, replicated on every survivor:
@@ -343,7 +346,7 @@ void run_with_elastic(mpsim::Comm& comm, const dist::DistProblem& problem,
       body(at);
       return;
     } catch (const mpsim::CommFailure& e) {
-      if (!elastic || shrinks >= options.elastic.max_shrinks ||
+      if (!elastic || shrinks >= options.max_shrinks ||
           at.comm.marked_dead())
         throw;
       failure = e.what();
@@ -368,58 +371,53 @@ void run_with_elastic(mpsim::Comm& comm, const dist::DistProblem& problem,
         lost.push_back(w);
     store.start_epoch(shrinks, now);
     RebuiltState rs = rebuild_from_store(nc, store, problem.global_shape(),
-                                         options.base.rank, &last_good);
+                                         spec.rank, &last_good);
     const int order = static_cast<int>(problem.global_shape().size());
     at.comm = nc;
     at.epoch = shrinks;
-    at.options.grid_dims =
-        mpsim::ProcessorGrid::balanced_dims(nc.size(), order);
+    at.grid_dims = mpsim::ProcessorGrid::balanced_dims(nc.size(), order);
     at.shrunk = true;
     const bool cold = rs.factors.empty();
     if (cold) {
       // Nothing was replicated yet (failure during setup): redo the
       // caller's deterministic initialization on the new grid.
-      at.init_factors = hooks.initial_factors;
-      at.start_sweep = 0;
-      at.fit = hooks.resume != nullptr ? hooks.resume->fitness : 0.0;
-      at.fit_old = hooks.resume != nullptr ? hooks.resume->prev_fitness : -1.0;
+      at.init_factors = warm_start;
+      at.start = cold_state;
       at.expected_nnz = -1;
       last_good = RebuiltState{};
     } else {
       last_good = rs;  // keep the replicated copy before handing rs over
       warm = std::move(rs.factors);
       at.init_factors = &warm;
-      at.start_sweep = rs.sweep;
-      at.fit = rs.fit;
-      at.fit_old = rs.fit_old;
+      at.start = rs.state;
       at.expected_nnz = rs.manifest_nnz;
     }
     if (nc.rank() == 0) {
       const std::string resume_from =
           cold ? "restarting from the initial factors (no snapshot had been "
                  "replicated yet)"
-               : "resuming from the sweep-" + std::to_string(rs.sweep) +
+               : "resuming from the sweep-" + std::to_string(rs.state.sweep) +
                      " replicated snapshot";
       std::string what;
       if (lost.empty()) {
         what = "communicator rebuilt after transient failure (" + failure +
                "); all " + std::to_string(nc.size()) + " rank(s) rejoined, " +
                resume_from;
-        if (result.status == core::SolveStatus::kOk)
-          result.status = core::SolveStatus::kRecovered;
+        if (report.status == core::SolveStatus::kOk)
+          report.status = core::SolveStatus::kRecovered;
       } else {
         what = "rank(s) " + ranks_string(lost) + " lost (" + failure +
                "): communicator shrunk " + std::to_string(old_parts.size()) +
                " -> " + std::to_string(now.size()) +
                "; repartitioned onto grid " +
-               dims_string(at.options.grid_dims) + ", " + resume_from;
-        if (result.status != core::SolveStatus::kNumericalAbort &&
-            result.status != core::SolveStatus::kCommAbort)
-          result.status = core::SolveStatus::kRecoveredShrunk;
+               dims_string(at.grid_dims) + ", " + resume_from;
+        if (report.status != core::SolveStatus::kNumericalAbort &&
+            report.status != core::SolveStatus::kCommAbort)
+          report.status = core::SolveStatus::kRecoveredShrunk;
         for (int d : lost) removed[static_cast<std::size_t>(d)] = 1;
       }
-      result.recovery_log.push_back({rs.sweep, what});
-      result.final_ranks = nc.size();
+      report.recovery_log.push_back({rs.state.sweep, what});
+      report.final_ranks = nc.size();
     }
   }
 }
@@ -427,13 +425,13 @@ void run_with_elastic(mpsim::Comm& comm, const dist::DistProblem& problem,
 namespace {
 
 /// Folds the per-rank abort slots the rank bodies record on CommFailure (or
-/// a poisoned local exception) into `result`: identical reasons are grouped
+/// a poisoned local exception) into `report`: identical reasons are grouped
 /// into one deterministic recovery_log event listing the ranks, and the
 /// status becomes kCommAbort. Slots of ranks in `removed` (world-rank
 /// indexed) were folded into a successful shrink's recovery_log entry
 /// already, so their expected abort reasons are skipped. No-op when no
 /// slot is set.
-void merge_abort_records(ParResult& result,
+void merge_abort_records(solver::SolveReport& report,
                          const std::vector<std::string>& reasons,
                          const std::vector<int>& sweeps,
                          const std::vector<char>& removed) {
@@ -452,7 +450,8 @@ void merge_abort_records(ParResult& result,
     bool found = false;
     for (std::size_t g = 0; g < groups.size(); ++g) {
       if (groups[g].first == reasons[r]) {
-        groups[g].second += "," + std::to_string(r);
+        groups[g].second += ',';
+        groups[g].second += std::to_string(r);
         group_sweep[g] = std::max(group_sweep[g], sweeps[r]);
         found = true;
         break;
@@ -465,11 +464,11 @@ void merge_abort_records(ParResult& result,
   }
   if (!any) return;
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    result.recovery_log.push_back(
+    report.recovery_log.push_back(
         {group_sweep[g],
          "rank(s) " + groups[g].second + ": " + groups[g].first});
   }
-  result.status = core::SolveStatus::kCommAbort;
+  report.status = core::SolveStatus::kCommAbort;
 }
 
 /// Slowest-rank reduction. Per sweep: the whole-rank profile of the rank
@@ -477,7 +476,7 @@ void merge_abort_records(ParResult& result,
 /// maximum over ranks, summed into critical_path_profile. Ranks can hold
 /// different counts after an elastic shrink; each sweep folds the ranks
 /// that recorded it.
-void fold_sweep_profiles(ParResult& result,
+void fold_sweep_profiles(solver::SolveReport& report,
                          const std::vector<std::vector<Profile>>& per_rank) {
   for (std::size_t s = 0;; ++s) {
     Profile worst;
@@ -494,16 +493,17 @@ void fold_sweep_profiles(ParResult& result,
       }
     }
     if (!any) return;
-    result.sweep_profiles.push_back(worst);
-    result.critical_path_profile.accumulate(cat_max);
+    report.sweep_profiles.push_back(worst);
+    report.critical_path_profile.accumulate(cat_max);
   }
 }
 
 }  // namespace
 
-void run_sweep_loop(const dist::DistProblem& problem, int nprocs,
-                    const ParOptions& options, const core::DriverHooks& hooks,
-                    ParResult& result, const SweepLoop& loop) {
+void run_sweep_loop(const dist::DistProblem& problem,
+                    const solver::SolverSpec& spec, const SolveStart& start,
+                    solver::SolveReport& report, const SweepLoop& loop) {
+  const int nprocs = spec.execution.nprocs;
   const auto ranks = static_cast<std::size_t>(nprocs);
   std::vector<std::vector<Profile>> profiles(ranks);
   std::vector<std::string> abort_reasons(ranks);
@@ -512,22 +512,22 @@ void run_sweep_loop(const dist::DistProblem& problem, int nprocs,
   std::vector<char> removed(ranks, 0);
 
   mpsim::RunOptions ropt;
-  ropt.threads_per_rank = options.threads_per_rank;
-  ropt.fault = options.fault;
-  ropt.comm_timeout_seconds = options.comm_timeout_seconds;
+  ropt.threads_per_rank = spec.execution.threads_per_rank;
+  ropt.fault = spec.execution.fault;
+  ropt.comm_timeout_seconds = spec.execution.comm_timeout_seconds;
   const mpsim::RunResult run_result = mpsim::run(
       nprocs,
       [&](mpsim::Comm& world) {
         const auto me = static_cast<std::size_t>(world.rank());
-        int sweep = 0;
+        LoopState state;
         try {
-          run_with_elastic(world, problem, options, hooks, store, result,
+          run_with_elastic(world, problem, spec, start, store, report,
                            removed, [&](ElasticAttempt& at) {
-                             loop(at, profiles[me], sweep);
+                             loop(at, profiles[me], state);
                            });
         } catch (const mpsim::CommFailure& e) {
           abort_reasons[me] = e.what();
-          abort_sweeps[me] = sweep;
+          abort_sweeps[me] = state.sweep;
         } catch (const std::exception& e) {
           // A lone rank has no peer to unwind, so its failure (a bad warm
           // start, an engine the storage cannot run) reaches the caller.
@@ -536,19 +536,25 @@ void run_sweep_loop(const dist::DistProblem& problem, int nprocs,
           // (they record the poison reason as their own CommFailure). The
           // elastic runner already poisoned the current epoch's tree.
           abort_reasons[me] = std::string("local exception: ") + e.what();
-          abort_sweeps[me] = sweep;
+          abort_sweeps[me] = state.sweep;
           world.poison("rank " + std::to_string(world.rank()) +
                        " failed: " + e.what());
         }
       },
       ropt);
-  merge_abort_records(result, abort_reasons, abort_sweeps, removed);
-  fold_sweep_profiles(result, profiles);
-  if (!result.history.empty() && result.sweeps > 0) {
-    result.mean_sweep_seconds =
-        result.history.back().seconds / static_cast<double>(result.sweeps);
-  }
-  result.comm_cost = run_result.max_cost();
+  merge_abort_records(report, abort_reasons, abort_sweeps, removed);
+  fold_sweep_profiles(report, profiles);
+  for (const Profile& p : report.sweep_profiles) report.profile.accumulate(p);
+  report.comm_cost = run_result.max_cost();
+  // A guardrail or communicator failure ended the run; the recovery log
+  // carries the why, and the stop reason points the caller at it.
+  if (report.status == core::SolveStatus::kNumericalAbort ||
+      report.status == core::SolveStatus::kCommAbort)
+    report.stop_reason = solver::StopReason::kFault;
+  // A resumed run reports the cumulative sweep count, so resumed and
+  // uninterrupted runs with the same budget report the same totals.
+  report.sweeps += start.sweep_offset;
+  report.num_als_sweeps += start.sweep_offset;
 }
 
 }  // namespace parpp::par

@@ -1,11 +1,11 @@
-// Elastic shrink-and-continue machinery shared by the parallel drivers.
+// Elastic shrink-and-continue machinery around the sweep loop.
 //
 // ULFM-style continuation over the simulator: when a rank dies mid-solve,
 // the survivors (a) agree on the live set and rebuild a smaller world
 // communicator (mpsim::Comm::shrink), (b) repartition the tensor onto the
 // shrunken grid, and (c) restore the factor iterate from a replicated
 // snapshot and re-enter the sweep loop. This header provides the two pieces
-// the drivers share:
+// the loop runs under:
 //
 // BuddyStore — the lightweight replica scheme. At every lockstep snapshot
 // point (the same place capture_state runs, validated by the next
@@ -30,11 +30,12 @@
 // epoch's roster — including ranks that died in that round, whose slots the
 // ring buddies still hold — is used instead.
 //
-// run_with_elastic — the epoch loop. Runs a driver body; on CommFailure with
-// shrink enabled it shrinks the communicator, rebuilds the global factors
-// from the store (one All-Reduce per mode on the new communicator),
-// recomputes a balanced grid for the survivor count, logs a deterministic
-// recovery event, and re-invokes the body warm-started at the agreed sweep.
+// run_with_elastic — the epoch loop. Runs the sweep loop's rank body; on
+// CommFailure with shrink enabled it shrinks the communicator, rebuilds the
+// global factors from the store (one All-Reduce per mode on the new
+// communicator), recomputes a balanced grid for the survivor count, logs a
+// deterministic recovery event, and re-invokes the body warm-started at the
+// agreed sweep, with the sweep counts and history rewound to it.
 #pragma once
 
 #include <functional>
@@ -44,7 +45,24 @@
 
 #include "parpp/par/par_cp_als.hpp"
 
+namespace parpp::solver {
+struct SolveReport;
+}  // namespace parpp::solver
+
 namespace parpp::par {
+
+/// The replicated scalars of the sweep loop at a snapshot point: what an
+/// epoch restarts from besides the factors. Every rank holds the same
+/// values, so any replica slot serves.
+struct LoopState {
+  int sweep = 0;  ///< sweeps of any kind run so far
+  double fit = 0.0;
+  double fit_old = -1.0;
+  int num_als = 0;  ///< sweep counts by kind; they sum to `sweep`
+  int num_pp_init = 0;
+  int num_pp_approx = 0;
+  std::size_t records = 0;  ///< sweep records produced (history entries)
+};
 
 /// World-rank-indexed replica store shared by all rank bodies of one solve.
 /// Publishes are rank-local under a per-slot mutex; recovery reads foreign
@@ -58,20 +76,19 @@ class BuddyStore {
     la::Matrix rows;   ///< owned (non-padding) Q rows, count x R
   };
   struct Generation {
-    int sweep = -1;  ///< completed sweeps at the snapshot; -1 = never published
-    int epoch = -1;  ///< shrink round (roster index) that published it
-    double fit = 0.0;
-    double fit_old = -1.0;
+    int epoch = -1;  ///< shrink round (roster index); -1 = never published
+    LoopState state;   ///< loop scalars at the snapshot
     index_t nnz = -1;  ///< local nonzeros manifest (-1 = dense storage)
     std::vector<ModeRows> modes;
   };
 
   explicit BuddyStore(int world_size);
 
-  /// Mirror `ctx`'s current iterate for `world_rank` (current generation;
-  /// the previous one is kept as the spread-tolerant fallback).
-  void publish(int world_rank, int epoch, int sweep, double fit,
-               double fit_old, ParCpContext& ctx);
+  /// Mirror `ctx`'s current iterate and the loop `state` for `world_rank`
+  /// (current generation; the previous one is kept as the spread-tolerant
+  /// fallback).
+  void publish(int world_rank, int epoch, const LoopState& state,
+               ParCpContext& ctx);
 
   /// Register epoch `index`'s participant roster. Every survivor calls this
   /// after a shrink; the call is idempotent (first writer wins, the roster
@@ -104,69 +121,68 @@ class BuddyStore {
   std::vector<std::vector<int>> rosters_;
 };
 
-/// Inputs of one solve epoch. The runner rebinds comm/options/warm-start
-/// between epochs; the body runs the whole sweep loop against them.
+/// Inputs of one solve epoch: what changes from one epoch to the next. The
+/// runner rebinds them between epochs; the body runs the whole sweep loop
+/// against them and the spec.
 struct ElasticAttempt {
   mpsim::Comm comm;
-  ParOptions options;
+  std::vector<int> grid_dims;  ///< processor grid, rebalanced after a shrink
   /// Warm start for this epoch: the caller's initial factors on the first
   /// epoch, the rebuilt snapshot afterwards (null = seeded init).
   const std::vector<la::Matrix>* init_factors = nullptr;
-  int start_sweep = 0;
-  double fit = 0.0;
-  double fit_old = -1.0;
+  LoopState start;      ///< where this epoch's sweep loop picks up
   bool shrunk = false;  ///< at least one shrink preceded this epoch
   int epoch = 0;        ///< shrink round index; stamps published generations
 
-  /// Per-epoch bookkeeping the drivers would otherwise triplicate: rank-0
-  /// result fields (final rank count, grid imbalance — the post-shrink slot
-  /// once shrunk) and the nnz-conservation check of a repartitioned sparse
-  /// epoch against the buddy manifest (collective when it runs; throws on
-  /// loss, which the drivers surface as a clean abort).
+  /// Per-epoch bookkeeping on rank 0: the report's final rank count and
+  /// grid imbalance (the post-shrink slot once shrunk), and the sweep
+  /// counts and history rewound to `start`, so a replayed sweep is counted
+  /// once. Then the nnz-conservation check of a repartitioned sparse epoch
+  /// against the buddy manifest (collective when it runs; throws on loss,
+  /// which the loop surfaces as a clean abort).
   void begin_epoch(ParCpContext& ctx) const;
 
-  /// Mirror this rank's state on the buddy store; no-op when elastic
-  /// recovery is off. Call at every lockstep snapshot point.
-  void publish(ParCpContext& ctx, int sweep, double cur_fit,
-               double cur_fit_old) const;
+  /// Mirror this rank's iterate and loop state on the buddy store; no-op
+  /// when elastic recovery is off. Call at every lockstep snapshot point.
+  void publish(ParCpContext& ctx, const LoopState& state) const;
 
   // Wired by run_with_elastic.
-  BuddyStore* store = nullptr;
-  ParResult* result = nullptr;
+  BuddyStore* store = nullptr;  ///< null when elastic recovery is off
+  solver::SolveReport* report = nullptr;
   index_t expected_nnz = -1;  ///< manifest total for begin_epoch (-1 = none)
 };
 
 /// Runs `body` with elastic shrink recovery. On CommFailure with
-/// options.elastic.mode == kShrink (and this rank not itself declared dead,
-/// and the shrink budget not exhausted) the runner shrinks, rebuilds state,
-/// and re-invokes the body; otherwise the failure propagates to the
-/// driver's abort-recording catch. Local (non-CommFailure) exceptions mark
-/// this rank dead on the shrink board and poison the *current* epoch's tree
-/// before propagating, so survivors can shrink past this rank. `removed`
-/// (world-size char flags) receives the ranks folded into successful
-/// shrinks, for merge_abort_records.
+/// spec.execution.elastic.mode == kShrink (and this rank not itself
+/// declared dead, and the shrink budget not exhausted) the runner shrinks,
+/// rebuilds state, and re-invokes the body; otherwise the failure
+/// propagates to run_sweep_loop's abort-recording catch. Local
+/// (non-CommFailure) exceptions mark this rank dead on the shrink board and
+/// poison the *current* epoch's tree before propagating, so survivors can
+/// shrink past this rank. `removed` (world-size char flags) receives the
+/// ranks folded into successful shrinks, for merge_abort_records.
 void run_with_elastic(mpsim::Comm& comm, const dist::DistProblem& problem,
-                      const ParOptions& options,
-                      const core::DriverHooks& hooks, BuddyStore& store,
-                      ParResult& result, std::vector<char>& removed,
+                      const solver::SolverSpec& spec, const SolveStart& start,
+                      BuddyStore& store, solver::SolveReport& report,
+                      std::vector<char>& removed,
                       const std::function<void(ElasticAttempt&)>& body);
 
 /// One rank's sweep loop for run_sweep_loop: runs the epoch `at`, appends
-/// one Profile per sweep to `profiles` and keeps `sweep` at the completed
-/// sweep count (reported in abort records).
-using SweepLoop = std::function<void(ElasticAttempt& at,
-                                     std::vector<Profile>& profiles,
-                                     int& sweep)>;
+/// one Profile per sweep to `profiles` and keeps `state` current (its sweep
+/// count goes into abort records).
+using SweepLoop = std::function<void(
+    ElasticAttempt& at, std::vector<Profile>& profiles, LoopState& state)>;
 
-/// The scaffolding both sweep loops share: runs `loop` on each of `nprocs`
-/// simulated ranks under run_with_elastic, turns CommFailures and local
-/// exceptions into merged abort records (a 1-rank run rethrows a local
-/// exception instead), and finishes `result` with
-/// the slowest-rank reduction of the per-rank profiles (sweep_profiles,
-/// critical_path_profile), the busiest rank's comm cost and the mean sweep
-/// time.
-void run_sweep_loop(const dist::DistProblem& problem, int nprocs,
-                    const ParOptions& options, const core::DriverHooks& hooks,
-                    ParResult& result, const SweepLoop& loop);
+/// The scaffolding around the sweep loop: runs `loop` on each of
+/// spec.execution.nprocs simulated ranks under run_with_elastic, turns
+/// CommFailures and local exceptions into merged abort records (a 1-rank
+/// run rethrows a local exception instead), and finishes `report` with the
+/// slowest-rank reduction of the per-rank profiles (sweep_profiles, their
+/// sum `profile`, critical_path_profile), the busiest rank's comm cost, the
+/// kFault stop reason of an aborted run and the sweeps of a loaded
+/// checkpoint (start.sweep_offset).
+void run_sweep_loop(const dist::DistProblem& problem,
+                    const solver::SolverSpec& spec, const SolveStart& start,
+                    solver::SolveReport& report, const SweepLoop& loop);
 
 }  // namespace parpp::par

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 #include <utility>
 
-#include "parpp/core/fitness.hpp"
 #include "parpp/core/gram.hpp"
 #include "parpp/core/solve_update.hpp"
 #include "parpp/la/gemm.hpp"
-#include "parpp/par/elastic.hpp"
-#include "parpp/util/timer.hpp"
+#include "parpp/solver/spec.hpp"
 
 namespace parpp::par {
 
@@ -51,38 +48,22 @@ bool rescue_zero_columns(mpsim::Comm& comm, dist::FactorDist& fd, int mode,
   return true;
 }
 
-bool hooks_continue_collective(mpsim::Comm& comm,
-                               const core::DriverHooks& hooks,
-                               const core::SweepRecord& rec,
-                               const std::vector<la::Matrix>& factors) {
-  if (!hooks.on_sweep) return true;
-  static const std::vector<la::Matrix> kNoFactors;
-  double stop = 0.0;
-  if (comm.rank() == 0 &&
-      !hooks.on_sweep(rec, comm.size() == 1 ? factors : kNoFactors))
-    stop = 1.0;
-  comm.allreduce_sum(&stop, 1, PARPP_COMM_TAG("observer-stop-allreduce"));
-  return stop == 0.0;
-}
-
 ParCpContext::ParCpContext(mpsim::Comm& comm, const dist::DistProblem& problem,
-                           const ParOptions& options,
+                           const solver::SolverSpec& spec,
+                           const std::vector<int>& grid_dims,
                            const std::vector<la::Matrix>* initial_factors)
     : comm_(comm),
-      options_(options),
+      solve_mode_(spec.execution.solve_mode),
       n_(static_cast<int>(problem.global_shape().size())),
-      grid_(comm, options.grid_dims),
+      grid_(comm, grid_dims),
       dist_(problem.make_block_dist(grid_)),
       local_(problem.make_local(dist_, grid_.coords())),
-      fd_(grid_, dist_, options.base.rank) {
+      fd_(grid_, dist_, spec.rank) {
   // Deterministic global initialization so any grid reproduces the
   // 1-rank run bit-for-bit (each rank generates — or, for a warm
   // start, copies — the same matrices).
-  core::DriverHooks init_hooks;
-  init_hooks.initial_factors = initial_factors;
   const auto global_factors = core::resolve_init_factors(
-      dist_.global_shape(), options_.base.rank, options_.base.seed,
-      init_hooks);
+      dist_.global_shape(), spec.rank, spec.seed, initial_factors);
   grams_.resize(static_cast<std::size_t>(n_));
   for (int m = 0; m < n_; ++m) {
     fd_.set_q_from_global(m, global_factors[static_cast<std::size_t>(m)]);
@@ -92,8 +73,8 @@ ParCpContext::ParCpContext(mpsim::Comm& comm, const dist::DistProblem& problem,
     grams_[static_cast<std::size_t>(m)] = std::move(s);
     fd_.gather_slice(m);
   }
-  engine_ = local_->make_engine(options_.base.engine, fd_.slices(), nullptr,
-                                options_.base.engine_options);
+  engine_ = local_->make_engine(spec.engine, fd_.slices(), nullptr,
+                                spec.engine_options);
 
   double sq = local_->squared_norm();
   comm_.allreduce_sum(&sq, 1, PARPP_COMM_TAG("tensor-sqnorm-allreduce"));
@@ -148,7 +129,7 @@ void ParCpContext::solve_and_propagate(int mode, const la::Matrix& m_q,
     return;
   }
   la::Matrix a_q;
-  if (options_.solve == SolveMode::kDistributedRows) {
+  if (solve_mode_ == SolveMode::kDistributedRows) {
     a_q = core::update_factor(gamma, m_q);
   } else {
     // PLANC-style sequential solve: gather all Q rows, solve the full
@@ -267,124 +248,6 @@ std::vector<la::Matrix> ParCpContext::assemble_factors() {
   out.reserve(static_cast<std::size_t>(n_));
   for (int m = 0; m < n_; ++m) out.push_back(assemble_factor(m));
   return out;
-}
-
-void record_health_events(ParResult& result, int sweep,
-                          const ParCpContext::SweepHealth& h) {
-  auto add = [&](const std::string& what) {
-    result.recovery_log.push_back({sweep, what});
-    if (result.status == core::SolveStatus::kOk)
-      result.status = core::SolveStatus::kRecovered;
-  };
-  if (h.guardrail > 0.0) {
-    add("Gram-solve guardrail fired " +
-        std::to_string(static_cast<long>(h.guardrail)) + " time(s)");
-  }
-  if (h.delays > 0.0) {
-    add("tolerated " + std::to_string(static_cast<long>(h.delays)) +
-        " injected communication delay(s)");
-  }
-  if (h.corruptions > 0.0) {
-    add("detected " + std::to_string(static_cast<long>(h.corruptions)) +
-        " corrupted collective payload(s)");
-  }
-}
-
-bool book_rollback(ParResult& result, int rank, int sweep, int& rollbacks) {
-  if (rollbacks < kParRollbackBudget) {
-    ++rollbacks;
-    if (rank == 0) {
-      result.recovery_log.push_back(
-          {sweep, "non-finite iterate: rolled back to the last good sweep "
-                  "(rollback " +
-                      std::to_string(rollbacks) + "/" +
-                      std::to_string(kParRollbackBudget) + ")"});
-      if (result.status == core::SolveStatus::kOk)
-        result.status = core::SolveStatus::kRecovered;
-    }
-    return true;
-  }
-  if (rank == 0) {
-    result.recovery_log.push_back(
-        {sweep, "non-finite iterate persisted past the rollback budget; "
-                "aborting on the last good state"});
-    result.status = core::SolveStatus::kNumericalAbort;
-  }
-  return false;
-}
-
-ParResult par_cp_als(const dist::DistProblem& problem, int nprocs,
-                     const ParOptions& options,
-                     const core::DriverHooks& hooks,
-                     const core::NncpOptions* nn) {
-  const char* phase = nn ? "nncp" : "als";
-  ParResult result;
-  run_sweep_loop(
-      problem, nprocs, options, hooks, result,
-      [&](ElasticAttempt& at, std::vector<Profile>& profiles, int& sweep) {
-        mpsim::Comm& comm = at.comm;
-        ParCpContext ctx(comm, problem, at.options, at.init_factors);
-        at.begin_epoch(ctx);
-        // MTTKRP + Reduce-Scatter exactly as Algorithm 3; HALS swaps the
-        // factor update for the row-local projected passes (no extra
-        // communication) and keeps the Eq. (3) residual, which depends on
-        // M(N) and Γ(N) only.
-        if (nn) ctx.enable_hals(nn->epsilon, nn->inner_iterations);
-        const int n = ctx.order();
-        WallTimer timer;
-        double fit = at.fit, fit_old = at.fit_old;
-        int rollbacks = 0;
-        sweep = at.start_sweep;
-        while (sweep < options.base.max_sweeps &&
-               std::abs(fit - fit_old) > options.base.tol) {
-          at.publish(ctx, sweep, fit, fit_old);
-          ctx.capture_state();
-          const double saved_fit = fit, saved_fit_old = fit_old;
-          const Profile before = Profile::thread_default();
-          for (int i = 0; i < n; ++i) ctx.update_mode(i);
-          ++sweep;
-          fit_old = fit;
-          const double r = ctx.residual();
-          fit = core::fitness_from_residual(r);
-          profiles.push_back(Profile::thread_default().delta_since(before));
-          const ParCpContext::SweepHealth h = ctx.last_health();
-          if (comm.rank() == 0) record_health_events(result, sweep, h);
-          if (h.nonfinite > 0.0 || !std::isfinite(fit)) {
-            // Replicated verdict: every rank rolls back in lockstep to the
-            // pre-sweep iterate. The sweep counter keeps advancing, so
-            // termination stays bounded by max_sweeps.
-            ctx.restore_state();
-            fit = saved_fit;
-            fit_old = saved_fit_old;
-            if (book_rollback(result, comm.rank(), sweep, rollbacks))
-              continue;
-            break;
-          }
-          if (comm.rank() == 0) {
-            if (options.base.record_history)
-              result.history.push_back({timer.seconds(), fit, phase});
-            result.residual = r;
-            result.fitness = fit;
-            result.sweeps = sweep;
-            result.num_als_sweeps = sweep;
-          }
-          if (hooks.checkpoint_every > 0 && hooks.on_checkpoint &&
-              sweep % hooks.checkpoint_every == 0) {
-            // Collective assembly on the replicated sweep counter; only
-            // rank 0 invokes the callback (and writes the file).
-            const std::vector<la::Matrix> ck = ctx.assemble_factors();
-            if (comm.rank() == 0) hooks.on_checkpoint(ck, sweep, fit, fit_old);
-          }
-          if (!hooks_continue_collective(comm, hooks,
-                                         {timer.seconds(), fit, phase},
-                                         ctx.factor_dist().slices()))
-            break;
-        }
-        // Assemble global factors (collective); rank 0 keeps them.
-        std::vector<la::Matrix> assembled = ctx.assemble_factors();
-        if (comm.rank() == 0) result.factors = std::move(assembled);
-      });
-  return result;
 }
 
 }  // namespace parpp::par

@@ -1,17 +1,24 @@
-// Parallel CP-ALS (Algorithm 3) over the mpsim runtime.
+// Per-rank state of parallel CP-ALS (Algorithm 3) over the mpsim runtime:
+// the block, the distributed factors and the factor update (the normal-
+// equations solve or HALS) that the sweep loop (par::run_cp_als in
+// par_pp.hpp) drives on every rank.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "parpp/core/cp_als.hpp"
-#include "parpp/core/nncp.hpp"
 #include "parpp/dist/dist_tensor.hpp"
 #include "parpp/dist/factor_dist.hpp"
 #include "parpp/dist/local_problem.hpp"
 #include "parpp/la/spd_solve.hpp"
 #include "parpp/mpsim/fault.hpp"
 #include "parpp/mpsim/runtime.hpp"
+#include "parpp/util/timer.hpp"
+
+namespace parpp::solver {
+struct SolverSpec;
+}  // namespace parpp::solver
 
 namespace parpp::par {
 
@@ -33,56 +40,15 @@ struct ElasticOptions {
   int max_shrinks = 3;
 };
 
-struct ParOptions {
-  /// Rank, stopping rule, seed and the local engine (base.engine,
-  /// base.engine_options) every rank runs on its block.
-  core::CpOptions base;
-  std::vector<int> grid_dims;  ///< product must equal the rank count
-  SolveMode solve = SolveMode::kDistributedRows;
-  int threads_per_rank = 1;
-  /// Injected communication fault for chaos runs (kNone = clean run).
-  mpsim::FaultPlan fault = {};
-  /// Collective timeout; <= 0 picks the runtime default (60 s, or 2 s when
-  /// a fault plan is active).
-  double comm_timeout_seconds = 0.0;
-  /// Elastic shrink-and-continue policy (off by default: a CommFailure
-  /// remains a clean collective abort, bit-for-bit the legacy behaviour).
-  ElasticOptions elastic = {};
-};
-
-struct ParResult {
-  std::vector<la::Matrix> factors;  ///< assembled global factors
-  double residual = 1.0;
+/// What a solve starts from besides its spec: the stopping-rule state and
+/// sweep count of a loaded checkpoint, and the clock of the time budget
+/// (StoppingRule::max_seconds), which runs from the moment the solve was
+/// entered.
+struct SolveStart {
   double fitness = 0.0;
-  int sweeps = 0;
-  std::vector<core::SweepRecord> history;  ///< rank-0 wall clock
-  /// Per-sweep kernel profile of the slowest rank (Fig. 3c-f breakdown).
-  std::vector<Profile> sweep_profiles;
-  /// Per-category critical path: sum over sweeps of the per-rank maximum of
-  /// each kernel class. Unlike sweep_profiles (one whole-rank snapshot),
-  /// its TTM seconds are the MTTKRP time of whichever rank was slowest at
-  /// MTTKRP each sweep — the load-balance figure of merit.
-  Profile critical_path_profile;
-  /// Modeled communication cost of the busiest rank.
-  mpsim::CostCounter comm_cost;
-  double mean_sweep_seconds = 0.0;
-  int num_als_sweeps = 0, num_pp_init = 0, num_pp_approx = 0;
-  /// Per-rank nonzero load imbalance, max / mean (1.0 = perfectly even;
-  /// 0.0 when the storage reports no nnz, i.e. dense runs).
-  double nnz_imbalance = 0.0;
-  /// Resilience outcome: kOk on the clean path; kRecovered when guardrails
-  /// or tolerated faults fired; kNumericalAbort / kCommAbort when the run
-  /// ended early (factors may then be empty — assembly is collective and is
-  /// skipped once ranks have unwound). Every non-kOk status comes with at
-  /// least one recovery_log event.
-  core::SolveStatus status = core::SolveStatus::kOk;
-  std::vector<core::RecoveryEvent> recovery_log;
-  /// Ranks the solve finished on (== the launch count unless an elastic
-  /// shrink removed some; 0 when no epoch started).
-  int final_ranks = 0;
-  /// nnz imbalance of the repartitioned grid after the last shrink (0.0
-  /// when no shrink happened or the storage reports no nnz).
-  double post_shrink_nnz_imbalance = 0.0;
+  double prev_fitness = -1.0;
+  int sweep_offset = 0;  ///< sweeps the loaded checkpoint already holds
+  WallTimer budget;
 };
 
 /// One HALS pass over the Q-distributed rows of A given M = MTTKRP(A's
@@ -108,25 +74,19 @@ void hals_update_rows(la::Matrix& a, const la::Matrix& m,
 bool rescue_zero_columns(mpsim::Comm& comm, dist::FactorDist& fd, int mode,
                          la::Matrix& s, double eps_floor);
 
-/// Collective verdict of `hooks.on_sweep`: rank 0 evaluates the hook, the
-/// verdict is all-reduced so every rank agrees on continuing. A no-op — and
-/// no extra collective — when the hook is absent. The hook sees `factors`
-/// on a 1-rank run, whose slices are the whole factors; with more ranks it
-/// sees an empty view (factors live distributed).
-[[nodiscard]] bool hooks_continue_collective(
-    mpsim::Comm& comm, const core::DriverHooks& hooks,
-    const core::SweepRecord& rec, const std::vector<la::Matrix>& factors);
-
-/// Per-rank state of Algorithm 3, shared by the plain, PLANC-style, PP and
-/// nonnegative parallel drivers. Constructed inside a rank body.
+/// Per-rank state of Algorithm 3, shared by the sweep loop (every method,
+/// PLANC-style solve included) and the PP kernel timers. Constructed inside
+/// a rank body.
 class ParCpContext {
  public:
-  /// `problem` must outlive the context. `initial_factors`, when non-null,
-  /// replaces the seeded deterministic initialization with a (validated)
-  /// global warm start; every rank keeps its own block of the same
-  /// matrices.
+  /// `problem` must outlive the context. The spec supplies the rank, seed,
+  /// engine and solve mode; `grid_dims` (product = comm.size()) is the
+  /// processor grid. `initial_factors`, when non-null, replaces the seeded
+  /// deterministic initialization with a (validated) global warm start;
+  /// every rank keeps its own block of the same matrices.
   ParCpContext(mpsim::Comm& comm, const dist::DistProblem& problem,
-               const ParOptions& options,
+               const solver::SolverSpec& spec,
+               const std::vector<int>& grid_dims,
                const std::vector<la::Matrix>* initial_factors = nullptr);
 
   /// Replaces the normal-equations solve in every subsequent factor update
@@ -188,8 +148,8 @@ class ParCpContext {
   void restore_state();
 
   /// Solve + propagate an already-reduced Q-shaped (approximate) MTTKRP for
-  /// `mode` — the tail of a factor update once ~M(n) has been assembled by
-  /// the PP driver (Algorithm 4 lines 9-15).
+  /// `mode` — the tail of a factor update once a PP phase has assembled
+  /// ~M(n) (Algorithm 4 lines 9-15).
   void apply_pp_mttkrp(int mode, const la::Matrix& m_q);
 
   /// Assemble the full factor for `mode` (collective).
@@ -207,7 +167,7 @@ class ParCpContext {
   [[nodiscard]] double reduce_with_health(double local_scalar);
 
   mpsim::Comm& comm_;
-  ParOptions options_;
+  SolveMode solve_mode_;
   bool hals_ = false;
   double hals_epsilon_ = 1e-12;
   int hals_inner_ = 1;
@@ -229,32 +189,5 @@ class ParCpContext {
   la::Matrix saved_gamma_last_, saved_mq_last_;
   bool have_snapshot_ = false;
 };
-
-/// Rank-0 bookkeeping of a replicated health verdict: folds tolerated
-/// events (guardrail fires, injected delays/corruptions) into the recovery
-/// log and upgrades kOk to kRecovered. Shared by the parallel drivers.
-void record_health_events(ParResult& result, int sweep,
-                          const ParCpContext::SweepHealth& h);
-
-/// Sweep-rollback budget shared by the resilient drivers.
-inline constexpr int kParRollbackBudget = 3;
-
-/// Books a replicated non-finite verdict after the caller restored the
-/// pre-sweep iterate on every rank: within kParRollbackBudget it counts a
-/// rollback and returns true (retry); past the budget it records the
-/// numerical abort and returns false. Rank 0 writes the log.
-[[nodiscard]] bool book_rollback(ParResult& result, int rank, int sweep,
-                                 int& rollbacks);
-
-/// Runs the plain parallel sweep loop (Algorithm 3) end to end on `nprocs`
-/// simulated ranks over any storage (`problem` supplies each rank's block,
-/// engine and PP operator factories). The factor update is the SPD solve
-/// when `nn` is null and the row-local HALS passes otherwise (parallel
-/// NNCP); both use the Eq. (3) residual over the stored M(N) and Γ(N), so
-/// the collective pattern is identical.
-[[nodiscard]] ParResult par_cp_als(const dist::DistProblem& problem,
-                                   int nprocs, const ParOptions& options,
-                                   const core::DriverHooks& hooks = {},
-                                   const core::NncpOptions* nn = nullptr);
 
 }  // namespace parpp::par

@@ -1,4 +1,7 @@
-// Communication-efficient parallel pairwise perturbation (Algorithm 4).
+// The sweep loop of every method: CP-ALS with communication-efficient
+// parallel pairwise perturbation (Algorithm 2 with the Algorithm 4
+// subroutine). With PP never eligible (als, nncp) it is plain Algorithm 1 /
+// Algorithm 3.
 //
 // The PP operators are built from each rank's *local* tensor block with the
 // locally replicated slice factors — no communication at all in the
@@ -9,29 +12,37 @@
 // (identical to Algorithm 3) and one small All-Reduce for dS(i).
 #pragma once
 
-#include "parpp/core/pp_als.hpp"
+#include <functional>
+#include <memory>
+
 #include "parpp/par/par_cp_als.hpp"
+
+namespace parpp::solver {
+struct SolveReport;
+}  // namespace parpp::solver
 
 namespace parpp::par {
 
-/// Runs the PP sweep loop (Algorithm 2 with the Algorithm 4 subroutine)
-/// on `nprocs` simulated ranks over any storage: dense slabs or sparse CSF
-/// blocks (sparse PP operators, identical collective pattern): regular
-/// sweeps until the factors move slowly, then PP initialization +
-/// approximated sweeps, falling back to regular sweeps whenever the
-/// perturbation grows past pp.pp_tol. The regular sweeps use
-/// options.base.engine. The factor update is the SPD solve when `nn` is
-/// null and the row-local HALS passes otherwise (PP-NNCP): PP approximates
-/// the MTTKRP and never looks at how the update consumes it, HALS consumes
-/// one MTTKRP per mode like the solve, its max(0, ·) projection keeps the
-/// factors feasible whatever the approximation error, and pp_tol and the
-/// trust guard bound that error as for ALS. Expects order >= 3 and pp_tol
-/// in (0, 1); parpp::solve() checks both before any rank starts.
-[[nodiscard]] ParResult par_pp_cp_als(const dist::DistProblem& problem,
-                                      int nprocs, const ParOptions& options,
-                                      const core::PpOptions& pp,
-                                      const core::DriverHooks& hooks = {},
-                                      const core::NncpOptions* nn = nullptr);
+/// Runs the sweep loop end to end on spec.execution.nprocs simulated ranks
+/// over any storage (`problem` supplies each rank's block, engine and PP
+/// operator factories: dense slabs or sparse CSF blocks). Reads the
+/// resolved spec parpp::solve() makes: execution.grid_dims set and the
+/// engine promoted for PP. Regular sweeps use spec.engine; for pp and
+/// pp-nncp, once the factors move slowly, PP initialization + approximated
+/// sweeps run, falling back to regular sweeps whenever the perturbation
+/// grows past pp.pp_tol (PP needs order >= 3 and pp_tol in (0, 1), which
+/// solve() checks before any rank starts). For als and nncp none of the PP
+/// bookkeeping runs: no operators, no drift All-Reduce, no final residual
+/// measurement. The factor update is the SPD solve, or the row-local HALS
+/// passes for nncp and pp-nncp: PP approximates the MTTKRP and never looks
+/// at how the update consumes it, HALS consumes one MTTKRP per mode like
+/// the solve, its max(0, ·) projection keeps the factors feasible whatever
+/// the approximation error, and pp_tol and the trust guard bound that error
+/// as for ALS. The loop also applies the time budget, the predicate, the
+/// observer and checkpointing, and fills the whole report.
+[[nodiscard]] solver::SolveReport run_cp_als(const dist::DistProblem& problem,
+                                             const solver::SolverSpec& spec,
+                                             const SolveStart& start = {});
 
 /// Benchmark hook: runs `sweeps` PP-approximated sweeps (after one build)
 /// regardless of the tolerance, returning per-sweep profiles and costs —
@@ -43,8 +54,30 @@ struct PpKernelTimings {
   Profile approx_profile;             ///< summed over the timed sweeps
   mpsim::CostCounter comm_cost;
 };
+
+/// Times this module's PP kernels on a dense tensor over
+/// spec.execution.nprocs ranks of spec.execution.grid_dims, with spec.rank,
+/// seed and engine.
 [[nodiscard]] PpKernelTimings time_pp_kernels(
-    const tensor::DenseTensor& global_t, int nprocs, const ParOptions& options,
+    const tensor::DenseTensor& global_t, const solver::SolverSpec& spec,
     int sweeps);
+
+/// One rank's PP kernels as the timing harness drives them.
+class PpKernels {
+ public:
+  virtual ~PpKernels() = default;
+  virtual void build() = 0;
+  virtual void approx_sweep() = 0;
+};
+
+/// The timing harness of time_pp_kernels and time_ref_pp_kernels: on every
+/// rank, one regular sweep warms the engine, `make` builds the kernels,
+/// then the build and `sweeps` approximated sweeps are timed; the report
+/// takes the slowest rank's times and rank 0's profiles.
+[[nodiscard]] PpKernelTimings time_kernels(
+    const tensor::DenseTensor& global_t, const solver::SolverSpec& spec,
+    int sweeps,
+    const std::function<std::unique_ptr<PpKernels>(mpsim::Comm&,
+                                                   ParCpContext&)>& make);
 
 }  // namespace parpp::par

@@ -6,7 +6,6 @@
 #include "parpp/core/pp_operators.hpp"
 #include "parpp/la/gemm.hpp"
 #include "parpp/tensor/mttv.hpp"
-#include "parpp/util/timer.hpp"
 
 namespace parpp::par {
 
@@ -15,7 +14,7 @@ namespace {
 /// Reference PP state: operators are globally reduced over the ranks
 /// sharing each (i, j) slab pair, and every U(n,i) triggers its own
 /// Reduce-Scatter.
-class RefPp {
+class RefPp final : public PpKernels {
  public:
   RefPp(mpsim::Comm& comm, ParCpContext& ctx)
       : comm_(comm), ctx_(ctx), n_(ctx.order()),
@@ -40,7 +39,7 @@ class RefPp {
     }
   }
 
-  void build() {
+  void build() override {
     ops_->build(nullptr);  // no donor: the reference recomputes everything
     // "Reduction on the output tensor": All-Reduce every pair operator over
     // the ranks sharing its slabs — the dominant communication of
@@ -59,7 +58,7 @@ class RefPp {
   }
 
   /// One approximated sweep with per-correction collectives.
-  void approx_sweep() {
+  void approx_sweep() override {
     for (int j = 0; j < n_; ++j) {
       // Base term: M_p(n) local + its own Reduce-Scatter.
       la::Matrix m_q =
@@ -110,54 +109,12 @@ class RefPp {
 }  // namespace
 
 PpKernelTimings time_ref_pp_kernels(const tensor::DenseTensor& global_t,
-                                    int nprocs, const ParOptions& options,
+                                    const solver::SolverSpec& spec,
                                     int sweeps) {
-  PpKernelTimings out;
-  std::vector<double> init_secs(static_cast<std::size_t>(nprocs), 0.0);
-  std::vector<double> approx_secs(static_cast<std::size_t>(nprocs), 0.0);
-  std::vector<Profile> init_prof(static_cast<std::size_t>(nprocs));
-  std::vector<Profile> approx_prof(static_cast<std::size_t>(nprocs));
-
-  const dist::DenseBlockProblem problem(global_t);
-  mpsim::RunOptions ropt;
-  ropt.threads_per_rank = options.threads_per_rank;
-  auto run_result = mpsim::run(
-      nprocs,
-      [&](mpsim::Comm& comm) {
-        ParCpContext ctx(comm, problem, options);
-        const int n = ctx.order();
-        for (int i = 0; i < n; ++i) ctx.update_mode(i);
-        RefPp pp(comm, ctx);
-        const auto r = static_cast<std::size_t>(comm.rank());
-        {
-          WallTimer t;
-          const Profile before = Profile::thread_default();
-          pp.build();
-          comm.barrier(PARPP_COMM_TAG("refpp-init-barrier"));
-          init_secs[r] = t.seconds();
-          init_prof[r] = Profile::thread_default().delta_since(before);
-        }
-        {
-          WallTimer t;
-          const Profile before = Profile::thread_default();
-          for (int s = 0; s < sweeps; ++s) pp.approx_sweep();
-          comm.barrier(PARPP_COMM_TAG("refpp-sweep-barrier"));
-          approx_secs[r] = t.seconds() / std::max(1, sweeps);
-          approx_prof[r] = Profile::thread_default().delta_since(before);
-        }
-      },
-      ropt);
-
-  for (int r = 0; r < nprocs; ++r) {
-    out.init_seconds =
-        std::max(out.init_seconds, init_secs[static_cast<std::size_t>(r)]);
-    out.approx_sweep_seconds = std::max(
-        out.approx_sweep_seconds, approx_secs[static_cast<std::size_t>(r)]);
-  }
-  out.init_profile = init_prof.empty() ? Profile{} : init_prof[0];
-  out.approx_profile = approx_prof.empty() ? Profile{} : approx_prof[0];
-  out.comm_cost = run_result.max_cost();
-  return out;
+  return time_kernels(global_t, spec, sweeps,
+                      [](mpsim::Comm& comm, ParCpContext& ctx) {
+                        return std::make_unique<RefPp>(comm, ctx);
+                      });
 }
 
 }  // namespace parpp::par

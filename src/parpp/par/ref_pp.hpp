@@ -16,9 +16,10 @@
 
 namespace parpp::par {
 
-/// Times the reference PP kernels under the same setup as time_pp_kernels.
+/// Times the reference PP kernels under the same harness and setup as
+/// time_pp_kernels.
 [[nodiscard]] PpKernelTimings time_ref_pp_kernels(
-    const tensor::DenseTensor& global_t, int nprocs,
-    const ParOptions& options, int sweeps);
+    const tensor::DenseTensor& global_t, const solver::SolverSpec& spec,
+    int sweeps);
 
 }  // namespace parpp::par

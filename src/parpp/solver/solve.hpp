@@ -7,9 +7,10 @@
 //
 // The only entry point to a solve. Composes method x execution x engine
 // with pluggable stopping, warm start and per-sweep observation; see
-// spec.hpp for the axes and registry.hpp for how methods map onto the two
-// sweep loops (plain and PP, both over a dist::DistProblem; a sequential
-// solve is their 1-rank run).
+// spec.hpp for the axes. Every method runs the one sweep loop
+// (par::run_cp_als, over a dist::DistProblem; a sequential solve is its
+// 1-rank run): solve() resolves the spec — the engine promotion for PP, the
+// processor grid, a loaded checkpoint — and the loop fills the report.
 #pragma once
 
 #include "parpp/solver/spec.hpp"
@@ -20,7 +21,7 @@ namespace parpp {
 /// sparse storage, uniformly (TensorSource converts implicitly from both).
 /// The source is converted into one problem: a WholeTensorProblem that
 /// views the tensor at one rank, a DenseBlockProblem or make_sparse_problem
-/// (with execution.partition) at more. Sparse sources run the same loops
+/// (with execution.partition) at more. Sparse sources run the same loop
 /// through the CSF engine with the no-densification fitness identity, for
 /// every method (als, pp, nncp, pp-nncp) and rank count. Throws
 /// parpp::error on an invalid spec (bad rank, warm-start shape mismatch,

@@ -3,13 +3,14 @@
 // The paper's observation is that every CP variant — plain ALS (Alg. 1),
 // pairwise perturbation (Alg. 2/4) and the nonnegative HALS the PLANC
 // baseline runs — shares the same MTTKRP bottleneck. The spec below makes
-// the variants composable instead of multiplicative: `Method` picks the
-// update rule, `Execution` picks how many simulated message-passing ranks
-// run it (one rank is the sequential solve), `engine` picks the MTTKRP
-// amortization, and
-// stopping / warm start / observation are orthogonal to all three. Every
-// cell of the method × execution × storage matrix runs through
-// parpp::solve(), the only entry point to a solve.
+// the variants composable instead of multiplicative: `Method` picks two
+// switches of the one sweep loop (PP phases on or off, the normal-equations
+// solve or HALS), `Execution` picks how many simulated message-passing
+// ranks run it (one rank is the sequential solve), `engine` picks the
+// MTTKRP amortization, and stopping / warm start / observation are
+// orthogonal to all three. Every cell of the method × execution × storage
+// matrix runs through parpp::solve(), the only entry point to a solve; the
+// loop reads the spec itself and fills the SolveReport.
 #pragma once
 
 #include <functional>
@@ -57,6 +58,16 @@ enum class Method {
   kNncpHals,  ///< nonnegative CP via HALS column updates
   kPpNncp,    ///< PP-accelerated nonnegative HALS (new: PP × NNCP)
 };
+
+/// Whether the sweep loop enters PP phases for `m`.
+[[nodiscard]] constexpr bool uses_pp(Method m) {
+  return m == Method::kPp || m == Method::kPpNncp;
+}
+
+/// Whether the factor update is HALS (else the normal-equations solve).
+[[nodiscard]] constexpr bool uses_hals(Method m) {
+  return m == Method::kNncpHals || m == Method::kPpNncp;
+}
 
 /// Where the sweeps run: the simulated message-passing runtime (Algorithm
 /// 3/4) with nprocs ranks. One rank is the sequential solve: it runs inline
@@ -129,15 +140,16 @@ enum class StopReason {
                 ///< (SolveReport::status and recovery_log say why)
 };
 
-/// Checkpoint/restart policy. With a path and every > 0, the drivers write
+/// Checkpoint/restart policy. With a path and every > 0, the loop writes
 /// a crash-consistent checkpoint (factors + sweep counter + stopping-rule
-/// state + RNG provenance) after every `every`-th sweep — the PP methods
-/// checkpoint after exact sweeps only, so the saved factors are never
-/// mid-approximation. With resume set, solve() first tries to load `path`:
-/// if the file exists the run warm-starts from it and only spends the
-/// remaining sweep budget; if it does not (e.g. the previous run died
-/// before the first checkpoint) the run cold-starts — so a kill-and-resume
-/// loop needs no coordination about whether a checkpoint was reached.
+/// state + RNG provenance) after the first exact sweep that lands `every`
+/// or more sweeps past the previous checkpoint — PP phases are never
+/// checkpointed, so the saved factors are never mid-approximation. With
+/// resume set, solve() first tries to load `path`: if the file exists the
+/// run warm-starts from it and only spends the remaining sweep budget; if
+/// it does not (e.g. the previous run died before the first checkpoint)
+/// the run cold-starts — so a kill-and-resume loop needs no coordination
+/// about whether a checkpoint was reached.
 struct CheckpointOptions {
   std::string path;   ///< empty disables checkpointing entirely
   int every = 0;      ///< checkpoint period in sweeps; <= 0 disables saves
@@ -164,9 +176,9 @@ struct SolverSpec {
 
   /// MTTKRP engine for the regular sweeps — the one engine setting for
   /// every method and execution. The PP methods need a tree engine for
-  /// their operator-build amortization, so kNaive is promoted to kMsdt for
-  /// them (solver::base_options), on every rank count. Sparse storage has
-  /// one engine, so every kind resolves to the CSF walk there.
+  /// their operator-build amortization, so parpp::solve() promotes kNaive
+  /// to kMsdt for them, on every rank count. Sparse storage has one engine,
+  /// so every kind resolves to the CSF walk there.
   core::EngineKind engine = core::EngineKind::kMsdt;
   core::EngineOptions engine_options = {};
 
@@ -191,35 +203,49 @@ struct SolverSpec {
   Observer observer = {};
 };
 
-/// Result of a solve, as the sweep loop reports it on every rank count.
+/// Result of a solve, as the sweep loop fills it on every rank count.
 struct SolveReport {
-  std::vector<la::Matrix> factors;
+  std::vector<la::Matrix> factors;  ///< assembled global factors
   double residual = 1.0;
   double fitness = 0.0;
   int sweeps = 0;  ///< total sweeps of any kind
+  /// kConverged when the last fitness pair the loop compared was within
+  /// fitness_tol, kMaxSweeps when the sweep budget ran out otherwise, the
+  /// named reason when the time budget, predicate or observer stopped the
+  /// run, kFault when `status` is an abort.
   StopReason stop_reason = StopReason::kConverged;
   std::vector<core::SweepRecord> history;
   Profile profile;
 
   /// Resilience outcome (kOk + empty log on the happy path). Any abort
-  /// status also sets stop_reason = kFault; kRecovered keeps the normal
-  /// stop reason — the run completed, the log just explains the bumps.
+  /// status also sets stop_reason = kFault (factors may then be empty —
+  /// assembly is collective and is skipped once ranks have unwound);
+  /// kRecovered keeps the normal stop reason — the run completed, the log
+  /// just explains the bumps.
   core::SolveStatus status = core::SolveStatus::kOk;
   std::vector<core::RecoveryEvent> recovery_log;
 
-  // Sweep counts by kind (PP statistics zero for the plain methods).
+  // Sweep counts by kind (PP statistics zero for the plain methods). Every
+  // sweep run counts, a rolled-back one too, and after an elastic shrink
+  // the replayed sweeps count once, so they sum to `sweeps` whenever the
+  // loop ran to its end (a communicator abort leaves `sweeps` at the last
+  // exact sweep).
   int num_als_sweeps = 0;
   int num_pp_init = 0;
   int num_pp_approx = 0;
 
   /// Modeled communication cost of the busiest rank (zero at one rank).
   mpsim::CostCounter comm_cost;
+  /// Loop time at the last sweep record over the sweeps run by then.
   double mean_sweep_seconds = 0.0;
   /// Per-sweep profile of the slowest rank; `profile` is their sum, so it
   /// books the sweeps and not the set-up.
   std::vector<Profile> sweep_profiles;
-  /// Per-category critical path across ranks (see ParResult); at one rank
-  /// it equals `profile`.
+  /// Per-category critical path: the sum over sweeps of the per-rank
+  /// maximum of each kernel class. Unlike sweep_profiles (one whole-rank
+  /// snapshot), its TTM seconds are the MTTKRP time of whichever rank was
+  /// slowest at MTTKRP each sweep — the load-balance figure of merit. At
+  /// one rank it equals `profile`.
   Profile critical_path_profile;
   /// Per-rank nonzero load imbalance, max / mean (1.0 = perfectly even, as
   /// at one rank; 0.0 for dense runs, whose blocks report no nnz).

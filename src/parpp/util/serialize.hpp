@@ -43,7 +43,7 @@ void save_factors_file(const std::string& path,
 /// The factors are stored GLOBAL (assembled), never per-rank, which makes
 /// a checkpoint rank-count-agnostic by construction: a run may resume on
 /// any --ranks value — including fewer ranks than wrote it, the cold-path
-/// complement of elastic shrink recovery — and the drivers repartition on
+/// complement of elastic shrink recovery — and the sweep loop repartitions on
 /// load. `written_ranks` records the writer's world size as provenance
 /// only (0 = unknown: a sequential writer or a pre-v2 file).
 struct CheckpointState {

@@ -136,16 +136,27 @@ TEST(Elastic, NncpShrinkRecovers) {
   expect_identical_reports(r, parpp::solve(dense_input(), spec));
 }
 
-// The PP driver too (the phase machinery re-earns PP eligibility with an
-// exact sweep after the shrink).
-TEST(Elastic, PpShrinkRecovers) {
-  solver::SolverSpec spec = elastic_spec(solver::Method::kPp, false);
+// The PP methods too (the phase machinery re-earns PP eligibility with an
+// exact sweep after the shrink). Rank 2 dies mid-phase, the phase replays
+// from its start, and the replayed sweeps are counted and recorded once.
+void expect_pp_shrink_recovers(solver::Method method) {
+  solver::SolverSpec spec = elastic_spec(method, false);
   add_rank_abort(spec, /*rank=*/2, /*nth=*/60);
   const solver::SolveReport r = parpp::solve(dense_input(), spec);
   EXPECT_EQ(r.status, core::SolveStatus::kRecoveredShrunk);
   EXPECT_EQ(r.final_ranks, kRanks - 1);
   EXPECT_TRUE(std::isfinite(r.fitness));
+  EXPECT_EQ(r.num_als_sweeps + r.num_pp_init + r.num_pp_approx, r.sweeps);
+  EXPECT_LE(static_cast<int>(r.history.size()), r.sweeps);
   expect_identical_reports(r, parpp::solve(dense_input(), spec));
+}
+
+TEST(Elastic, PpShrinkRecovers) {
+  expect_pp_shrink_recovers(solver::Method::kPp);
+}
+
+TEST(Elastic, PpNncpShrinkRecovers) {
+  expect_pp_shrink_recovers(solver::Method::kPpNncp);
 }
 
 // A FaultPlan sequence: two non-adjacent ranks die in different sweeps;

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "parpp/par/par_cp_als.hpp"
+#include "parpp/par/par_pp.hpp"
 #include "parpp/solver/solver.hpp"
 #include "test_util.hpp"
 
@@ -47,10 +47,10 @@ TEST_P(ParGrids, MatchesSequentialRun) {
   for (int d : GetParam().dims) nprocs *= d;
   // The loop on copied DenseBlockProblem blocks (one block for 1x1x1),
   // against the 1-rank solve(), which views the tensor in place.
+  spec.execution.nprocs = nprocs;
   spec.execution.grid_dims = GetParam().dims;
-  const ParResult par =
-      par_cp_als(dist::DenseBlockProblem(t), nprocs,
-                 solver::par_options(spec, static_cast<int>(shape.size())));
+  const solver::SolveReport par =
+      run_cp_als(dist::DenseBlockProblem(t), spec);
 
   EXPECT_NEAR(par.fitness, seq.fitness, 1e-8);
   ASSERT_EQ(par.factors.size(), seq.factors.size());

@@ -60,12 +60,22 @@ TEST(ParPp, PpSweepsActivateOnSlowConvergence) {
   EXPECT_GT(r.num_pp_approx, 0);
 }
 
+/// The timing benches' spec: DT ALS at rank `rank` on `grid`.
+solver::SolverSpec timing_spec(index_t rank, std::vector<int> grid) {
+  int nprocs = 1;
+  for (int d : grid) nprocs *= d;
+  solver::SolverSpec spec;
+  spec.rank = rank;
+  spec.engine = core::EngineKind::kDt;
+  spec.execution =
+      solver::Execution::simulated_parallel(nprocs, std::move(grid));
+  return spec;
+}
+
 TEST(ParPp, KernelTimingsProduceSaneOutput) {
   const auto t = test::random_tensor({12, 12, 12}, 904);
-  ParOptions opt;
-  opt.base.rank = 4;
-  opt.grid_dims = {2, 2, 1};
-  const PpKernelTimings timings = time_pp_kernels(t, 4, opt, 3);
+  const PpKernelTimings timings =
+      time_pp_kernels(t, timing_spec(4, {2, 2, 1}), 3);
   EXPECT_GT(timings.init_seconds, 0.0);
   EXPECT_GT(timings.approx_sweep_seconds, 0.0);
   EXPECT_GT(timings.init_profile.flops(Kernel::kTTM), 0.0)
@@ -78,11 +88,9 @@ TEST(ParPp, KernelTimingsProduceSaneOutput) {
 
 TEST(ParPp, RefImplementationCostsMoreCommunication) {
   const auto t = test::random_tensor({12, 12, 12}, 905);
-  ParOptions opt;
-  opt.base.rank = 4;
-  opt.grid_dims = {2, 2, 2};
-  const PpKernelTimings ours = time_pp_kernels(t, 8, opt, 3);
-  const PpKernelTimings ref = time_ref_pp_kernels(t, 8, opt, 3);
+  const solver::SolverSpec spec = timing_spec(4, {2, 2, 2});
+  const PpKernelTimings ours = time_pp_kernels(t, spec, 3);
+  const PpKernelTimings ref = time_ref_pp_kernels(t, spec, 3);
   EXPECT_GT(ref.comm_cost.total().words_horizontal,
             2.0 * ours.comm_cost.total().words_horizontal)
       << "Table II: the reference PP moves far more data";
@@ -92,10 +100,8 @@ TEST(ParPp, RefApproxStepStillExactForZeroPerturbation) {
   // With dA = 0 the reference approx sweep reduces to solving with M_p —
   // it must keep the factors consistent (no NaNs, residual well-defined).
   const auto t = test::low_rank_tensor({8, 8, 8}, 2, 906);
-  ParOptions opt;
-  opt.base.rank = 2;
-  opt.grid_dims = {2, 1, 1};
-  const PpKernelTimings timings = time_ref_pp_kernels(t, 2, opt, 2);
+  const PpKernelTimings timings =
+      time_ref_pp_kernels(t, timing_spec(2, {2, 1, 1}), 2);
   EXPECT_TRUE(std::isfinite(timings.approx_sweep_seconds));
 }
 

@@ -129,10 +129,12 @@ TEST(SolverFacade, EveryCellRunsOrReportsStructuredError) {
   const tensor::DenseTensor dense = gen.tensor.densify();
 
   int ran = 0;
-  for (const solver::MethodEntry& entry : solver::registered_methods()) {
+  for (const solver::Method method :
+       {solver::Method::kAls, solver::Method::kPp, solver::Method::kNncpHals,
+        solver::Method::kPpNncp}) {
     for (const bool parallel : {false, true}) {
       for (const bool sparse : {false, true}) {
-        solver::SolverSpec spec = sparse_spec(entry.method, 2, 4, 1e-6);
+        solver::SolverSpec spec = sparse_spec(method, 2, 4, 1e-6);
         if (parallel) spec.execution = solver::Execution::simulated_parallel(4);
         const solver::TensorSource source =
             sparse ? solver::TensorSource(csf) : solver::TensorSource(dense);
@@ -148,7 +150,7 @@ TEST(SolverFacade, EveryCellRunsOrReportsStructuredError) {
       }
     }
   }
-  EXPECT_EQ(ran, 16) << "some registered cells no longer run";
+  EXPECT_EQ(ran, 16) << "some method cells no longer run";
 }
 
 TEST(TensorSource, MisuseTripsStructuredChecks) {

@@ -1,6 +1,6 @@
-// parpp::solve() facade: spec round-trips against the sweep loops it
-// dispatches to, warm-start determinism, observer early-abort and stopping
-// rules.
+// parpp::solve() facade: spec round-trips against the sweep loop it
+// runs, warm-start determinism, observer early-abort, stopping rules and
+// the collectives and sweep counts of every method.
 #include <gtest/gtest.h>
 
 #include <omp.h>
@@ -9,12 +9,17 @@
 #include <string>
 #include <thread>
 
+#include "parpp/data/collinearity.hpp"
+#include "parpp/mpsim/grid.hpp"
 #include "parpp/par/par_pp.hpp"
 #include "parpp/solver/solver.hpp"
 #include "test_util.hpp"
 
 namespace parpp::solver {
 namespace {
+
+constexpr Method kMethods[] = {Method::kAls, Method::kPp, Method::kNncpHals,
+                               Method::kPpNncp};
 
 SolverSpec small_spec(Method method, index_t rank = 4) {
   SolverSpec spec;
@@ -64,25 +69,22 @@ TEST(SolverStrings, RoundTripsEveryEnum) {
   EXPECT_EQ(engine_from_string("MSDT"), core::EngineKind::kMsdt);
 }
 
-TEST(SolverRegistry, ListsEveryMethodOnce) {
-  const auto& methods = registered_methods();
-  ASSERT_EQ(methods.size(), 4u);
-  for (const MethodEntry& e : methods) {
-    EXPECT_EQ(&method_entry(e.method), &e);
-    EXPECT_NE(e.run, nullptr);
-  }
-}
+// --- spec round-trips: facade == the loop on copied blocks, bit for bit --
+// The loop runs at `nprocs` ranks on DenseBlockProblem blocks (one copied
+// block at one rank), while the 1-rank facade views the caller's tensor.
 
-// --- spec round-trips: facade == problem-typed loop, bit for bit ----------
-// The sequential cases run the loop at one rank, on a copied block, while
-// the facade views the caller's tensor.
+/// The sweep loop itself, on the grid solve() would pick.
+SolveReport run_loop(const tensor::DenseTensor& t, SolverSpec spec) {
+  spec.execution.grid_dims = mpsim::ProcessorGrid::balanced_dims(
+      spec.execution.nprocs, t.order());
+  return par::run_cp_als(dist::DenseBlockProblem(t), spec);
+}
 
 TEST(SolveFacade, AlsMatchesLegacySequential) {
   const auto t = test::low_rank_tensor({9, 8, 7}, 3, 901);
   const SolverSpec spec = small_spec(Method::kAls);
   const SolveReport facade = parpp::solve(t, spec);
-  const par::ParResult direct = par::par_cp_als(
-      dist::DenseBlockProblem(t), 1, par_options(spec, t.order()));
+  const SolveReport direct = run_loop(t, spec);
   expect_factors_identical(facade.factors, direct.factors);
   EXPECT_EQ(facade.fitness, direct.fitness);
   EXPECT_EQ(facade.sweeps, direct.sweeps);
@@ -93,8 +95,7 @@ TEST(SolveFacade, PpMatchesLegacySequential) {
   const auto t = test::low_rank_tensor({10, 9, 8}, 3, 902);
   const SolverSpec spec = small_spec(Method::kPp);
   const SolveReport facade = parpp::solve(t, spec);
-  const par::ParResult direct = par::par_pp_cp_als(
-      dist::DenseBlockProblem(t), 1, par_options(spec, t.order()), spec.pp);
+  const SolveReport direct = run_loop(t, spec);
   expect_factors_identical(facade.factors, direct.factors);
   EXPECT_EQ(facade.fitness, direct.fitness);
   EXPECT_EQ(facade.sweeps, direct.sweeps);
@@ -106,9 +107,7 @@ TEST(SolveFacade, NncpMatchesLegacySequential) {
   const auto t = test::low_rank_tensor({9, 8, 7}, 3, 903);
   const SolverSpec spec = small_spec(Method::kNncpHals);
   const SolveReport facade = parpp::solve(t, spec);
-  const par::ParResult direct =
-      par::par_cp_als(dist::DenseBlockProblem(t), 1,
-                      par_options(spec, t.order()), {}, &spec.nncp);
+  const SolveReport direct = run_loop(t, spec);
   expect_factors_identical(facade.factors, direct.factors);
   EXPECT_EQ(facade.fitness, direct.fitness);
   EXPECT_EQ(facade.sweeps, direct.sweeps);
@@ -118,9 +117,7 @@ TEST(SolveFacade, PpNncpMatchesDriverSequential) {
   const auto t = test::low_rank_tensor({9, 8, 7}, 3, 904);
   const SolverSpec spec = small_spec(Method::kPpNncp);
   const SolveReport facade = parpp::solve(t, spec);
-  const par::ParResult direct = par::par_pp_cp_als(
-      dist::DenseBlockProblem(t), 1, par_options(spec, t.order()), spec.pp,
-      {}, &spec.nncp);
+  const SolveReport direct = run_loop(t, spec);
   expect_factors_identical(facade.factors, direct.factors);
   EXPECT_EQ(facade.fitness, direct.fitness);
   EXPECT_EQ(facade.sweeps, direct.sweeps);
@@ -131,12 +128,11 @@ TEST(SolveFacade, AlsMatchesLegacyParallel) {
   SolverSpec spec = small_spec(Method::kAls);
   spec.execution = Execution::simulated_parallel(4);
   const SolveReport facade = parpp::solve(t, spec);
-  const par::ParResult direct = par::par_cp_als(
-      dist::DenseBlockProblem(t), 4, par_options(spec, t.order()));
+  const SolveReport direct = run_loop(t, spec);
   expect_factors_identical(facade.factors, direct.factors);
   EXPECT_EQ(facade.fitness, direct.fitness);
   EXPECT_EQ(facade.sweeps, direct.sweeps);
-  // No hooks configured: the facade must add zero collectives.
+  // No stopping hook or observer: solve() must add zero collectives.
   EXPECT_EQ(facade.comm_cost.total().messages,
             direct.comm_cost.total().messages);
 }
@@ -146,8 +142,7 @@ TEST(SolveFacade, PpMatchesLegacyParallel) {
   SolverSpec spec = small_spec(Method::kPp);
   spec.execution = Execution::simulated_parallel(4);
   const SolveReport facade = parpp::solve(t, spec);
-  const par::ParResult direct = par::par_pp_cp_als(
-      dist::DenseBlockProblem(t), 4, par_options(spec, t.order()), spec.pp);
+  const SolveReport direct = run_loop(t, spec);
   expect_factors_identical(facade.factors, direct.factors);
   EXPECT_EQ(facade.fitness, direct.fitness);
   EXPECT_EQ(facade.sweeps, direct.sweeps);
@@ -160,9 +155,7 @@ TEST(SolveFacade, NncpMatchesLegacyParallel) {
   SolverSpec spec = small_spec(Method::kNncpHals);
   spec.execution = Execution::simulated_parallel(4);
   const SolveReport facade = parpp::solve(t, spec);
-  const par::ParResult direct =
-      par::par_cp_als(dist::DenseBlockProblem(t), 4,
-                      par_options(spec, t.order()), {}, &spec.nncp);
+  const SolveReport direct = run_loop(t, spec);
   expect_factors_identical(facade.factors, direct.factors);
   EXPECT_EQ(facade.fitness, direct.fitness);
   EXPECT_EQ(facade.sweeps, direct.sweeps);
@@ -174,10 +167,10 @@ TEST(SolveFacade, EveryMethodExecutionCellRuns) {
   // A nonnegative planted tensor every method can recover: the full
   // method x execution matrix must run and converge through one facade.
   const auto t = test::low_rank_tensor({8, 7, 6}, 2, 908);
-  for (const MethodEntry& entry : registered_methods()) {
+  for (const Method method : kMethods) {
     for (int procs : {1, 4}) {
       SolverSpec spec;
-      spec.method = entry.method;
+      spec.method = method;
       spec.rank = 2;
       spec.stopping.max_sweeps = 200;
       spec.stopping.fitness_tol = 1e-9;
@@ -185,7 +178,7 @@ TEST(SolveFacade, EveryMethodExecutionCellRuns) {
       if (procs > 1) spec.execution = Execution::simulated_parallel(procs);
       const SolveReport r = parpp::solve(t, spec);
       EXPECT_GT(r.fitness, 0.9)
-          << std::string(entry.name) << " x procs=" << procs;
+          << std::string(to_string(method)) << " x procs=" << procs;
       EXPECT_EQ(r.factors.size(), 3u);
     }
   }
@@ -196,15 +189,15 @@ TEST(SolveFacade, ProfilesInEveryCell) {
   // parallel loops add one slowest-rank profile per sweep and a critical
   // path that books the MTTKRP work.
   const auto t = test::random_tensor({12, 10, 8}, 921);
-  for (const MethodEntry& entry : registered_methods()) {
+  for (const Method method : kMethods) {
     for (int procs : {1, 4}) {
-      SolverSpec spec = small_spec(entry.method);
+      SolverSpec spec = small_spec(method);
       spec.stopping.max_sweeps = 6;
       spec.stopping.fitness_tol = -1.0;  // every sweep runs
       if (procs > 1) spec.execution = Execution::simulated_parallel(procs);
       const SolveReport r = parpp::solve(t, spec);
       const std::string cell =
-          std::string(entry.name) + " x procs=" + std::to_string(procs);
+          std::string(to_string(method)) + " x procs=" + std::to_string(procs);
       EXPECT_GT(r.profile.total_flops(), 0.0) << cell;
       if (procs == 1) continue;
       EXPECT_EQ(static_cast<int>(r.sweep_profiles.size()), r.sweeps) << cell;
@@ -359,6 +352,50 @@ TEST(SolveFacade, StopReasonReportsConvergenceAndBudget) {
   EXPECT_EQ(parpp::solve(noise, tight).stop_reason, StopReason::kMaxSweeps);
 }
 
+// The loop decides the stop reason from the last fitness pair it
+// compared, so a pp-init (which carries the fitness of the exact sweep
+// before it) never reads as convergence.
+TEST(SolveFacade, BudgetEndingOnPpInitReportsMaxSweeps) {
+  const auto gen =
+      data::make_collinear_tensor({24, 22, 20}, 4, 0.5, 0.9, 7, 1e-3);
+  for (const Method method : {Method::kPp, Method::kPpNncp}) {
+    for (int procs : {1, 4}) {
+      SolverSpec spec = small_spec(method);
+      spec.stopping.max_sweeps = 4;
+      spec.stopping.fitness_tol = 1e-9;
+      if (procs > 1) spec.execution = Execution::simulated_parallel(procs);
+      const SolveReport r = parpp::solve(gen.tensor, spec);
+      const std::string cell =
+          std::string(to_string(method)) + " x procs=" + std::to_string(procs);
+      ASSERT_EQ(r.history.size(), 4u) << cell;
+      EXPECT_EQ(r.history.back().phase, "pp-init") << cell;
+      EXPECT_EQ(r.stop_reason, StopReason::kMaxSweeps) << cell;
+    }
+  }
+}
+
+// No report field depends on record_history: convergence on the last
+// permitted sweep and the mean sweep time read the same without it.
+TEST(SolveFacade, ConvergenceOnLastSweepWithoutHistory) {
+  const auto t = test::low_rank_tensor({8, 7, 6}, 2, 917);
+  SolverSpec spec = small_spec(Method::kAls, 2);
+  spec.stopping.max_sweeps = 200;
+  spec.stopping.fitness_tol = 1e-6;
+  test::with_threads(1, [&] {
+    const SolveReport free_run = parpp::solve(t, spec);
+    ASSERT_EQ(free_run.stop_reason, StopReason::kConverged);
+    ASSERT_LT(free_run.sweeps, spec.stopping.max_sweeps);
+
+    spec.stopping.max_sweeps = free_run.sweeps;
+    spec.record_history = false;
+    const SolveReport r = parpp::solve(t, spec);
+    EXPECT_TRUE(r.history.empty());
+    EXPECT_EQ(r.sweeps, free_run.sweeps);
+    EXPECT_EQ(r.stop_reason, StopReason::kConverged);
+    EXPECT_GT(r.mean_sweep_seconds, 0.0);
+  });
+}
+
 TEST(SolveFacade, ObserverSubsumesHistoryWhenDisabled) {
   const auto t = test::low_rank_tensor({8, 7, 6}, 3, 918);
   SolverSpec spec = small_spec(Method::kAls, 3);
@@ -372,6 +409,58 @@ TEST(SolveFacade, ObserverSubsumesHistoryWhenDisabled) {
   const SolveReport r = parpp::solve(t, spec);
   EXPECT_TRUE(r.history.empty());
   EXPECT_EQ(static_cast<int>(streamed.size()), r.sweeps);
+}
+
+// --- collectives and sweep counts of every method --------------------------
+// One sweep loop serves every method; als and nncp must not pay for the PP
+// bookkeeping. The pinned values were recorded from the separate plain and
+// PP loops the one loop replaced (4 ranks x 1 thread, 12 fixed sweeps).
+
+struct ClassCost {
+  double messages;
+  double words;
+};
+
+struct MethodCost {
+  Method method;
+  int als, pp_init, pp_approx;
+  ClassCost by_class[static_cast<int>(mpsim::Collective::kCount)];
+};
+
+TEST(SolveFacade, CollectivesAndSweepCountsPerMethod) {
+  const auto gen =
+      data::make_collinear_tensor({24, 22, 20}, 4, 0.5, 0.9, 7, 1e-3);
+  // All-Gather, Reduce-Scatter, All-Reduce, Bcast, All-to-All.
+  const MethodCost expected[] = {
+      {Method::kAls, 12, 0, 0,
+       {{58, 2560}, {48, 2112}, {208, 1370}, {0, 0}, {0, 0}}},
+      {Method::kNncpHals, 12, 0, 0,
+       {{58, 2560}, {48, 2112}, {212, 1402}, {0, 0}, {0, 0}}},
+      {Method::kPp, 4, 2, 6,
+       {{50, 2208}, {42, 1840}, {300, 1888}, {0, 0}, {0, 0}}},
+      {Method::kPpNncp, 3, 1, 8,
+       {{54, 2384}, {46, 2016}, {340, 2206}, {0, 0}, {0, 0}}},
+  };
+  for (const MethodCost& want : expected) {
+    SolverSpec spec = small_spec(want.method);
+    spec.stopping.max_sweeps = 12;
+    spec.stopping.fitness_tol = -1.0;
+    spec.execution = Execution::simulated_parallel(4);
+    const SolveReport r = parpp::solve(gen.tensor, spec);
+    const std::string m(to_string(want.method));
+    EXPECT_EQ(r.sweeps, 12) << m;
+    EXPECT_EQ(r.num_als_sweeps, want.als) << m;
+    EXPECT_EQ(r.num_pp_init, want.pp_init) << m;
+    EXPECT_EQ(r.num_pp_approx, want.pp_approx) << m;
+    for (int c = 0; c < static_cast<int>(mpsim::Collective::kCount); ++c) {
+      const auto cls = static_cast<mpsim::Collective>(c);
+      const CostTally& got = r.comm_cost.by_class(cls);
+      EXPECT_EQ(got.messages, want.by_class[c].messages)
+          << m << " " << mpsim::collective_name(cls);
+      EXPECT_EQ(got.words_horizontal, want.by_class[c].words)
+          << m << " " << mpsim::collective_name(cls);
+    }
+  }
 }
 
 TEST(SolveFacade, RejectsInvalidSpecs) {

@@ -9,7 +9,7 @@
 #include "parpp/core/sparse_engine.hpp"
 #include "parpp/data/sparse_synthetic.hpp"
 #include "parpp/dist/sparse_dist.hpp"
-#include "parpp/par/par_cp_als.hpp"
+#include "parpp/par/par_pp.hpp"
 #include "parpp/solver/solver.hpp"
 #include "parpp/tensor/csf_tensor.hpp"
 #include "test_util.hpp"
@@ -189,19 +189,14 @@ TEST(SparseSolve, LegacyCoreOverloadMatchesFacade) {
   const auto gen = data::make_sparse_lowrank({12, 11, 10}, 3, 0.1, 44);
   const tensor::CsfTensor csf(gen.tensor);
 
-  // The loop at one rank, on a block rebuilt by the uniform partition.
-  par::ParOptions options;
-  options.base.rank = 3;
-  options.base.max_sweeps = 6;
-  options.base.tol = 1e-14;
-  options.base.seed = 7;
-  options.grid_dims = {1, 1, 1};
-  const par::ParResult direct = par::par_cp_als(
-      *dist::make_sparse_problem(csf, dist::PartitionKind::kUniformBlocks), 1,
-      options);
-
+  // The loop at one rank, on a block rebuilt by the uniform partition,
+  // against the facade's in-place view.
   solver::SolverSpec spec = base_spec(solver::Method::kAls, 3, 6, 1e-14);
   const auto facade = parpp::solve(csf, spec);
+  spec.execution.grid_dims = {1, 1, 1};
+  const solver::SolveReport direct = par::run_cp_als(
+      *dist::make_sparse_problem(csf, dist::PartitionKind::kUniformBlocks),
+      spec);
   EXPECT_EQ(direct.sweeps, facade.sweeps);
   EXPECT_DOUBLE_EQ(direct.fitness, facade.fitness);
 }
